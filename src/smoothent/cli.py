@@ -145,9 +145,9 @@ def _scale(args) -> tuple[float, str]:
 
 
 def cmd_gen(args) -> int:
+    if args.out is None:
+        raise InvalidConfig("gen requires --out (a file prefix for --kind pair)")
     if args.kind == "pair":
-        if args.out is None:
-            raise InvalidConfig("gen --kind pair requires --out as a file prefix")
         data, dependent = gen_common_signal_pair(
             args.dim, args.ambient_dim, args.n, args.noise_std, args.seed,
             dependent=not args.independent,
@@ -161,8 +161,6 @@ def cmd_gen(args) -> int:
         )
     else:
         samples = gen_spiral(args.kind, args.lambda_res, args.ambient_dim, args.n, args.seed)
-    if args.out is None:
-        raise InvalidConfig("gen requires --out")
     write_samples(args.out, samples)
     print(f"wrote {args.out} ({samples.count} samples x {samples.dim} dims)")
     return EXIT_OK
@@ -174,8 +172,6 @@ def cmd_entropy(args) -> int:
     if args.save_pca is not None:
         save_pca_model(args.save_pca, result.pca)
     scale, units = _scale(args)
-    columns = ["estimate", "mc_std_error", "units", "ambient_dim", "target_dim",
-               "sigma", "n_mc", "seed", "eigen_gap", "residual", "correction"]
     row = {
         "estimate": result.value * scale,
         "mc_std_error": result.mc_std_error * scale,
@@ -190,25 +186,25 @@ def cmd_entropy(args) -> int:
         "correction": result.correction * scale,
     }
     if args.out is not None:
-        write_rows_csv(args.out, [row], columns)
+        write_rows_csv(args.out, [row], list(row))
     print(f"h = {fmt(row['estimate'])} {units} (mc_std_error {fmt(row['mc_std_error'])})")
     return EXIT_OK
 
 
-def _print_mi(estimate, args, extra: dict, out_columns: list[str]) -> None:
+def _print_mi(estimate, args, extra: dict) -> None:
     scale, units = _scale(args)
     row = {
         "mi": estimate.value * scale,
         "std_error": estimate.std_error * scale,
         "units": units,
+        **extra,
         "sigma": args.sigma,
         "target_dim": args.dim,
         "n_mc": args.n_mc,
         "seed": args.seed,
     }
-    row.update(extra)
     if args.out is not None:
-        write_rows_csv(args.out, [row], out_columns)
+        write_rows_csv(args.out, [row], list(row))
     print(f"I = {fmt(row['mi'])} {units} (std_error {fmt(row['std_error'])})")
 
 
@@ -223,9 +219,7 @@ def cmd_mi_cond(args) -> int:
         "marginal_entropy": estimate.components["marginal"].value * scale,
         "conditional_entropy_mean": sum(t.value for t in conds) / len(conds) * scale,
     }
-    columns = ["mi", "std_error", "units", "n_conditions", "marginal_entropy",
-               "conditional_entropy_mean", "sigma", "target_dim", "n_mc", "seed"]
-    _print_mi(estimate, args, extra, columns)
+    _print_mi(estimate, args, extra)
     return EXIT_OK
 
 
@@ -238,9 +232,7 @@ def cmd_mi_joint(args) -> int:
         "h_y": estimate.components["y"].value * scale,
         "h_joint": estimate.components["joint"].value * scale,
     }
-    columns = ["mi", "std_error", "units", "h_x", "h_y", "h_joint",
-               "sigma", "target_dim", "n_mc", "seed"]
-    _print_mi(estimate, args, extra, columns)
+    _print_mi(estimate, args, extra)
     return EXIT_OK
 
 

@@ -102,7 +102,7 @@ def save_pca_model(path, model: PcaModel) -> None:
 
 
 def load_pca_model(path) -> PcaModel:
-    """Inverse of :func:`save_pca_model`; gap and residual are recomputed."""
+    """Inverse of :func:`save_pca_model`; gap and residual derive from the spectrum."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -118,18 +118,11 @@ def load_pca_model(path) -> PcaModel:
     target_dim = basis.shape[1]
     if spectrum.shape[0] != ambient_dim or basis.shape[0] != ambient_dim:
         raise InvalidData(f"{path}: inconsistent block widths")
-    clamped = np.maximum(spectrum, 0.0)
-    if target_dim < ambient_dim:
-        gap = 0.5 * (clamped[target_dim - 1] - clamped[target_dim])
-    else:
-        gap = 0.5 * clamped[-1]
     return PcaModel(
         basis=basis,
         spectrum=spectrum,
         ambient_dim=ambient_dim,
         target_dim=target_dim,
-        eigen_gap=float(gap),
-        residual=float(np.sum(clamped[target_dim:])),
         mean=mean,
     )
 

@@ -9,14 +9,18 @@ as an independent cross-check.
 
 Numerical notes
 ---------------
-* ``mixture_log_density`` (single point) is evaluated in double precision
-  with log-sum-exp stabilization; no density is ever exponentiated without
-  max subtraction, so centers hundreds of sigma away underflow harmlessly.
+* One double-precision evaluator, ``_log_density_rows``, serves point queries
+  (``mixture_log_density`` is its one-row call) and the quadrature oracle.
+  It sums squared differences ``sum_k (q_k - c_k)^2``, which keeps full
+  accuracy far from the origin, and stabilizes with log-sum-exp, so centers
+  hundreds of sigma away underflow harmlessly.
 * The Monte-Carlo hot loop evaluates pairwise terms in single precision with
   double-precision accumulation.  The resulting error (~1e-5 nats) is two
   orders of magnitude below the statistical error at any realistic trial
-  count; the double-precision path remains authoritative for point queries
-  and quadrature.
+  count.  Two kernels share one column tiling: ``_mc_block_fast`` (one
+  augmented matrix product, no running maximum) runs for ``d <= 32`` and
+  hands a block to ``_mc_block_safe`` (streaming running maximum) if its
+  float32 exponents overflow; above ``d = 32`` only the safe kernel runs.
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)``, independent of chunk scheduling,
@@ -99,35 +103,37 @@ def mixture_log_density(mix: IsotropicMixture, point) -> float:
         raise InvalidData(f"point has length {t.shape[0]}, expected {mix.dim}")
     if not np.all(np.isfinite(t)):
         raise InvalidData("point contains non-finite entries")
-    diff = mix.centers.data.T - t[None, :]
-    sq = np.einsum("nd,nd->n", diff, diff)
-    args = sq / (-2.0 * mix.sigma**2)
-    m = float(args.max())
-    return m + math.log(float(np.exp(args - m).sum())) - _log_norm_const(
-        mix.n_centers, mix.dim, mix.sigma
-    )
+    return float(_log_density_rows(mix.centers.data.T, mix.sigma, t[None, :])[0])
 
 
 def _log_density_rows(centers_rows: np.ndarray, sigma: float, queries: np.ndarray) -> np.ndarray:
     """Double-precision batch log density of the mixture at ``queries`` (rows)."""
     n, dim = centers_rows.shape
     const = _log_norm_const(n, dim, sigma)
-    c2 = np.einsum("nd,nd->n", centers_rows, centers_rows)
-    inv = -0.5 / sigma**2
     out = np.empty(queries.shape[0])
-    chunk = max(1, _DELTA_BUDGET // max(1, n))
+    chunk = max(1, _DELTA_BUDGET // (n * dim))
     for lo in range(0, queries.shape[0], chunk):
-        q = queries[lo : lo + chunk]
-        q2 = np.einsum("md,md->m", q, q)
-        d2 = q2[:, None] - 2.0 * (q @ centers_rows.T) + c2[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        args = d2
-        args *= inv
+        diff = queries[lo : lo + chunk, None, :] - centers_rows[None, :, :]
+        args = np.einsum("mnd,mnd->mn", diff, diff) / (-2.0 * sigma**2)
         m = args.max(axis=1)
         args -= m[:, None]
         np.exp(args, out=args)
         out[lo : lo + chunk] = m + np.log(args.sum(axis=1)) - const
     return out
+
+
+def _column_tiles(centers32, b0, b1):
+    """Yield ``(width, delta, |delta|^2)`` for block rows ``b0:b1`` against each column tile.
+
+    ``delta[i, k] = x_{b0+i} - x_{k0+k}`` in float32, for tiles of
+    ``_COL_TILE`` centers; both Monte-Carlo kernels consume these tiles.
+    """
+    n = centers32.shape[0]
+    cb = centers32[b0:b1]
+    for k0 in range(0, n, _COL_TILE):
+        k1 = min(k0 + _COL_TILE, n)
+        delta = cb[:, None, :] - centers32[None, k0:k1, :]
+        yield k1 - k0, delta, np.einsum("ikd,ikd->ik", delta, delta)
 
 
 def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const):
@@ -138,24 +144,20 @@ def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const):
     no running maximum.  Exponents are produced by a single augmented matrix
     product: ``z_aug = [Z | 1]`` against ``[-delta^T/sigma^2 ; -|delta|^2/(2 sigma^2)]``.
     Exponents can only overflow in float32 when ``|Z|^2/(2 sigma^2) > ~87``,
-    which the caller detects (non-finite sum) and retries via the safe path.
+    which is detected here (non-finite sum, ``None`` returned) so the caller
+    retries via the safe path.
     """
-    n, dim = centers32.shape
+    dim = centers32.shape[1]
     inv_s2 = np.float32(-1.0 / sigma**2)
     inv_2s2 = np.float32(-0.5 / sigma**2)
     sums = np.zeros((z_aug.shape[0], z_aug.shape[1]), dtype=np.float64)
-    cb = centers32[b0:b1]
     aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
     buf = np.empty((z_aug.shape[0], z_aug.shape[1], _COL_TILE), dtype=np.float32)
-    for k0 in range(0, n, _COL_TILE):
-        k1 = min(k0 + _COL_TILE, n)
-        delta = cb[:, None, :] - centers32[None, k0:k1, :]
-        a = aug[:, :, : k1 - k0]
-        a[:, :dim, :] = delta.transpose(0, 2, 1)
-        a[:, :dim, :] *= inv_s2
-        np.einsum("ikd,ikd->ik", delta, delta, out=a[:, dim, :])
-        a[:, dim, :] *= inv_2s2
-        args = np.matmul(z_aug, a, out=buf[:, :, : k1 - k0])
+    for width, delta, dd in _column_tiles(centers32, b0, b1):
+        a = aug[:, :, :width]
+        np.multiply(delta.transpose(0, 2, 1), inv_s2, out=a[:, :dim, :])
+        np.multiply(dd, inv_2s2, out=a[:, dim, :])
+        args = np.matmul(z_aug, a, out=buf[:, :, :width])
         np.maximum(args, _EXP_FLOOR, out=args)
         np.exp(args, out=args)
         sums += args.sum(axis=2)
@@ -166,19 +168,14 @@ def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const):
 
 def _mc_block_safe(centers32, b0, b1, z32, z2, sigma, const):
     """Streaming log-sum-exp with a running maximum; works for any exponent range."""
-    n, dim = centers32.shape
     inv_s2 = np.float32(-1.0 / sigma**2)
-    cb = centers32[b0:b1]
     z2h32 = (np.float32(0.5) * z2).astype(np.float32)
     running_max = np.full(z2h32.shape, -np.inf, dtype=np.float32)
     running_sum = np.zeros(z2h32.shape, dtype=np.float64)
-    for k0 in range(0, n, _COL_TILE):
-        k1 = min(k0 + _COL_TILE, n)
-        delta = cb[:, None, :] - centers32[None, k0:k1, :]
-        ddh = np.float32(0.5) * np.einsum("ikd,ikd->ik", delta, delta)
+    for _, delta, dd in _column_tiles(centers32, b0, b1):
         args = z32 @ delta.transpose(0, 2, 1)
         args += z2h32[:, :, None]
-        args += ddh[:, None, :]
+        args += (np.float32(0.5) * dd)[:, None, :]
         args *= inv_s2
         np.maximum(args, _ARG_FLOOR, out=args)
         new_max = np.maximum(running_max, args.max(axis=2))
@@ -191,31 +188,16 @@ def _mc_block_safe(centers32, b0, b1, z32, z2, sigma, const):
     return running_max.astype(np.float64) + np.log(running_sum) - const
 
 
-def plugin_entropy_mc(
-    mix: IsotropicMixture,
-    n_mc: int,
-    seed: int,
-    truncation_radius: float | None = None,
-) -> EntropyEstimate:
+def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEstimate:
     """Monte-Carlo plug-in estimate of the mixture entropy, in nats.
 
     For each center ``x_i``, ``n_mc`` noise vectors ``Z ~ N(0, sigma^2 I)``
     are drawn from ``substream(seed, i)`` and the estimate is
     ``-(1/(n*n_mc)) sum_{i,j} ln g(x_i + Z_j)``.  ``mc_std_error`` is the
     sample standard deviation of the log terms divided by ``sqrt(n*n_mc)``.
-
-    ``truncation_radius`` switches on the approximate fast mode that ignores
-    centers farther than the given distance from each query point (a radius
-    of ``10 * sigma`` keeps the truncation error below ``n`` times a
-    phi-tail bound, i.e. negligible).  The default, exact, mode sums all
-    centers.
     """
     if n_mc < 1:
         raise InvalidConfig(f"n_mc must be >= 1, got {n_mc}")
-    if truncation_radius is not None and truncation_radius <= 0:
-        raise InvalidConfig("truncation_radius must be positive")
-    if truncation_radius is not None:
-        return _plugin_mc_truncated(mix, n_mc, seed, truncation_radius)
 
     centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
     n, dim = centers32.shape
@@ -260,52 +242,6 @@ def plugin_entropy_mc(
         var = max(0.0, (t2 - t1 * t1 / total) / (total - 1))
     else:
         var = 0.0
-    return EntropyEstimate(
-        value=-mean,
-        mc_std_error=math.sqrt(var / total),
-        n_centers=n,
-        n_mc=n_mc,
-        seed=seed,
-    )
-
-
-def _plugin_mc_truncated(
-    mix: IsotropicMixture, n_mc: int, seed: int, radius: float
-) -> EntropyEstimate:
-    """Approximate MC estimate ignoring centers beyond ``radius`` of each query."""
-    from scipy.spatial import cKDTree
-
-    centers_rows = mix.centers.data.T.copy()
-    n, dim = centers_rows.shape
-    sigma = mix.sigma
-    const = _log_norm_const(n, dim, sigma)
-    inv = -0.5 / sigma**2
-    tree = cKDTree(centers_rows)
-
-    pivot = None
-    t1 = 0.0
-    t2 = 0.0
-    total = 0
-    for i in range(n):
-        z = substream(seed, i).normal(0.0, sigma, size=(n_mc, dim))
-        queries = centers_rows[i][None, :] + z
-        neighborhoods = tree.query_ball_point(queries, radius)
-        logg = np.empty(n_mc)
-        for j, idx in enumerate(neighborhoods):
-            if not idx:
-                idx = slice(None)  # fall back to the exact sum
-            diff = centers_rows[idx] - queries[j][None, :]
-            args = np.einsum("kd,kd->k", diff, diff) * inv
-            m = float(args.max())
-            logg[j] = m + math.log(float(np.exp(args - m).sum())) - const
-        if pivot is None:
-            pivot = float(logg[0])
-        dev = logg - pivot
-        t1 += float(dev.sum())
-        t2 += float(dev @ dev)
-        total += logg.size
-    mean = pivot + t1 / total
-    var = max(0.0, (t2 - t1 * t1 / total) / (total - 1)) if total > 1 else 0.0
     return EntropyEstimate(
         value=-mean,
         mc_std_error=math.sqrt(var / total),

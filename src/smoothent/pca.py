@@ -86,18 +86,18 @@ class PcaModel:
     """Top-``d`` eigenbasis of a sample covariance plus spectral diagnostics.
 
     ``basis`` is ``(D, d)`` with orthonormal columns; ``spectrum`` is the full
-    descending eigenvalue list; ``eigen_gap`` is half the gap between the
-    ``d``-th and ``(d+1)``-th eigenvalues (half the ``d``-th for ``d == D``);
-    ``residual`` is the eigenvalue mass beyond the ``d``-th; ``mean`` is the
-    centering vector subtracted before projecting (zeros if uncentered).
+    descending eigenvalue list; ``mean`` is the centering vector subtracted
+    before projecting (zeros if uncentered).  The diagnostics are derived from
+    the spectrum with negative eigenvalues clamped to zero: ``eigen_gap`` is
+    half the gap between the ``d``-th and ``(d+1)``-th eigenvalues (half the
+    ``d``-th for ``d == D``); ``residual`` is the eigenvalue mass beyond the
+    ``d``-th.
     """
 
     basis: np.ndarray
     spectrum: np.ndarray
     ambient_dim: int
     target_dim: int
-    eigen_gap: float
-    residual: float
     mean: np.ndarray
 
     def __post_init__(self):
@@ -119,11 +119,19 @@ class PcaModel:
         scale = max(1.0, abs(float(spectrum[0])))
         if np.any(spectrum < -_EIG_NEG_RTOL * scale):
             raise InvalidData("spectrum has a significantly negative eigenvalue")
-        if self.eigen_gap < 0 or self.residual < 0:
-            raise InvalidData("eigen_gap and residual must be non-negative")
         object.__setattr__(self, "basis", _readonly(basis))
         object.__setattr__(self, "spectrum", _readonly(spectrum))
         object.__setattr__(self, "mean", _readonly(mean))
+
+    @property
+    def eigen_gap(self) -> float:
+        clamped = np.maximum(self.spectrum, 0.0)
+        below = clamped[self.target_dim] if self.target_dim < self.ambient_dim else 0.0
+        return float(0.5 * (clamped[self.target_dim - 1] - below))
+
+    @property
+    def residual(self) -> float:
+        return float(np.sum(np.maximum(self.spectrum, 0.0)[self.target_dim :]))
 
 
 def compute_covariance(samples: SampleMatrix, center: bool = True) -> np.ndarray:
@@ -177,20 +185,12 @@ def fit_pca(samples: SampleMatrix, target_dim: int, center: bool = True) -> PcaM
         raise InvalidConfig(f"target_dim must be in [1, {d_amb}], got {target_dim}")
     cov = compute_covariance(samples, center=center)
     spectrum, vectors = symmetric_eigendecomposition(cov)
-    clamped = np.maximum(spectrum, 0.0)
-    if target_dim < d_amb:
-        gap = 0.5 * (clamped[target_dim - 1] - clamped[target_dim])
-    else:
-        gap = 0.5 * clamped[d_amb - 1]
-    residual = float(np.sum(clamped[target_dim:]))
     mean = samples.data.mean(axis=1) if center else np.zeros(d_amb)
     return PcaModel(
         basis=vectors[:, :target_dim],
         spectrum=spectrum,
         ambient_dim=d_amb,
         target_dim=target_dim,
-        eigen_gap=float(gap),
-        residual=residual,
         mean=mean,
     )
 

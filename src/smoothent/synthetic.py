@@ -15,7 +15,6 @@ Gaussian.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,32 +25,17 @@ from .rng import substream
 
 __all__ = [
     "SPIRAL_KINDS",
-    "GeneratorSpec",
     "gen_embedded_gaussian",
     "gen_spiral",
     "gen_common_signal_pair",
 ]
 
 SPIRAL_KINDS = ("spiral2d", "conical", "cylindrical")
-GENERATOR_KINDS = ("gaussian",) + SPIRAL_KINDS + ("pair",)
 
 _R_MIN = 0.5
 _R_MAX = 4.0
 _THETA_MAX_DEFAULT = 4.0 * math.pi
 _Z_MAX = 4.0
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A named generator plus its parameters, for manifests and sweep cells."""
-
-    kind: str
-    params: dict
-    seed: int
-
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise InvalidConfig(f"kind must be one of {GENERATOR_KINDS}, got {self.kind!r}")
 
 
 def gen_embedded_gaussian(

@@ -17,6 +17,7 @@ from smoothent import (
     plugin_entropy_mc,
     plugin_entropy_quadrature,
 )
+from smoothent.mixture import _log_density_rows, _log_norm_const, _mc_block_fast, _mc_block_safe
 
 LN_2PI_E = 2.837877066409345
 HALF_LN_2PI_E = 1.4189385332046727
@@ -67,6 +68,24 @@ class TestMixtureLogDensity:
         value = mixture_log_density(mix, [100.0])
         assert math.isfinite(value)
         assert value < -400_000  # deep in log space, no underflow to -inf
+
+    def test_batch_off_origin_against_extended_precision(self):
+        # centers and queries at 1000 with sigma = 0.01: the expanded form
+        # |q|^2 - 2 q.c + |c|^2 would cancel ~1e6 against ~1e-4 here
+        rng = np.random.default_rng(101)
+        centers = 1000.0 + 0.02 * rng.standard_normal((6, 2))
+        queries = 1000.0 + 0.02 * rng.standard_normal((4, 2))
+        sigma = 0.01
+        got = _log_density_rows(centers, sigma, queries)
+
+        getcontext().prec = 50
+        for q, value in zip(queries, got):
+            total = Decimal(0)
+            for c in centers:
+                sq = sum((Decimal(float(q[k])) - Decimal(float(c[k]))) ** 2 for k in range(2))
+                total += (-sq / (2 * Decimal(sigma) ** 2)).exp()
+            expected = (total / (6 * 2 * Decimal(math.pi) * Decimal(sigma) ** 2)).ln()
+            assert value == pytest.approx(float(expected), abs=1e-12)
 
     def test_input_validation(self):
         mix = mixture_of([[0.0, 1.0]], 1.0)
@@ -159,17 +178,36 @@ class TestPluginEntropyMc:
         assert math.isfinite(est.value)
         assert est.value >= gaussian_entropy(40, 0.5) - 3 * est.mc_std_error
 
-    def test_truncation_mode_approximates_exact(self):
-        rng = np.random.default_rng(48)
-        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((2, 60))), 0.5)
-        exact = plugin_entropy_mc(mix, 300, seed=11)
-        truncated = plugin_entropy_mc(mix, 300, seed=11, truncation_radius=10 * 0.5)
-        assert truncated.value == pytest.approx(exact.value, abs=1e-6)
-
     def test_estimate_metadata(self):
         est = plugin_entropy_mc(mixture_of([[0.0, 1.0]], 0.5), 25, seed=17)
         assert est == EntropyEstimate(est.value, est.mc_std_error, 2, 25, 17)
         assert est.mc_std_error > 0
+
+
+class TestMcKernels:
+    @pytest.mark.parametrize("dim", [1, 3, 10])
+    def test_fast_and_safe_agree_with_double_precision(self, dim):
+        # both float32 kernels on one block (b0:b1 spans two column tiles of
+        # centers) against the float64 evaluator on the same float32 centers
+        rng = np.random.default_rng(200 + dim)
+        n, n_mc, sigma = 700, 7, 0.5
+        centers32 = rng.standard_normal((n, dim)).astype(np.float32)
+        b0, b1 = 40, 52
+        z64 = rng.normal(0.0, sigma, size=(b1 - b0, n_mc, dim))
+        z2 = np.einsum("ijd,ijd->ij", z64, z64)
+        const = _log_norm_const(n, dim, sigma)
+        z_aug = np.ones((b1 - b0, n_mc, dim + 1), dtype=np.float32)
+        z_aug[:, :, :dim] = z64
+        fast = _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const)
+        safe = _mc_block_safe(
+            centers32, b0, b1, np.ascontiguousarray(z64, dtype=np.float32), z2, sigma, const
+        )
+        centers64 = centers32.astype(np.float64)
+        queries = (centers64[b0:b1, None, :] + z64).reshape(-1, dim)
+        exact = _log_density_rows(centers64, sigma, queries).reshape(b1 - b0, n_mc)
+        assert fast is not None
+        np.testing.assert_allclose(fast, exact, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(safe, exact, rtol=0, atol=1e-4)
 
 
 class TestPluginEntropyQuadrature:

@@ -178,8 +178,6 @@ class TestProject:
             spectrum=np.arange(5, 0, -1, dtype=float),
             ambient_dim=5,
             target_dim=2,
-            eigen_gap=0.5,
-            residual=6.0,
             mean=np.zeros(5),
         )
         out = project(SampleMatrix(data), model)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smoothent import InvalidConfig, SampleMatrix, fit_pca, gen_common_signal_pair, gen_embedded_gaussian, gen_spiral, substream
-from smoothent.synthetic import GeneratorSpec, spiral_intrinsic_dim
+from smoothent.synthetic import spiral_intrinsic_dim
 
 
 class TestEmbeddedGaussian:
@@ -136,10 +136,3 @@ class TestCommonSignalPair:
             gen_common_signal_pair(5, 3, 10, 0.1, seed=0)
         with pytest.raises(InvalidConfig):
             gen_common_signal_pair(2, 3, 10, 0.0, seed=0)
-
-
-class TestGeneratorSpec:
-    def test_kind_checked(self):
-        GeneratorSpec(kind="gaussian", params={}, seed=0)
-        with pytest.raises(InvalidConfig):
-            GeneratorSpec(kind="mystery", params={}, seed=0)
