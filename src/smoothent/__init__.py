@@ -44,12 +44,12 @@ from .experiments import (
     run_indep_auc,
     run_sweep,
 )
+from .io import ingest_activation_dump
 from .mi import (
     ConditionalDataset,
     JointDataset,
     MiEstimate,
     conditional_mi,
-    ingest_activation_dump,
     joint_mi,
 )
 from .pca import (

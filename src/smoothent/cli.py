@@ -27,12 +27,13 @@ from .experiments import (
 )
 from .io import (
     fmt,
+    ingest_activation_dump,
     read_samples,
     save_pca_model,
     write_joint_dataset,
     write_samples,
 )
-from .mi import JointDataset, conditional_mi, ingest_activation_dump, joint_mi
+from .mi import JointDataset, conditional_entropy, conditional_mi, joint_mi
 from .synthetic import SPIRAL_KINDS, gen_common_signal_pair, gen_embedded_gaussian, gen_spiral
 
 LN2 = math.log(2.0)
@@ -87,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conditional-sampling MI from an activation dump")
     p.add_argument("dump", type=Path, help="activation dump CSV (cond,f0,...)")
     p.add_argument("--marginal", type=Path, default=None,
-                   help="explicit marginal sample CSV (default: pooled)")
+                   help="marginal sample CSV (default: all rows of the dump); "
+                        "conditions are weighted by their row counts")
     p.set_defaults(func=cmd_mi_cond)
 
     p = sub.add_parser("mi-joint", parents=[common], help="joint-sampling MI from paired files")
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", choices=["closed-form", "self-consistency", "none"],
                    default="closed-form")
     p.add_argument("--full", action="store_true",
-                   help="paper-scale grids (n up to 1e5; self-consistency refs at n=1e5, n_mc=1e3)")
+                   help="paper-scale grids (n up to 1e5, n_mc=1e3)")
     p.add_argument("--timing", action="store_true",
                    help="add a wall_time_s column (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
@@ -209,15 +211,14 @@ def _print_mi(estimate, args, extra: dict) -> None:
 
 
 def cmd_mi_cond(args) -> int:
-    dataset, pooled = ingest_activation_dump(args.dump)
-    marginal = read_samples(args.marginal) if args.marginal is not None else pooled
+    dataset = ingest_activation_dump(args.dump)
+    marginal = read_samples(args.marginal) if args.marginal is not None else None
     estimate = conditional_mi(dataset, _config(args), marginal=marginal)
     scale, _ = _scale(args)
-    conds = estimate.components["conditionals"]
     extra = {
         "n_conditions": dataset.n_conditions,
         "marginal_entropy": estimate.components["marginal"].value * scale,
-        "conditional_entropy_mean": sum(t.value for t in conds) / len(conds) * scale,
+        "conditional_entropy_mean": conditional_entropy(estimate) * scale,
     }
     _print_mi(estimate, args, extra)
     return EXIT_OK
@@ -260,8 +261,6 @@ def cmd_sweep(args) -> int:
         split=args.split,
         center=not args.no_center,
         reference=args.reference,
-        reference_n=100_000 if args.full else 20_000,
-        reference_n_mc=1000 if args.full else 200,
     )
     records = run_sweep(spec)
     write_sweep_csv(args.out, records, timing=args.timing)

@@ -28,8 +28,8 @@ from .estimator import (
     gaussian_smoothed_entropy_oracle,
     pca_smoothed_entropy,
 )
-from .io import fmt
-from .mi import conditional_mi, ingest_activation_dump, joint_mi
+from .io import fmt, ingest_activation_dump
+from .mi import conditional_entropy, conditional_mi, joint_mi
 from .synthetic import (
     SPIRAL_KINDS,
     gen_common_signal_pair,
@@ -94,8 +94,6 @@ class SweepSpec:
     split: str = "half"
     center: bool = True
     reference: str = "closed-form"
-    reference_n: int = 20_000
-    reference_n_mc: int = 200
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -227,16 +225,16 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
 
 def _self_consistency_reference(spec: SweepSpec, cell: dict) -> float:
-    """High-sample reference run for cells with no closed form."""
+    """Reference run on fresh data at the grid's largest ``n`` and its ``n_mc``."""
     ref_cell = dict(cell)
-    ref_cell["n"] = spec.reference_n
+    ref_cell["n"] = max(spec.n_values)
     data_seed = _cell_seed(spec.seed, ref_cell, 2)
     est_seed = _cell_seed(spec.seed, ref_cell, 3)
-    samples, _ = _generate_cell(ref_cell, spec.ambient_dim, 2 * spec.reference_n, data_seed)
+    samples, _ = _generate_cell(ref_cell, spec.ambient_dim, 2 * ref_cell["n"], data_seed)
     config = EstimatorConfig(
         sigma=cell["sigma"],
         target_dim=cell["d"],
-        n_mc=spec.reference_n_mc,
+        n_mc=spec.n_mc,
         seed=est_seed,
         split=spec.split,
         center=spec.center,
@@ -394,13 +392,12 @@ def run_activation_mi(entries, config: EstimatorConfig) -> list[dict]:
         row["layer"] = layer
         row["epoch"] = int(epoch)
         try:
-            dataset, marginal = ingest_activation_dump(path)
-            estimate = conditional_mi(dataset, config, marginal=marginal)
-            conds = estimate.components["conditionals"]
+            dataset = ingest_activation_dump(path)
+            estimate = conditional_mi(dataset, config)
             row["mi"] = estimate.value
             row["std_error"] = estimate.std_error
             row["marginal_entropy"] = estimate.components["marginal"].value
-            row["conditional_entropy_mean"] = sum(t.value for t in conds) / len(conds)
+            row["conditional_entropy_mean"] = conditional_entropy(estimate)
             row["n_conditions"] = dataset.n_conditions
         except (SmoothentError, OSError, ValueError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -12,12 +12,13 @@ spectrum, then the ``d`` basis vectors (one eigenvector per row).
 """
 
 import csv
+import itertools
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidData
-from .mi import JointDataset
+from .mi import ConditionalDataset, JointDataset
 from .pca import PcaModel, SampleMatrix
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "save_pca_model",
     "load_pca_model",
     "write_activation_dump",
+    "ingest_activation_dump",
     "write_joint_dataset",
     "read_joint_dataset",
 ]
@@ -55,30 +57,40 @@ def _is_numeric_row(row: list[str]) -> bool:
     return True
 
 
+def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
+    """Parse ``(lineno, row)`` pairs into an ``(n, width)`` float array.
+
+    Blank rows are skipped and ``width`` defaults to the first row's.  A
+    short, long or unparseable row raises a line-numbered ``InvalidData``.
+    """
+    rows: list[list[float]] = []
+    for lineno, row in numbered_rows:
+        if not row:
+            continue
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise InvalidData(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InvalidData(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise InvalidData(f"{path}: no data rows")
+    return np.asarray(rows)
+
+
 def read_samples(path) -> SampleMatrix:
     """Read a sample CSV (one row per sample; header auto-detected)."""
     path = Path(path)
-    rows: list[list[float]] = []
-    width = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1 and not _is_numeric_row(row):
-                width = len(row)
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise InvalidData(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InvalidData(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise InvalidData(f"{path}: no data rows")
-    return SampleMatrix.from_rows(np.asarray(rows))
+        first = next(reader, [])
+        if _is_numeric_row(first):
+            rows = _float_rows(path, enumerate(itertools.chain([first], reader), start=1))
+        else:
+            rows = _float_rows(path, enumerate(reader, start=2), width=len(first))
+    return SampleMatrix.from_rows(rows)
 
 
 def write_samples(path, samples: SampleMatrix, header: bool = True) -> None:
@@ -105,25 +117,15 @@ def load_pca_model(path) -> PcaModel:
     """Inverse of :func:`save_pca_model`; gap and residual derive from the spectrum."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) < 3:
+        blocks = _float_rows(path, enumerate(csv.reader(fh), start=1))
+    if len(blocks) < 3:
         raise InvalidData(f"{path}: expected mean, spectrum and at least one basis row")
-    try:
-        blocks = [np.asarray([float(v) for v in row]) for row in rows]
-    except ValueError as exc:
-        raise InvalidData(f"{path}: {exc}") from None
-    mean, spectrum = blocks[0], blocks[1]
-    basis = np.vstack(blocks[2:]).T
-    ambient_dim = mean.shape[0]
-    target_dim = basis.shape[1]
-    if spectrum.shape[0] != ambient_dim or basis.shape[0] != ambient_dim:
-        raise InvalidData(f"{path}: inconsistent block widths")
     return PcaModel(
-        basis=basis,
-        spectrum=spectrum,
-        ambient_dim=ambient_dim,
-        target_dim=target_dim,
-        mean=mean,
+        basis=blocks[2:].T,
+        spectrum=blocks[1],
+        ambient_dim=blocks.shape[1],
+        target_dim=len(blocks) - 2,
+        mean=blocks[0],
     )
 
 
@@ -139,6 +141,38 @@ def write_activation_dump(path, conditions, sample_blocks) -> None:
         for cond, block in zip(conditions, blocks):
             for row in block.data.T:
                 writer.writerow([str(int(cond))] + [fmt(v) for v in row])
+
+
+def ingest_activation_dump(path) -> ConditionalDataset:
+    """Parse an activation-dump CSV into per-condition sample sets.
+
+    The format is ``cond,f0,f1,...,f{D-1}``: an integer condition id
+    followed by the D-dimensional sample, one row per sample.  Conditions
+    keep the order of their first row and each group its file order.
+    Group sizes may be ragged; an unparseable file raises ``InvalidData``.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InvalidData(f"{path}: empty file")
+        if not header or header[0].strip() != "cond":
+            raise InvalidData(f"{path}: first column must be 'cond'")
+        if len(header) < 2:
+            raise InvalidData(f"{path}: no feature columns")
+        rows = _float_rows(path, enumerate(reader, start=2), width=len(header))
+    conds = rows[:, 0]
+    integral = np.isfinite(conds) & (conds == np.round(conds))
+    if not integral.all():
+        bad = float(conds[~integral][0])
+        raise InvalidData(f"{path}: condition ids must be integers, got {bad!r}")
+    _, first = np.unique(conds, return_index=True)
+    order = conds[np.sort(first)]
+    return ConditionalDataset(
+        conditions=tuple(int(c) for c in order),
+        samples=tuple(SampleMatrix.from_rows(rows[conds == c, 1:]) for c in order),
+    )
 
 
 def write_joint_dataset(prefix, data: JointDataset, dependent: bool, seed: int) -> dict:

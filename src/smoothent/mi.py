@@ -2,38 +2,48 @@
 
 Two sampling regimes are supported:
 
-* conditional sampling -- ``I(X; Y+Z) = h(Y+Z) - mean_i h(Y+Z | X=x_i)``
+* conditional sampling -- ``I(X; Y+Z) = h(Y+Z) - sum_i p_i h(Y+Z | X=x_i)``
   from per-condition sample sets (``conditional_mi``), the regime produced
-  by recording noisy-network activations per input;
+  by recording noisy-network activations per input.  Condition ``i`` is
+  weighted by its share ``p_i = n_i / N`` of the rows, and the marginal is
+  all rows unless the caller passes its own;
 * joint sampling -- ``I(X+Z1; Y+Z2) = h(X+Z1) + h(Y+Z2) - h([X;Y]+Z)``
   from paired samples (``joint_mi``), where the stacked term lives in twice
   the ambient dimension and is reduced to twice the target dimension.
 
 Every entropy term runs the projection estimator with its own seed derived
 from ``config.seed``, keyed by term role and condition index, so adding a
-condition never perturbs the other terms' draws.  An ``MiEstimate`` keeps
-its constituent entropy results; ``value`` is always recomputed from them,
-so the reported number and its components cannot drift apart.
+condition never perturbs the other terms' draws.  An ``MiEstimate`` is the
+list of its named, weighted entropy terms; ``value`` is always recomputed
+from them, so the reported number and its components cannot drift apart.
 """
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidData
-from .estimator import EstimatorConfig, config_with_seed, pca_smoothed_entropy
+from .estimator import (
+    EstimatorConfig,
+    SmoothedEntropyResult,
+    config_with_seed,
+    pca_smoothed_entropy,
+)
 from .pca import SampleMatrix
-from .rng import substream
+
+# Not called here: ``benchmarks/tracing.py`` patches ``mi.substream`` by
+# name, so the attribute has to exist.
+from .rng import substream  # noqa: F401
 
 __all__ = [
     "ConditionalDataset",
+    "EntropyTerm",
     "JointDataset",
     "MiEstimate",
+    "conditional_entropy",
     "conditional_mi",
     "joint_mi",
-    "ingest_activation_dump",
 ]
 
 # Term tags for per-term seed derivation (appended to config.seed's path).
@@ -42,7 +52,6 @@ _TAG_CONDITION = 11
 _TAG_X = 12
 _TAG_Y = 13
 _TAG_JOINT = 14
-_TAG_POOL = 15
 
 
 @dataclass(frozen=True)
@@ -88,68 +97,56 @@ class JointDataset:
         return self.x.count
 
 
+class EntropyTerm(NamedTuple):
+    """One smoothed-entropy term of an MI estimate: it adds ``weight * result.value``."""
+
+    name: str
+    weight: float
+    result: SmoothedEntropyResult
+
+
+def _total(values) -> float:
+    """Left-to-right float sum (the builtin ``sum`` compensates from Python 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class MiEstimate:
-    """A mutual-information value with the entropy terms that produced it.
+    """A mutual-information value as a weighted sum of entropy terms.
 
-    ``kind`` is ``"conditional"`` (value = marginal - mean of conditionals)
-    or ``"joint"`` (value = x + y - joint).  ``value`` and ``std_error`` are
-    recomputed from the stored components on every access.
+    ``value`` is ``sum(w * h)`` and ``std_error`` is ``sqrt(sum((w * se)^2))``
+    over ``terms``, summed in term order and recomputed on every access.
     """
 
-    kind: str
-    components: dict
+    terms: tuple[EntropyTerm, ...]
     config: EstimatorConfig
 
     @property
+    def components(self) -> dict:
+        """Each term's entropy result, by term name."""
+        return {term.name: term.result for term in self.terms}
+
+    @property
     def value(self) -> float:
-        if self.kind == "conditional":
-            conditionals = self.components["conditionals"]
-            total = 0.0
-            for term in conditionals:
-                total += term.value
-            return self.components["marginal"].value - total / len(conditionals)
-        return (
-            self.components["x"].value
-            + self.components["y"].value
-            - self.components["joint"].value
-        )
+        return _total(term.weight * term.result.value for term in self.terms)
 
     @property
     def std_error(self) -> float:
-        """Root-sum-square of the terms' Monte-Carlo standard errors."""
-        if self.kind == "conditional":
-            conditionals = self.components["conditionals"]
-            m = len(conditionals)
-            agg = sum((t.mc_std_error / m) ** 2 for t in conditionals)
-            return float(np.sqrt(self.components["marginal"].mc_std_error ** 2 + agg))
-        return float(
-            np.sqrt(
-                self.components["x"].mc_std_error ** 2
-                + self.components["y"].mc_std_error ** 2
-                + self.components["joint"].mc_std_error ** 2
-            )
-        )
+        """Root-sum-square of the weighted terms' Monte-Carlo standard errors."""
+        squares = ((term.weight * term.result.mc_std_error) ** 2 for term in self.terms)
+        return float(np.sqrt(_total(squares)))
 
 
-def _pooled_marginal(data: ConditionalDataset, seed: int) -> SampleMatrix:
-    """Equal-weight pool of the conditional samples.
-
-    With balanced groups this is plain concatenation; ragged groups are
-    subsampled (without replacement, seeded) to the smallest group size so
-    every condition carries the same weight.
+def conditional_entropy(estimate: MiEstimate) -> float:
+    """``h(Y+Z | X)`` of a :func:`conditional_mi` estimate: the count-weighted
+    mean of its condition terms.  ``value == marginal - conditional_entropy``
+    holds exactly.
     """
-    counts = [s.count for s in data.samples]
-    smallest = min(counts)
-    parts = []
-    for idx, block in enumerate(data.samples):
-        if block.count == smallest:
-            parts.append(block.data)
-        else:
-            pick = substream(seed, _TAG_POOL, idx).choice(block.count, size=smallest, replace=False)
-            pick.sort()
-            parts.append(block.data[:, pick])
-    return SampleMatrix(np.concatenate(parts, axis=1))
+    conditions = (t for t in estimate.terms if t.name != "marginal")
+    return -_total(t.weight * t.result.value for t in conditions)
 
 
 def conditional_mi(
@@ -159,26 +156,30 @@ def conditional_mi(
 ) -> MiEstimate:
     """Estimate ``I(X; Y+Z)`` from per-condition samples of Y.
 
-    ``marginal`` defaults to an equal-weight pool of the conditional
-    samples.  The conditional entropy is the mean (not the sum) of the
-    per-condition smoothed-entropy estimates.
+    Condition ``i`` has weight ``-n_i / N``, its share of all ``N``
+    conditional samples, and the marginal has weight 1.  ``marginal``
+    defaults to all conditional samples, the groups concatenated in order.
     """
     if marginal is None:
-        marginal = _pooled_marginal(data, config.seed)
+        marginal = SampleMatrix(np.concatenate([block.data for block in data.samples], axis=1))
     if marginal.dim != data.dim:
         raise InvalidData(
             f"marginal dim {marginal.dim} != conditional dim {data.dim}"
         )
-    marginal_term = pca_smoothed_entropy(marginal, config_with_seed(config, _TAG_MARGINAL))
-    conditional_terms = [
-        pca_smoothed_entropy(block, config_with_seed(config, _TAG_CONDITION, idx))
+    total = sum(block.count for block in data.samples)
+    terms = [
+        EntropyTerm(
+            f"condition[{idx}]",
+            -block.count / total,
+            pca_smoothed_entropy(block, config_with_seed(config, _TAG_CONDITION, idx)),
+        )
         for idx, block in enumerate(data.samples)
     ]
-    return MiEstimate(
-        kind="conditional",
-        components={"marginal": marginal_term, "conditionals": tuple(conditional_terms)},
-        config=config,
-    )
+    # The marginal goes last, so value = (condition terms) + marginal is
+    # bitwise equal to marginal - conditional_entropy(estimate).
+    marginal_term = pca_smoothed_entropy(marginal, config_with_seed(config, _TAG_MARGINAL))
+    terms.append(EntropyTerm("marginal", 1.0, marginal_term))
+    return MiEstimate(terms=tuple(terms), config=config)
 
 
 def joint_mi(
@@ -209,53 +210,10 @@ def joint_mi(
         stacked, replace(config_with_seed(config, _TAG_JOINT), target_dim=d_joint)
     )
     return MiEstimate(
-        kind="joint",
-        components={"x": x_term, "y": y_term, "joint": joint_term},
+        terms=(
+            EntropyTerm("x", 1.0, x_term),
+            EntropyTerm("y", 1.0, y_term),
+            EntropyTerm("joint", -1.0, joint_term),
+        ),
         config=config,
     )
-
-
-def ingest_activation_dump(path) -> tuple[ConditionalDataset, SampleMatrix]:
-    """Parse an activation-dump CSV into per-condition sample sets.
-
-    The format is ``cond,f0,f1,...,f{D-1}``: an integer condition id
-    followed by the D-dimensional sample, one row per sample.  Returns the
-    grouped dataset plus the pooled marginal (all rows, in file order).
-    Group sizes may be ragged; an unparseable file raises ``InvalidData``.
-    """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidData(f"{path}: empty file") from None
-        if not header or header[0].strip() != "cond":
-            raise InvalidData(f"{path}: first column must be 'cond'")
-        width = len(header)
-        if width < 2:
-            raise InvalidData(f"{path}: no feature columns")
-        groups: dict[int, list[list[float]]] = {}
-        order: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise InvalidData(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            try:
-                cond = int(row[0])
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise InvalidData(f"{path}:{lineno}: {exc}") from None
-            if cond not in groups:
-                groups[cond] = []
-                order.append(cond)
-            groups[cond].append(values)
-            rows.append(values)
-    if not rows:
-        raise InvalidData(f"{path}: no data rows")
-    samples = tuple(SampleMatrix.from_rows(np.asarray(groups[c])) for c in order)
-    dataset = ConditionalDataset(conditions=tuple(order), samples=samples)
-    pooled = SampleMatrix.from_rows(np.asarray(rows))
-    return dataset, pooled

@@ -3,13 +3,14 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from smoothent.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from smoothent.io import read_samples
 from smoothent.pca import SampleMatrix
 from smoothent.rng import substream
-from smoothent.io import load_pca_model, write_activation_dump
+from smoothent.io import load_pca_model, write_activation_dump, write_samples
 
 
 def read_csv_dict(path):
@@ -117,6 +118,38 @@ class TestMiCommands:
         assert row["n_conditions"] == "2"
         assert float(row["mi"]) > 0
 
+    def test_mi_cond_ragged_conditions(self, tmp_path):
+        # two 2-d conditions 100 apart, 900 tight rows and 100 wide ones:
+        # the MI is the binary entropy H(0.9, 0.1)
+        rng = substream(2)
+        blocks = [SampleMatrix(0.1 * rng.standard_normal((2, 900))),
+                  SampleMatrix(100.0 + rng.standard_normal((2, 100)))]
+        dump = tmp_path / "ragged.csv"
+        write_activation_dump(dump, [0, 1], blocks)
+        out = tmp_path / "mi.csv"
+        assert main([
+            "mi-cond", str(dump), "--sigma", "0.1", "--dim", "2",
+            "--n-mc", "50", "--seed", "2", "--out", str(out),
+        ]) == EXIT_OK
+        row = read_csv_dict(out)[0]
+        truth = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
+        assert abs(float(row["mi"]) - truth) <= 0.2
+        assert float(row["mi"]) == (
+            float(row["marginal_entropy"]) - float(row["conditional_entropy_mean"])
+        )
+
+    def test_explicit_marginal_equal_to_all_rows(self, tmp_path, dump_file):
+        marginal = tmp_path / "marginal.csv"
+        rng = substream(5)
+        rows = [rng.standard_normal((2, 30)) + mu for mu in (-2.0, 2.0)]
+        write_samples(marginal, SampleMatrix(np.concatenate(rows, axis=1)))
+        base = ["mi-cond", str(dump_file), "--sigma", "0.5", "--dim", "2",
+                "--n-mc", "50", "--seed", "6", "--out"]
+        default_out, explicit_out = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert main(base + [str(default_out)]) == EXIT_OK
+        assert main(base + [str(explicit_out), "--marginal", str(marginal)]) == EXIT_OK
+        assert default_out.read_bytes() == explicit_out.read_bytes()
+
     def test_mi_joint(self, tmp_path):
         prefix = tmp_path / "pair"
         assert main([
@@ -166,6 +199,17 @@ class TestSweep:
             "--ambient-dim", "6", "--n-mc", "10", "--timing", "--out", str(out),
         ]) == EXIT_OK
         assert "wall_time_s" in read_csv_dict(out)[0]
+
+    def test_self_consistency_reference_follows_the_grid(self, tmp_path):
+        out = tmp_path / "ref.csv"
+        assert main([
+            "sweep", "--n", "40,80", "--d", "2", "--repeats", "1",
+            "--ambient-dim", "6", "--n-mc", "10", "--reference", "self-consistency",
+            "--out", str(out),
+        ]) == EXIT_OK
+        rows = read_csv_dict(out)
+        assert len(rows) == 2 and all(r["reference"] for r in rows)
+        assert rows[0]["reference"] == rows[1]["reference"]
 
     def test_bad_axis_value_is_config_error(self, tmp_path):
         code = main(["sweep", "--n", "abc", "--out", str(tmp_path / "x.csv")])

@@ -1,5 +1,7 @@
 """Sweep harness, AUC scoring and activation-MI trajectories."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,12 +77,22 @@ class TestRunSweep:
     def test_spiral_cells_with_self_consistency(self):
         spec = tiny_spec(
             kinds=("spiral2d",), d_values=(2,), reference="self-consistency",
-            reference_n=300, reference_n_mc=40, repeats=2,
+            repeats=2,
         )
         records = run_sweep(spec)
         assert all(r.reference is not None for r in records)
         # all repeats of a cell share one reference run
         assert len({r.reference for r in records}) == 1
+
+    def test_self_consistency_reference_at_largest_n(self):
+        def reference(n_values):
+            spec = tiny_spec(n_values=n_values, reference="self-consistency", repeats=1)
+            return [r.reference for r in run_sweep(spec)]
+
+        wide = reference((40, 60))
+        assert wide[0] == wide[1]
+        assert reference((60,)) == wide[1:]
+        assert reference((40,)) != wide[:1]
 
     def test_closed_form_requires_gaussian(self):
         with pytest.raises(InvalidConfig):
@@ -187,6 +199,21 @@ class TestRunActivationMi:
         assert [(r["layer"], r["epoch"]) for r in rows] == [("l1", 0), ("l1", 1)]
         assert all(r["error"] == "" for r in rows)
         assert all(isinstance(r["mi"], float) for r in rows)
+
+    def test_ragged_dump_weights_conditions_by_count(self, tmp_path):
+        # two 2-d conditions 100 apart, 900 tight rows and 100 wide ones:
+        # the MI is the binary entropy H(0.9, 0.1)
+        rng = substream(2)
+        blocks = [SampleMatrix(0.1 * rng.standard_normal((2, 900))),
+                  SampleMatrix(100.0 + rng.standard_normal((2, 100)))]
+        path = tmp_path / "ragged.csv"
+        write_activation_dump(path, [0, 1], blocks)
+        config = EstimatorConfig(sigma=0.1, target_dim=2, n_mc=50, seed=2)
+        (row,) = run_activation_mi([("l1", 0, path)], config)
+        assert row["error"] == ""
+        assert row["mi"] == row["marginal_entropy"] - row["conditional_entropy_mean"]
+        truth = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
+        assert abs(row["mi"] - truth) <= 0.2
 
     def test_missing_file_becomes_error_row(self, tmp_path):
         good = self.make_dump(tmp_path / "ok.csv", 4)

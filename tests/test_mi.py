@@ -21,6 +21,11 @@ from smoothent import (
     substream,
 )
 from smoothent.io import write_activation_dump
+from smoothent.mi import conditional_entropy
+
+# Binary entropy H(0.9, 0.1): the MI of two well-separated conditions
+# holding 90% and 10% of the rows.
+H_90_10 = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
 
 
 def two_point_mass_dataset(mu1=-3.0, mu2=3.0, n=100):
@@ -29,6 +34,18 @@ def two_point_mass_dataset(mu1=-3.0, mu2=3.0, n=100):
         samples=(
             SampleMatrix(np.full((1, n), mu1)),
             SampleMatrix(np.full((1, n), mu2)),
+        ),
+    )
+
+
+def ragged_dataset(seed=2):
+    """Two 2-d conditions 100 apart: 900 tight samples and 100 wide ones."""
+    rng = substream(seed)
+    return ConditionalDataset(
+        conditions=(0, 1),
+        samples=(
+            SampleMatrix(0.1 * rng.standard_normal((2, 900))),
+            SampleMatrix(100.0 + rng.standard_normal((2, 100))),
         ),
     )
 
@@ -85,12 +102,14 @@ class TestConditionalMi:
         dataset = two_point_mass_dataset(n=10)
         config = EstimatorConfig(sigma=0.5, target_dim=1, n_mc=20, seed=1)
         estimate = conditional_mi(dataset, config)
-        conds = estimate.components["conditionals"]
+        c = estimate.components
+        assert list(c) == ["condition[0]", "condition[1]", "marginal"]
         total = 0.0
-        for term in conds:
-            total += term.value
-        recomputed = estimate.components["marginal"].value - total / len(conds)
-        assert estimate.value == recomputed
+        for name in ("condition[0]", "condition[1]"):
+            total += -0.5 * c[name].value
+        assert estimate.value == total + c["marginal"].value
+        assert conditional_entropy(estimate) == -total
+        assert estimate.value == c["marginal"].value - conditional_entropy(estimate)
 
     def test_insufficient_per_condition_samples(self):
         dataset = ConditionalDataset(
@@ -106,7 +125,7 @@ class TestConditionalMi:
         with pytest.raises(InvalidData):
             conditional_mi(dataset, config, marginal=SampleMatrix(np.zeros((2, 50))))
 
-    def test_pooled_marginal_subsamples_ragged_groups(self):
+    def test_ragged_groups_weighted_by_count(self):
         rng = substream(62)
         dataset = ConditionalDataset(
             conditions=(0, 1),
@@ -117,8 +136,17 @@ class TestConditionalMi:
         )
         config = EstimatorConfig(sigma=1.0, target_dim=1, n_mc=20, seed=5)
         estimate = conditional_mi(dataset, config)
-        # equal-weight pool: 30 + 30 samples, half to the entropy side
-        assert estimate.components["marginal"].plugin.n_centers == 30
+        # the default marginal is all 120 samples, half to the entropy side
+        assert estimate.components["marginal"].plugin.n_centers == 60
+        assert [t.weight for t in estimate.terms] == [-0.25, -0.75, 1.0]
+        se = [t.result.mc_std_error for t in estimate.terms]
+        expected = math.sqrt((0.25 * se[0]) ** 2 + (0.75 * se[1]) ** 2 + se[2] ** 2)
+        assert estimate.std_error == pytest.approx(expected, rel=1e-12)
+
+    def test_ragged_conditions_recover_binary_entropy(self):
+        config = EstimatorConfig(sigma=0.1, target_dim=2, n_mc=50, seed=2)
+        estimate = conditional_mi(ragged_dataset(), config)
+        assert abs(estimate.value - H_90_10) <= 0.2
 
     def test_adding_condition_leaves_earlier_terms_untouched(self):
         rng = substream(63)
@@ -132,10 +160,8 @@ class TestConditionalMi:
             ConditionalDataset((0, 1, 2), tuple(blocks)), config, marginal=marginal
         )
         for k in range(2):
-            assert (
-                small.components["conditionals"][k].value
-                == big.components["conditionals"][k].value
-            )
+            name = f"condition[{k}]"
+            assert small.components[name].value == big.components[name].value
 
 
 class TestJointMi:
@@ -202,12 +228,33 @@ class TestActivationDump:
         blocks = [SampleMatrix(rng.standard_normal((4, 3))) for _ in range(2)]
         path = tmp_path / "dump.csv"
         write_activation_dump(path, [5, 9], blocks)
-        dataset, pooled = ingest_activation_dump(path)
+        dataset = ingest_activation_dump(path)
         assert dataset.conditions == (5, 9)
         assert dataset.n_conditions == 2
         assert all(block.count == 3 for block in dataset.samples)
-        assert pooled.count == 6 and pooled.dim == 4
-        np.testing.assert_allclose(dataset.samples[0].data, blocks[0].data)
+        assert dataset.dim == 4
+        np.testing.assert_array_equal(dataset.samples[0].data, blocks[0].data)
+        np.testing.assert_array_equal(dataset.samples[1].data, blocks[1].data)
+
+    def test_interleaved_rows_grouped_in_first_seen_order(self, tmp_path):
+        path = tmp_path / "interleaved.csv"
+        path.write_text("cond,f0\n7,1.0\n2,2.0\n\n7,3.0\n", encoding="utf-8")
+        dataset = ingest_activation_dump(path)
+        assert dataset.conditions == (7, 2)
+        np.testing.assert_array_equal(dataset.samples[0].data, [[1.0, 3.0]])
+        np.testing.assert_array_equal(dataset.samples[1].data, [[2.0]])
+
+    def test_non_integer_condition_rejected(self, tmp_path):
+        path = tmp_path / "frac.csv"
+        path.write_text("cond,f0\n0,1.0\n0.5,2.0\n", encoding="utf-8")
+        with pytest.raises(InvalidData, match="integers"):
+            ingest_activation_dump(path)
+
+    def test_unparseable_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "bad_cell.csv"
+        path.write_text("cond,f0\n0,1.0\n1,oops\n", encoding="utf-8")
+        with pytest.raises(InvalidData, match=r"bad_cell\.csv:3:"):
+            ingest_activation_dump(path)
 
     def test_missing_condition_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -239,7 +286,7 @@ class TestActivationDump:
         dataset = two_point_mass_dataset()
         path = tmp_path / "two_cond.csv"
         write_activation_dump(path, dataset.conditions, dataset.samples)
-        loaded, pooled = ingest_activation_dump(path)
+        loaded = ingest_activation_dump(path)
         config = EstimatorConfig(sigma=0.1, target_dim=1, n_mc=2000, seed=3)
-        estimate = conditional_mi(loaded, config, marginal=pooled)
+        estimate = conditional_mi(loaded, config)
         assert abs(estimate.value - math.log(2)) <= max(3 * estimate.std_error, 0.05)
