@@ -9,6 +9,20 @@ Sample files hold one sample per row with D float columns; a header row is
 optional on input and detected by any non-numeric token.  A fitted model is
 stored as positional CSV blocks: the centering vector, the full eigenvalue
 spectrum, then the ``d`` basis vectors (one eigenvector per row).
+
+Every numeric file is read by one parser and written by one writer.
+``np.loadtxt`` parses the data rows; a file it rejects, or whose width
+differs from its header's, is re-read by a ``csv`` + ``float`` row loop that
+raises the line-numbered ``InvalidData`` (or accepts Python float syntax
+loadtxt lacks, such as ``1_0``), so the values, the accepted inputs and the
+messages are those of that loop alone.  Float rows are written as
+comma-joined ``repr`` of ``tolist()`` values, byte for byte what
+``csv.writer`` over ``fmt`` gives.
+
+Byte-identical reruns assume a fixed BLAS thread count: the spectrum and
+basis of a fitted model can move by a few ulp between, e.g.,
+``OPENBLAS_NUM_THREADS=1`` and ``2``, which changes ``save_pca_model``
+files and the ``eigen_gap``/``residual`` columns of result files.
 """
 
 import csv
@@ -57,7 +71,7 @@ def _is_numeric_row(row: list[str]) -> bool:
     return True
 
 
-def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
+def _row_loop(path, numbered_rows, width=None) -> np.ndarray:
     """Parse ``(lineno, row)`` pairs into an ``(n, width)`` float array.
 
     Blank rows are skipped and ``width`` defaults to the first row's.  A
@@ -80,44 +94,87 @@ def _float_rows(path, numbered_rows, width=None) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _float_rows(path, fh, header=None) -> np.ndarray:
+    """Parse the rest of the open CSV ``fh`` into an ``(n, width)`` float array.
+
+    ``fh`` is positioned just after ``header``, the first row, or at the start
+    when there is none; ``width`` is the header's or the first data row's.
+    ``np.loadtxt`` parses every file it accepts to the same doubles as
+    ``float``.  A file it rejects, or whose width differs from the header's,
+    is parsed again by ``_row_loop``, which raises the line-numbered
+    ``InvalidData`` or accepts what ``float`` accepts and loadtxt does not
+    (``1_0``, non-ASCII digits).
+    """
+    for line in fh:
+        if line.strip("\r\n"):
+            break
+    else:
+        raise InvalidData(f"{path}: no data rows")  # before loadtxt, which would warn
+    try:
+        rows = np.loadtxt(
+            itertools.chain([line], fh),
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+            dtype=np.float64,
+        )
+        if header is None or rows.shape[1] == len(header):
+            return rows
+    except ValueError:
+        pass
+    fh.seek(0)
+    reader = csv.reader(fh)
+    if header is None:
+        return _row_loop(path, enumerate(reader, start=1))
+    next(reader)
+    return _row_loop(path, enumerate(reader, start=2), width=len(header))
+
+
+def _write_float_rows(fh, rows, lead: str = "") -> None:
+    """Write each row of floats as ``lead`` plus its comma-joined ``repr`` values.
+
+    ``repr`` of a Python float is what ``fmt`` writes for it, and it holds no
+    character ``csv.writer`` would quote, so the bytes are those of
+    ``csv.writer`` over ``fmt`` at the speed of ``str.join``.
+    """
+    for row in rows:
+        fh.write(lead + ",".join(map(repr, row.tolist())) + "\n")
+
+
 def read_samples(path) -> SampleMatrix:
     """Read a sample CSV (one row per sample; header auto-detected)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, [])
+        first = next(csv.reader(fh), [])
         if _is_numeric_row(first):
-            rows = _float_rows(path, enumerate(itertools.chain([first], reader), start=1))
+            fh.seek(0)
+            rows = _float_rows(path, fh)
         else:
-            rows = _float_rows(path, enumerate(reader, start=2), width=len(first))
+            rows = _float_rows(path, fh, header=first)
     return SampleMatrix.from_rows(rows)
 
 
 def write_samples(path, samples: SampleMatrix, header: bool = True) -> None:
     """Write a sample CSV (one row per sample, ``f0..f{D-1}`` header)."""
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if header:
-            writer.writerow([f"f{k}" for k in range(samples.dim)])
-        for row in samples.data.T:
-            writer.writerow([fmt(v) for v in row])
+            fh.write(",".join(f"f{k}" for k in range(samples.dim)) + "\n")
+        _write_float_rows(fh, samples.data.T)
 
 
 def save_pca_model(path, model: PcaModel) -> None:
     """Write the positional model blocks: mean, spectrum, then d basis rows."""
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([fmt(v) for v in model.mean])
-        writer.writerow([fmt(v) for v in model.spectrum])
-        for column in model.basis.T:
-            writer.writerow([fmt(v) for v in column])
+        _write_float_rows(fh, (model.mean, model.spectrum))
+        _write_float_rows(fh, model.basis.T)
 
 
 def load_pca_model(path) -> PcaModel:
     """Inverse of :func:`save_pca_model`; gap and residual derive from the spectrum."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        blocks = _float_rows(path, enumerate(csv.reader(fh), start=1))
+        blocks = _float_rows(path, fh)
     if len(blocks) < 3:
         raise InvalidData(f"{path}: expected mean, spectrum and at least one basis row")
     return PcaModel(
@@ -136,11 +193,9 @@ def write_activation_dump(path, conditions, sample_blocks) -> None:
         raise InvalidData("need at least one condition block")
     dim = blocks[0].dim
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cond"] + [f"f{k}" for k in range(dim)])
+        fh.write(",".join(["cond"] + [f"f{k}" for k in range(dim)]) + "\n")
         for cond, block in zip(conditions, blocks):
-            for row in block.data.T:
-                writer.writerow([str(int(cond))] + [fmt(v) for v in row])
+            _write_float_rows(fh, block.data.T, lead=f"{int(cond)},")
 
 
 def ingest_activation_dump(path) -> ConditionalDataset:
@@ -153,15 +208,14 @@ def ingest_activation_dump(path) -> ConditionalDataset:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise InvalidData(f"{path}: empty file")
         if not header or header[0].strip() != "cond":
             raise InvalidData(f"{path}: first column must be 'cond'")
         if len(header) < 2:
             raise InvalidData(f"{path}: no feature columns")
-        rows = _float_rows(path, enumerate(reader, start=2), width=len(header))
+        rows = _float_rows(path, fh, header=header)
     conds = rows[:, 0]
     integral = np.isfinite(conds) & (conds == np.round(conds))
     if not integral.all():
