@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 data errors.
 """
 
 import argparse
+import csv
 import math
 import sys
 from pathlib import Path
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (UnicodeDecodeError, csv.Error) as exc:  # input bytes or cells no reader takes
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (InvalidConfig, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

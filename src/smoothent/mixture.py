@@ -23,11 +23,25 @@ Numerical notes
   float32 exponents overflow; above ``d = 32`` only the safe kernel runs.
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
-  deterministic given ``(seed, inputs)``, independent of chunk scheduling,
-  and invariant to translating all centers.
+  deterministic given ``(seed, inputs)`` and invariant to translating all
+  centers.  Block and tile sizes are fixed functions of ``(n, d, n_mc)``.
+* Fast-kernel blocks run on a thread pool, one thread per core the process
+  may use, when one center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``)
+  is at most ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at
+  ``n_mc = 100``, ``n_mc <= 128`` at ``d = 3``.  The calling thread draws all
+  noise in center order, decides each block's fast-to-safe fallback and
+  folds ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error``
+  are bitwise the same for any worker count.  Larger GEMMs stay serial:
+  above that size OpenBLAS threads the GEMM itself, and a pool competing
+  with its threads ran slower than the serial loop.
 """
 
 import math
+import os
+import queue
+from collections import deque
+from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +64,11 @@ LN_2PI = math.log(2.0 * math.pi)
 # deterministic function of (seed, inputs) alone.
 _ROW_TARGET = 2048
 _COL_TILE = 512
+# Most multiply-adds of one per-center GEMM for which the fast kernel runs on
+# a thread pool: 4 x 65536, OpenBLAS's default GEMM_MULTITHREAD_THRESHOLD.  Up
+# to it OpenBLAS starts no threads of its own; above it the pool and the
+# BLAS threads compete for the same cores.
+_POOL_GEMM_LIMIT = 1 << 18
 _DELTA_BUDGET = 1 << 22
 _ARG_FLOOR = np.float32(-7e37)   # keeps tile maxima finite in float32
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
@@ -136,7 +155,7 @@ def _column_tiles(centers32, b0, b1):
         yield k1 - k0, delta, np.einsum("ikd,ikd->ik", delta, delta)
 
 
-def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const):
+def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf):
     """Log density of all (center, draw) queries in one block, no max tracking.
 
     Relative to the row shift ``-|Z|^2/(2 sigma^2)`` the exponent of the
@@ -146,18 +165,19 @@ def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const):
     Exponents can only overflow in float32 when ``|Z|^2/(2 sigma^2) > ~87``,
     which is detected here (non-finite sum, ``None`` returned) so the caller
     retries via the safe path.
+
+    ``aug`` and ``buf`` are float32 scratch, at least ``(b1 - b0, dim + 1, w)``
+    and ``(b1 - b0, n_draws, w)`` for ``w = min(n, _COL_TILE)``.
     """
-    dim = centers32.shape[1]
+    rows, draws, dim = z_aug.shape[0], z_aug.shape[1], centers32.shape[1]
     inv_s2 = np.float32(-1.0 / sigma**2)
     inv_2s2 = np.float32(-0.5 / sigma**2)
-    sums = np.zeros((z_aug.shape[0], z_aug.shape[1]), dtype=np.float64)
-    aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
-    buf = np.empty((z_aug.shape[0], z_aug.shape[1], _COL_TILE), dtype=np.float32)
+    sums = np.zeros((rows, draws), dtype=np.float64)
     for width, delta, dd in _column_tiles(centers32, b0, b1):
-        a = aug[:, :, :width]
+        a = aug[:rows, :, :width]
         np.multiply(delta.transpose(0, 2, 1), inv_s2, out=a[:, :dim, :])
         np.multiply(dd, inv_2s2, out=a[:, dim, :])
-        args = np.matmul(z_aug, a, out=buf[:, :, :width])
+        args = np.matmul(z_aug, a, out=buf[:rows, :draws, :width])
         np.maximum(args, _EXP_FLOOR, out=args)
         np.exp(args, out=args)
         sums += args.sum(axis=2)
@@ -188,6 +208,99 @@ def _mc_block_safe(centers32, b0, b1, z32, z2, sigma, const):
     return running_max.astype(np.float64) + np.log(running_sum) - const
 
 
+def _worker_count() -> int:
+    """Threads for a pooled fast kernel: the cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_now(fn, *args) -> Future:
+    """Call ``fn`` on this thread; the inline stand-in for ``ThreadPoolExecutor.submit``."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
+def _fast_with_scratch(free, centers32, b0, b1, z_aug, z2, sigma, const):
+    """``_mc_block_fast`` on a scratch pair taken from, and returned to, ``free``."""
+    aug, buf = free.get()
+    try:
+        return _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
+    finally:
+        free.put((aug, buf))
+
+
+def _logg_blocks(centers32, sigma, const, n_mc, seed):
+    """Yield the log densities of all (center, draw) queries, one block at a time in order.
+
+    This thread draws every block's noise, in center order, and decides the
+    fast-to-safe fallback.  Fast-kernel shapes whose per-center GEMM is at
+    most ``_POOL_GEMM_LIMIT`` multiply-adds run that kernel on a pool of
+    ``_worker_count()`` threads, at most two blocks per thread in flight;
+    each thread computes exactly what this one would, so the yielded arrays
+    do not depend on the pool.  Each thread that runs the fast kernel takes
+    a scratch pair from ``free``, allocated here once per call.
+    """
+    n, dim = centers32.shape
+    prefer_fast = dim <= 32  # exponent overflow plausible only for large chi^2_d
+    jc = min(n_mc, _ROW_TARGET)
+    block = min(n, max(1, _ROW_TARGET // jc), max(1, _DELTA_BUDGET // (_COL_TILE * (dim + 1))))
+    workers = 1
+    if prefer_fast and jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT:
+        workers = _worker_count()
+    in_flight = 2 * workers if workers > 1 else 0
+
+    tile = min(n, _COL_TILE)
+    free = queue.SimpleQueue()
+    for _ in range(workers if prefer_fast else 0):
+        free.put(
+            (
+                np.empty((block, dim + 1, tile), dtype=np.float32),
+                np.empty((block, jc, tile), dtype=np.float32),
+            )
+        )
+
+    # The safe kernel's float32 noise has one buffer per call.  A fresh array
+    # per block, freed when the block was done, cost 10x the minor page
+    # faults and 15-35% more time at d = 200, n = 250.
+    z32_buf = np.empty((block, jc, dim), dtype=np.float32)
+
+    def resolve(b0, b1, z64, z2, fast):
+        logg = None if fast is None else fast.result()
+        if logg is None:
+            z32 = z32_buf[: b1 - b0, : z64.shape[1]]
+            np.copyto(z32, z64, casting="same_kind")
+            logg = _mc_block_safe(centers32, b0, b1, z32, z2, sigma, const)
+        return logg
+
+    pending = deque()
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        submit = _run_now if pool is None else pool.submit
+        for b0 in range(0, n, block):
+            b1 = min(b0 + block, n)
+            rngs = [substream(seed, i) for i in range(b0, b1)]
+            for j0 in range(0, n_mc, jc):
+                j1 = min(j0 + jc, n_mc)
+                z64 = np.empty((b1 - b0, j1 - j0, dim))
+                for t, rng in enumerate(rngs):
+                    z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
+                z2 = np.einsum("ijd,ijd->ij", z64, z64)
+                fast = None
+                if prefer_fast:
+                    z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
+                    z_aug[:, :, :dim] = z64
+                    z_aug[:, :, dim] = 1.0
+                    fast = submit(
+                        _fast_with_scratch, free, centers32, b0, b1, z_aug, z2, sigma, const
+                    )
+                pending.append((b0, b1, z64, z2, fast))
+                while len(pending) > in_flight:
+                    yield resolve(*pending.popleft())
+        while pending:
+            yield resolve(*pending.popleft())
+
+
 def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEstimate:
     """Monte-Carlo plug-in estimate of the mixture entropy, in nats.
 
@@ -201,42 +314,20 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
 
     centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
     n, dim = centers32.shape
-    sigma = mix.sigma
-    const = _log_norm_const(n, dim, sigma)
-    prefer_fast = dim <= 32  # exponent overflow plausible only for large chi^2_d
-
-    jc = min(n_mc, _ROW_TARGET)
-    block = min(n, max(1, _ROW_TARGET // jc), max(1, _DELTA_BUDGET // (_COL_TILE * (dim + 1))))
+    const = _log_norm_const(n, dim, mix.sigma)
 
     pivot = None
     t1 = 0.0
     t2 = 0.0
     total = 0
-    for b0 in range(0, n, block):
-        b1 = min(b0 + block, n)
-        rngs = [substream(seed, i) for i in range(b0, b1)]
-        for j0 in range(0, n_mc, jc):
-            j1 = min(j0 + jc, n_mc)
-            z64 = np.empty((b1 - b0, j1 - j0, dim))
-            for t, rng in enumerate(rngs):
-                z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
-            z2 = np.einsum("ijd,ijd->ij", z64, z64)
-            logg = None
-            if prefer_fast:
-                z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
-                z_aug[:, :, :dim] = z64
-                z_aug[:, :, dim] = 1.0
-                logg = _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const)
-            if logg is None:
-                z32 = np.ascontiguousarray(z64, dtype=np.float32)
-                logg = _mc_block_safe(centers32, b0, b1, z32, z2, sigma, const)
-            flat = logg.ravel()
-            if pivot is None:
-                pivot = float(flat[0])
-            dev = flat - pivot
-            t1 += float(dev.sum())
-            t2 += float(dev @ dev)
-            total += flat.size
+    for logg in _logg_blocks(centers32, mix.sigma, const, n_mc, seed):
+        flat = logg.ravel()
+        if pivot is None:
+            pivot = float(flat[0])
+        dev = flat - pivot
+        t1 += float(dev.sum())
+        t2 += float(dev @ dev)
+        total += flat.size
     mean = pivot + t1 / total
     if total > 1:
         var = max(0.0, (t2 - t1 * t1 / total) / (total - 1))

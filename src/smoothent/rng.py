@@ -7,7 +7,10 @@ single 64-bit user seed through spawn keys, so that
 * the same (seed, inputs) always produce bitwise-identical results,
 * adding work units (e.g. another mixture center, another MI term) never
   perturbs the draws of existing units, and
-* parallel evaluation of substreams is safe by construction.
+* parallel evaluation of substreams is safe by construction:
+  ``plugin_entropy_mc`` draws every center's substream on the calling thread
+  and hands only the kernel to worker threads, so its result does not depend
+  on the worker count.
 
 ``substream(seed, i, j, ...)`` returns the generator for the unit addressed
 by the integer path ``(i, j, ...)``; ``derive_seed`` folds such a path into a

@@ -91,6 +91,19 @@ class TestEntropy:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["entropy", str(tmp_path / "nope.csv")]) == EXIT_DATA
 
+    def test_oversized_cell_is_data_error(self, tmp_path, capsys):
+        # one cell beyond the csv module's 131072-character field limit
+        path = tmp_path / "wide_cell.csv"
+        path.write_text("1" * 140_003 + ",2\n3,4\n", encoding="utf-8")
+        assert main(["entropy", str(path), "--dim", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: field larger than field limit")
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n3,\xe94\n")
+        assert main(["entropy", str(path), "--dim", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
     def test_bad_dim_is_config_error(self, sample_file):
         assert main(["entropy", str(sample_file), "--dim", "0"]) == EXIT_CONFIG
 

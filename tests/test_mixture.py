@@ -1,6 +1,8 @@
 """Mixture log density and the Monte-Carlo / quadrature entropy estimates."""
 
 import math
+import sys
+import threading
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -17,7 +19,15 @@ from smoothent import (
     plugin_entropy_mc,
     plugin_entropy_quadrature,
 )
-from smoothent.mixture import _log_density_rows, _log_norm_const, _mc_block_fast, _mc_block_safe
+from smoothent import mixture
+from smoothent.mixture import (
+    _COL_TILE,
+    _log_density_rows,
+    _log_norm_const,
+    _mc_block_fast,
+    _mc_block_safe,
+)
+from smoothent.rng import substream
 
 LN_2PI_E = 2.837877066409345
 HALF_LN_2PI_E = 1.4189385332046727
@@ -198,7 +208,9 @@ class TestMcKernels:
         const = _log_norm_const(n, dim, sigma)
         z_aug = np.ones((b1 - b0, n_mc, dim + 1), dtype=np.float32)
         z_aug[:, :, :dim] = z64
-        fast = _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const)
+        aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
+        buf = np.empty((b1 - b0, n_mc, _COL_TILE), dtype=np.float32)
+        fast = _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
         safe = _mc_block_safe(
             centers32, b0, b1, np.ascontiguousarray(z64, dtype=np.float32), z2, sigma, const
         )
@@ -208,6 +220,148 @@ class TestMcKernels:
         assert fast is not None
         np.testing.assert_allclose(fast, exact, rtol=0, atol=1e-4)
         np.testing.assert_allclose(safe, exact, rtol=0, atol=1e-4)
+
+
+def serial_reference(mix, n_mc, seed):
+    """``plugin_entropy_mc``'s serial loop as it was before the thread pool.
+
+    Scratch is allocated per block, the kernels are looked up on the module
+    (so monkeypatched kernels apply), and ``(value, mc_std_error)`` is returned.
+    """
+    centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
+    n, dim = centers32.shape
+    sigma = mix.sigma
+    const = _log_norm_const(n, dim, sigma)
+    prefer_fast = dim <= 32
+    jc = min(n_mc, mixture._ROW_TARGET)
+    block = min(
+        n,
+        max(1, mixture._ROW_TARGET // jc),
+        max(1, mixture._DELTA_BUDGET // (_COL_TILE * (dim + 1))),
+    )
+    pivot = None
+    t1 = t2 = 0.0
+    total = 0
+    for b0 in range(0, n, block):
+        b1 = min(b0 + block, n)
+        rngs = [substream(seed, i) for i in range(b0, b1)]
+        for j0 in range(0, n_mc, jc):
+            j1 = min(j0 + jc, n_mc)
+            z64 = np.empty((b1 - b0, j1 - j0, dim))
+            for t, rng in enumerate(rngs):
+                z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
+            z2 = np.einsum("ijd,ijd->ij", z64, z64)
+            logg = None
+            if prefer_fast:
+                z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
+                z_aug[:, :, :dim] = z64
+                z_aug[:, :, dim] = 1.0
+                aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
+                buf = np.empty((b1 - b0, j1 - j0, _COL_TILE), dtype=np.float32)
+                logg = mixture._mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
+            if logg is None:
+                z32 = np.ascontiguousarray(z64, dtype=np.float32)
+                logg = mixture._mc_block_safe(centers32, b0, b1, z32, z2, sigma, const)
+            flat = logg.ravel()
+            if pivot is None:
+                pivot = float(flat[0])
+            dev = flat - pivot
+            t1 += float(dev.sum())
+            t2 += float(dev @ dev)
+            total += flat.size
+    mean = pivot + t1 / total
+    var = max(0.0, (t2 - t1 * t1 / total) / (total - 1)) if total > 1 else 0.0
+    return -mean, math.sqrt(var / total)
+
+
+class TestPooledKernel:
+    # n = 107 is not a multiple of the block of 20 centers that n_mc = 100
+    # gives; d <= 4 at n_mc = 100 is a pooled shape (100 * 512 * (d + 1) <= 2**18)
+    N, N_MC, SEED = 107, 100, 23
+
+    @staticmethod
+    def mix(dim):
+        rng = np.random.default_rng(300 + dim)
+        return IsotropicMixture(SampleMatrix(rng.standard_normal((dim, TestPooledKernel.N))), 0.3)
+
+    @staticmethod
+    def record_threads(monkeypatch, fail_block=None, error_block=None):
+        """Wrap ``_mc_block_fast``: log the calling thread, fail or raise at one block."""
+        real = mixture._mc_block_fast
+        threads = []
+
+        def fast(centers32, b0, *rest):
+            threads.append(threading.current_thread())
+            if b0 == error_block:
+                raise RuntimeError("kernel failure in block")
+            if b0 == fail_block:
+                return None
+            return real(centers32, b0, *rest)
+
+        monkeypatch.setattr(mixture, "_mc_block_fast", fast)
+        return threads
+
+    def pooled(self, monkeypatch, mix, workers):
+        monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
+        est = plugin_entropy_mc(mix, self.N_MC, self.SEED)
+        return est.value, est.mc_std_error
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bitwise_equal_to_serial_loop(self, monkeypatch, dim, workers):
+        mix = self.mix(dim)
+        threads = self.record_threads(monkeypatch)
+        got = self.pooled(monkeypatch, mix, workers)
+        pool_threads = {t for t in threads if t is not threading.main_thread()}
+        assert bool(pool_threads) == (workers > 1)
+        assert got == serial_reference(mix, self.N_MC, self.SEED)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_safe_fallback_of_one_block(self, monkeypatch, workers):
+        mix = self.mix(3)
+        safe_blocks = []
+        real_safe = mixture._mc_block_safe
+
+        def safe(centers32, b0, *rest):
+            safe_blocks.append(b0)
+            return real_safe(centers32, b0, *rest)
+
+        monkeypatch.setattr(mixture, "_mc_block_safe", safe)
+        self.record_threads(monkeypatch, fail_block=40)
+        got = self.pooled(monkeypatch, mix, workers)
+        assert safe_blocks == [40]
+        assert got == serial_reference(mix, self.N_MC, self.SEED)
+        assert safe_blocks == [40, 40]
+
+    def test_short_switch_interval(self, monkeypatch):
+        mix = self.mix(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.pooled(monkeypatch, mix, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial_reference(mix, self.N_MC, self.SEED)
+
+    def test_large_gemm_shapes_stay_on_calling_thread(self, monkeypatch):
+        # d = 5 at n_mc = 100: 100 * 512 * 6 multiply-adds per center, over 2**18
+        threads = self.record_threads(monkeypatch)
+        rng = np.random.default_rng(305)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((5, 45))), 0.3)
+        got = self.pooled(monkeypatch, mix, 2)
+        assert threads and set(threads) == {threading.main_thread()}
+        assert got == serial_reference(mix, self.N_MC, self.SEED)
+
+    def test_worker_exception_propagates_and_threads_end(self, monkeypatch):
+        mix = self.mix(3)
+        start = threading.active_count()
+        self.pooled(monkeypatch, mix, 2)
+        assert threading.active_count() == start
+        threads = self.record_threads(monkeypatch, error_block=60)
+        with pytest.raises(RuntimeError, match="kernel failure in block"):
+            self.pooled(monkeypatch, mix, 2)
+        assert any(t is not threading.main_thread() for t in threads)
+        assert threading.active_count() == start
 
 
 class TestPluginEntropyQuadrature:
