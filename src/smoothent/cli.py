@@ -13,18 +13,19 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import InvalidConfig, SmoothentError
 from .estimator import EstimatorConfig, pca_smoothed_entropy
 from .experiments import (
     ACTIVATION_COLUMNS,
+    AUC_COLUMNS,
+    SWEEP_COLUMNS,
     SweepSpec,
     run_activation_mi,
     run_indep_auc,
     run_sweep,
-    write_rows_csv,
-    write_sweep_csv,
 )
 from .io import (
     fmt,
@@ -32,6 +33,7 @@ from .io import (
     read_samples,
     save_pca_model,
     write_joint_dataset,
+    write_rows_csv,
     write_samples,
 )
 from .mi import JointDataset, conditional_entropy, conditional_mi, joint_mi
@@ -264,7 +266,8 @@ def cmd_sweep(args) -> int:
         reference=args.reference,
     )
     records = run_sweep(spec)
-    write_sweep_csv(args.out, records, timing=args.timing)
+    columns = SWEEP_COLUMNS + (["wall_time_s"] if args.timing else [])
+    write_rows_csv(args.out, [asdict(r) for r in records], columns)
     failed = sum(1 for r in records if r.error)
     print(f"wrote {args.out}: {len(records)} rows ({failed} failed cells)")
     return EXIT_OK
@@ -275,8 +278,7 @@ def cmd_indep_auc(args) -> int:
         args.n_datasets, args.n, args.dim, args.ambient_dim, args.noise_std, _config(args)
     )
     if args.out is not None:
-        columns = ["dataset", "dependent", "score_reduced", "score_ambient"]
-        write_rows_csv(args.out, list(report.rows), columns)
+        write_rows_csv(args.out, list(report.rows), AUC_COLUMNS)
     print(f"auc_reduced = {fmt(report.auc_reduced)}")
     print(f"auc_ambient = {fmt(report.auc_ambient)}")
     return EXIT_OK

@@ -13,11 +13,9 @@ Error handling is per-cell: a failing cell contributes a row with its error
 message and the sweep continues.
 """
 
-import csv
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .estimator import (
     gaussian_smoothed_entropy_oracle,
     pca_smoothed_entropy,
 )
-from .io import fmt, ingest_activation_dump
+from .io import ingest_activation_dump
 from .mi import conditional_entropy, conditional_mi, joint_mi
 from .synthetic import (
     SPIRAL_KINDS,
@@ -42,34 +40,14 @@ __all__ = [
     "SweepRecord",
     "AucReport",
     "run_sweep",
-    "write_sweep_csv",
-    "read_sweep_csv",
     "rank_auc",
     "run_indep_auc",
     "run_activation_mi",
-    "write_rows_csv",
 ]
 
 REFERENCE_MODES = ("closed-form", "self-consistency", "none")
 
 _AXIS_NAMES = ("kind", "n", "d", "sigma", "lambda_res")
-
-SWEEP_COLUMNS = [
-    "kind",
-    "n",
-    "d",
-    "sigma",
-    "lambda_res",
-    "repeat",
-    "seed",
-    "estimate",
-    "reference",
-    "abs_error",
-    "mc_std_error",
-    "eigen_gap",
-    "residual",
-    "error",
-]
 
 
 @dataclass(frozen=True)
@@ -139,6 +117,10 @@ class SweepRecord:
     residual: float | None = None
     error: str = ""
     wall_time_s: float | None = field(default=None, compare=False)
+
+
+# Columns of a sweep CSV: the record's fields; ``wall_time_s`` is opt-in.
+SWEEP_COLUMNS = [f.name for f in fields(SweepRecord) if f.name != "wall_time_s"]
 
 
 def _cell_seed(master_seed: int, cell: dict, *path: int) -> int:
@@ -242,51 +224,23 @@ def _self_consistency_reference(spec: SweepSpec, cell: dict) -> float:
     return pca_smoothed_entropy(samples, config).value
 
 
-def write_sweep_csv(path, records: list[SweepRecord], timing: bool = False) -> None:
-    columns = SWEEP_COLUMNS + (["wall_time_s"] if timing else [])
-    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([fmt(getattr(rec, col)) for col in columns])
-
-
-def read_sweep_csv(path) -> list[SweepRecord]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        for row in reader:
-            records.append(
-                SweepRecord(
-                    kind=row["kind"],
-                    n=int(row["n"]),
-                    d=int(row["d"]),
-                    sigma=float(row["sigma"]),
-                    lambda_res=float(row["lambda_res"]),
-                    repeat=int(row["repeat"]),
-                    seed=int(row["seed"]),
-                    estimate=float(row["estimate"]) if row["estimate"] else None,
-                    reference=float(row["reference"]) if row["reference"] else None,
-                    abs_error=float(row["abs_error"]) if row["abs_error"] else None,
-                    mc_std_error=float(row["mc_std_error"]) if row["mc_std_error"] else None,
-                    eigen_gap=float(row["eigen_gap"]) if row["eigen_gap"] else None,
-                    residual=float(row["residual"]) if row["residual"] else None,
-                    error=row.get("error", ""),
-                    wall_time_s=float(row["wall_time_s"]) if row.get("wall_time_s") else None,
-                )
-            )
-    return records
-
-
 def rank_auc(positive_scores, negative_scores) -> float:
-    """Mann-Whitney AUC of thresholding: P(pos > neg) with ties worth 0.5."""
+    """Mann-Whitney AUC of thresholding: P(pos > neg) with ties worth 0.5.
+
+    ``U`` is the positives' rank sum with ties at their average rank, exactly
+    wins + 0.5 * ties; a NaN score neither wins nor ties but counts in P * N.
+    """
     pos = np.asarray(positive_scores, dtype=np.float64)
     neg = np.asarray(negative_scores, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise InvalidConfig("AUC needs at least one score in each class")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
+    pairs = pos.size * neg.size
+    pos, neg = pos[~np.isnan(pos)], neg[~np.isnan(neg)]
+    scores = np.concatenate([pos, neg])
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    average_rank = np.cumsum(counts) - 0.5 * (counts - 1)
+    u = average_rank[group[: pos.size]].sum() - 0.5 * pos.size * (pos.size + 1)
+    return float(u / pairs)
 
 
 @dataclass(frozen=True)
@@ -368,6 +322,8 @@ def _auc_cell(idx: int) -> dict:
     return {"kind": "pair", "n": idx, "d": 0, "sigma": 0.0, "lambda_res": 0.0}
 
 
+AUC_COLUMNS = ["dataset", "dependent", "score_reduced", "score_ambient"]
+
 ACTIVATION_COLUMNS = [
     "layer",
     "epoch",
@@ -404,12 +360,3 @@ def run_activation_mi(entries, config: EstimatorConfig) -> list[dict]:
         rows.append(row)
     rows.sort(key=lambda r: (str(r["layer"]), r["epoch"]))
     return rows
-
-
-def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:
-    """Write dict rows with a fixed column order (canonical formatting)."""
-    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt(row.get(col)) for col in columns])

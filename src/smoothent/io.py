@@ -44,6 +44,7 @@ __all__ = [
     "ingest_activation_dump",
     "write_joint_dataset",
     "read_joint_dataset",
+    "write_rows_csv",
 ]
 
 
@@ -60,6 +61,15 @@ def fmt(value) -> str:
 
 def _open_write(path):
     return Path(path).open("w", newline="\n", encoding="utf-8")
+
+
+def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:
+    """Write dict rows with a fixed column order (canonical formatting)."""
+    with _open_write(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(row.get(col)) for col in columns])
 
 
 def _is_numeric_row(row: list[str]) -> bool:
@@ -241,10 +251,8 @@ def write_joint_dataset(prefix, data: JointDataset, dependent: bool, seed: int) 
     manifest = prefix.with_name(prefix.name + "_manifest.csv")
     write_samples(x_path, data.x)
     write_samples(y_path, data.y)
-    with _open_write(manifest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_file", "y_file", "dependent", "seed"])
-        writer.writerow([x_path.name, y_path.name, fmt(bool(dependent)), str(seed)])
+    row = dict(x_file=x_path.name, y_file=y_path.name, dependent=bool(dependent), seed=seed)
+    write_rows_csv(manifest, [row], list(row))
     return {"x": x_path, "y": y_path, "manifest": manifest}
 
 

@@ -26,12 +26,13 @@ Numerical notes
   deterministic given ``(seed, inputs)`` and invariant to translating all
   centers.  Block and tile sizes are fixed functions of ``(n, d, n_mc)``.
 * Fast-kernel blocks run on a thread pool, one thread per core the process
-  may use, when one center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``)
-  is at most ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at
-  ``n_mc = 100``, ``n_mc <= 128`` at ``d = 3``.  The calling thread draws all
-  noise in center order, decides each block's fast-to-safe fallback and
-  folds ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error``
-  are bitwise the same for any worker count.  Larger GEMMs stay serial:
+  may use, when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and
+  one center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
+  ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
+  ``n_mc <= 128`` at ``d = 3``.  The calling thread draws all noise in
+  center order, decides each block's fast-to-safe fallback and folds
+  ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error`` are
+  bitwise the same for any worker count.  Larger GEMMs stay serial:
   above that size OpenBLAS threads the GEMM itself, and a pool competing
   with its threads ran slower than the serial loop.
 """
@@ -69,6 +70,10 @@ _COL_TILE = 512
 # to it OpenBLAS starts no threads of its own; above it the pool and the
 # BLAS threads compete for the same cores.
 _POOL_GEMM_LIMIT = 1 << 18
+# Fewest centers for which the pool runs.  At d = 3, n_mc = 100 the pool
+# lost to the inline loop at n = 250-288 and won by 10-15% from n = 320 on
+# (2 cores, 30 calls per size).
+_POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
 _ARG_FLOOR = np.float32(-7e37)   # keeps tile maxima finite in float32
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
@@ -235,8 +240,9 @@ def _logg_blocks(centers32, sigma, const, n_mc, seed):
     """Yield the log densities of all (center, draw) queries, one block at a time in order.
 
     This thread draws every block's noise, in center order, and decides the
-    fast-to-safe fallback.  Fast-kernel shapes whose per-center GEMM is at
-    most ``_POOL_GEMM_LIMIT`` multiply-adds run that kernel on a pool of
+    fast-to-safe fallback.  Fast-kernel shapes with at least
+    ``_POOL_MIN_CENTERS`` centers whose per-center GEMM is at most
+    ``_POOL_GEMM_LIMIT`` multiply-adds run that kernel on a pool of
     ``_worker_count()`` threads, at most two blocks per thread in flight;
     each thread computes exactly what this one would, so the yielded arrays
     do not depend on the pool.  Each thread that runs the fast kernel takes
@@ -247,7 +253,8 @@ def _logg_blocks(centers32, sigma, const, n_mc, seed):
     jc = min(n_mc, _ROW_TARGET)
     block = min(n, max(1, _ROW_TARGET // jc), max(1, _DELTA_BUDGET // (_COL_TILE * (dim + 1))))
     workers = 1
-    if prefer_fast and jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT:
+    small_gemm = jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT
+    if prefer_fast and small_gemm and n >= _POOL_MIN_CENTERS:
         workers = _worker_count()
     in_flight = 2 * workers if workers > 1 else 0
 

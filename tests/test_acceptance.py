@@ -7,7 +7,7 @@ grids are pinned here; nothing is deferred to later calibration.
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -33,8 +33,8 @@ from smoothent import (
     substream,
     pca_error_bound,
 )
-from smoothent.experiments import write_sweep_csv
-from smoothent.io import write_activation_dump
+from smoothent.experiments import SWEEP_COLUMNS
+from smoothent.io import write_activation_dump, write_rows_csv
 
 HALF_LN_2PI_E = 1.4189385332046727
 EMBEDDED_REFERENCE = -81.44197520367541  # oracle(I_3, 0.1) + correction(100, 3, 0.1)
@@ -279,8 +279,8 @@ def test_criterion_8_invariant_suites(tmp_path, announce):
         repeats=2, ambient_dim=6, n_mc=20, seed=803,
     )
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_sweep_csv(out1, run_sweep(spec))
-    write_sweep_csv(out2, run_sweep(spec))
+    write_rows_csv(out1, [asdict(r) for r in run_sweep(spec)], SWEEP_COLUMNS)
+    write_rows_csv(out2, [asdict(r) for r in run_sweep(spec)], SWEEP_COLUMNS)
     checks["csv"] = out1.read_bytes() == out2.read_bytes()
 
     # one-term bound monotonicities

@@ -1,6 +1,7 @@
 """Sweep harness, AUC scoring and activation-MI trajectories."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,13 +15,8 @@ from smoothent import (
     run_indep_auc,
     run_sweep,
 )
-from smoothent.experiments import (
-    ACTIVATION_COLUMNS,
-    read_sweep_csv,
-    write_rows_csv,
-    write_sweep_csv,
-)
-from smoothent.io import write_activation_dump
+from smoothent.experiments import ACTIVATION_COLUMNS, SWEEP_COLUMNS
+from smoothent.io import write_activation_dump, write_rows_csv
 from smoothent.pca import SampleMatrix
 from smoothent.rng import substream
 
@@ -117,28 +113,23 @@ class TestRunSweep:
 
 
 class TestSweepCsv:
-    def test_round_trip(self, tmp_path):
-        records = run_sweep(tiny_spec())
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, records)
-        loaded = read_sweep_csv(path)
-        assert loaded == records
-
     def test_byte_reproducibility(self, tmp_path):
         records_a = run_sweep(tiny_spec())
         records_b = run_sweep(tiny_spec())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(p1, records_a)
-        write_sweep_csv(p2, records_b)
+        write_rows_csv(p1, [asdict(r) for r in records_a], SWEEP_COLUMNS)
+        write_rows_csv(p2, [asdict(r) for r in records_b], SWEEP_COLUMNS)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_timing_column_is_opt_in(self, tmp_path):
         records = run_sweep(tiny_spec(repeats=1))
         plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
-        write_sweep_csv(plain, records)
-        write_sweep_csv(timed, records, timing=True)
+        write_rows_csv(plain, [asdict(r) for r in records], SWEEP_COLUMNS)
+        write_rows_csv(timed, [asdict(r) for r in records], SWEEP_COLUMNS + ["wall_time_s"])
         assert "wall_time_s" not in plain.read_text(encoding="utf-8")
-        assert "wall_time_s" in timed.read_text(encoding="utf-8").splitlines()[0]
+        header, row = timed.read_text(encoding="utf-8").splitlines()
+        assert header.endswith(",wall_time_s")
+        assert float(row.rsplit(",", 1)[1]) == records[0].wall_time_s
 
 
 class TestRankAuc:
@@ -158,6 +149,23 @@ class TestRankAuc:
     def test_empty_rejected(self):
         with pytest.raises(InvalidConfig):
             rank_auc([], [1.0])
+
+    def test_rank_sum_equals_pairwise_count(self):
+        # reference: the P x N comparison count, ties 0.5, NaN neither wins nor ties
+        def pairwise(pos, neg):
+            wins = (pos[:, None] > neg[None, :]).sum()
+            ties = (pos[:, None] == neg[None, :]).sum()
+            return float((wins + 0.5 * ties) / (pos.size * neg.size))
+
+        rng = np.random.default_rng(40)
+        for trial in range(500):
+            n_pos, n_neg = rng.integers(1, 30, size=2)
+            levels = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan])
+            few = rng.choice(levels, size=rng.integers(2, 9), replace=False)
+            pool = few if trial % 2 else rng.standard_normal(6)
+            pos = rng.choice(pool, size=n_pos)
+            neg = rng.choice(pool, size=n_neg)
+            assert rank_auc(pos, neg) == pairwise(pos, neg), (pos, neg)
 
 
 class TestRunIndepAuc:

@@ -275,9 +275,10 @@ def serial_reference(mix, n_mc, seed):
 
 
 class TestPooledKernel:
-    # n = 107 is not a multiple of the block of 20 centers that n_mc = 100
-    # gives; d <= 4 at n_mc = 100 is a pooled shape (100 * 512 * (d + 1) <= 2**18)
-    N, N_MC, SEED = 107, 100, 23
+    # n = 407 is at least _POOL_MIN_CENTERS and not a multiple of the block of
+    # 20 centers that n_mc = 100 gives; d <= 4 at n_mc = 100 is a pooled shape
+    # (100 * 512 * (d + 1) <= 2**18)
+    N, N_MC, SEED = 407, 100, 23
 
     @staticmethod
     def mix(dim):
@@ -347,7 +348,16 @@ class TestPooledKernel:
         # d = 5 at n_mc = 100: 100 * 512 * 6 multiply-adds per center, over 2**18
         threads = self.record_threads(monkeypatch)
         rng = np.random.default_rng(305)
-        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((5, 45))), 0.3)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((5, 325))), 0.3)
+        got = self.pooled(monkeypatch, mix, 2)
+        assert threads and set(threads) == {threading.main_thread()}
+        assert got == serial_reference(mix, self.N_MC, self.SEED)
+
+    @pytest.mark.parametrize("n", [250, mixture._POOL_MIN_CENTERS - 1])
+    def test_few_centers_stay_on_calling_thread(self, monkeypatch, n):
+        threads = self.record_threads(monkeypatch)
+        rng = np.random.default_rng(306)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((3, n))), 0.3)
         got = self.pooled(monkeypatch, mix, 2)
         assert threads and set(threads) == {threading.main_thread()}
         assert got == serial_reference(mix, self.N_MC, self.SEED)

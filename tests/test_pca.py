@@ -6,6 +6,7 @@ import pytest
 from smoothent import (
     InvalidConfig,
     InvalidData,
+    PcaModel,
     SampleMatrix,
     compute_covariance,
     fit_pca,
@@ -235,3 +236,91 @@ class TestInvariants:
         model = fit_pca(SampleMatrix(data), 1)
         assert model.residual >= 0.0
         assert model.eigen_gap >= 0.0
+
+
+def dense_fit(sm, target_dim, center=True):
+    """The covariance route, called directly: spectrum and top basis."""
+    w, v = symmetric_eigendecomposition(compute_covariance(sm, center=center))
+    return w, v[:, :target_dim]
+
+
+@pytest.fixture
+def covariance_calls(monkeypatch):
+    """Count ``fit_pca``'s calls of the covariance route."""
+    import smoothent.pca as pca
+
+    calls = []
+    real = pca.compute_covariance
+
+    def counted(samples, center=True):
+        calls.append(samples.count)
+        return real(samples, center)
+
+    monkeypatch.setattr(pca, "compute_covariance", counted)
+    return calls
+
+
+class TestGramRoute:
+    # n < D: the fit decomposes the n x n Gram matrix
+    @staticmethod
+    def wide(dim, n, seed, shift=0.0):
+        rng = np.random.default_rng(seed)
+        scales = np.concatenate([[3.0, 2.0, 1.5, 1.0], np.full(dim - 4, 0.1)])
+        return SampleMatrix(rng.standard_normal((dim, n)) * scales[:, None] + shift)
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("dim,n,target_dim", [(50, 12, 3), (300, 120, 4), (80, 79, 1)])
+    def test_matches_covariance_route(self, covariance_calls, dim, n, target_dim, center):
+        sm = self.wide(dim, n, seed=dim + n, shift=0.5)
+        model = fit_pca(sm, target_dim, center=center)
+        assert covariance_calls == []
+        w, basis = dense_fit(sm, target_dim, center)
+        scale = w[0]
+        assert np.max(np.abs(model.spectrum - w)) <= 1e-10 * scale
+        np.testing.assert_array_equal(model.spectrum[n:], 0.0)
+        sin_theta = np.linalg.norm(basis - model.basis @ (model.basis.T @ basis), 2)
+        assert sin_theta < 1e-8
+        dense = PcaModel(basis, w, dim, target_dim, model.mean)
+        assert model.eigen_gap == pytest.approx(dense.eigen_gap, rel=1e-10, abs=1e-12 * scale)
+        assert model.residual == pytest.approx(dense.residual, rel=1e-10, abs=1e-12 * scale)
+
+    def test_sign_convention_in_ambient_space(self):
+        sm = self.wide(40, 15, seed=3, shift=-2.0)
+        model = fit_pca(sm, 4, center=False)
+        lead = np.argmax(np.abs(model.basis), axis=0)
+        assert np.all(model.basis[lead, np.arange(4)] > 0)
+        _, basis = dense_fit(sm, 4, center=False)
+        np.testing.assert_allclose(model.basis, basis, atol=1e-10)
+
+    @pytest.mark.parametrize("n,gram", [(29, True), (30, False)])
+    def test_route_boundary(self, covariance_calls, n, gram):
+        sm = self.wide(30, n, seed=7)
+        model = fit_pca(sm, 3)
+        assert covariance_calls == ([] if gram else [n])
+        w, basis = dense_fit(sm, 3)
+        if gram:
+            np.testing.assert_allclose(model.spectrum, w, rtol=0, atol=1e-10 * w[0])
+            np.testing.assert_allclose(model.basis, basis, atol=1e-10)
+        else:
+            np.testing.assert_array_equal(model.spectrum, w)
+            np.testing.assert_array_equal(model.basis, basis)
+
+    def test_target_dim_above_n_falls_back(self, covariance_calls):
+        sm = self.wide(20, 4, seed=8)
+        model = fit_pca(sm, 6)
+        assert covariance_calls == [4]
+        w, basis = dense_fit(sm, 6)
+        np.testing.assert_array_equal(model.spectrum, w)
+        np.testing.assert_array_equal(model.basis, basis)
+        np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(6), atol=1e-12)
+
+    def test_duplicated_samples_fall_back(self, covariance_calls):
+        # 5 distinct samples, each twice: the centered Gram matrix has rank 4,
+        # so lambda_5 is roundoff and the mapped basis would not be orthonormal
+        base = self.wide(40, 5, seed=9).data
+        sm = SampleMatrix(np.repeat(base, 2, axis=1))
+        model = fit_pca(sm, 5)
+        assert covariance_calls == [10]
+        w, basis = dense_fit(sm, 5)
+        np.testing.assert_array_equal(model.basis, basis)
+        np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(5), atol=1e-12)
