@@ -17,24 +17,26 @@ Numerical notes
 * The Monte-Carlo hot loop evaluates pairwise terms in single precision with
   double-precision accumulation.  The resulting error (~1e-5 nats) is two
   orders of magnitude below the statistical error at any realistic trial
-  count.  Two kernels share one column tiling: ``_mc_block_fast`` (one
-  augmented matrix product, no running maximum) runs for ``d <= 32`` and
-  hands a block to ``_mc_block_safe`` (streaming running maximum) if its
-  float32 exponents overflow; above ``d = 32`` only the safe kernel runs.
+  count.  One kernel, ``_mc_block``, takes its exponents from one augmented
+  matrix product per column tile and has two modes: plain sums (no running
+  maximum) run first for ``d <= 32`` and the block is rerun with a running
+  maximum (an online log-sum-exp) if its float32 exponents overflow; above
+  ``d = 32`` only the running-maximum mode runs.  ``1/sigma^2`` and every
+  center coordinate must be finite in float32, else ``Unsupported``.
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
   centers.  Block and tile sizes are fixed functions of ``(n, d, n_mc)``.
-* Fast-kernel blocks run on a thread pool, one thread per core the process
+* For ``d <= 32`` blocks run on a thread pool, one thread per core the process
   may use, when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and
   one center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
   ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
   ``n_mc <= 128`` at ``d = 3``.  The calling thread draws all noise in
-  center order, decides each block's fast-to-safe fallback and folds
-  ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error`` are
-  bitwise the same for any worker count.  Larger GEMMs stay serial:
-  above that size OpenBLAS threads the GEMM itself, and a pool competing
-  with its threads ran slower than the serial loop.
+  center order and folds ``(pivot, t1, t2)`` in block order, and each
+  block's fallback depends on its own values only, so value and
+  ``mc_std_error`` are bitwise the same for any worker count.  Larger
+  GEMMs stay serial: above that size OpenBLAS threads the GEMM itself, and
+  a pool competing with its threads ran slower than the serial loop.
 """
 
 import math
@@ -65,7 +67,7 @@ LN_2PI = math.log(2.0 * math.pi)
 # deterministic function of (seed, inputs) alone.
 _ROW_TARGET = 2048
 _COL_TILE = 512
-# Most multiply-adds of one per-center GEMM for which the fast kernel runs on
+# Most multiply-adds of one per-center GEMM for which the kernel runs on
 # a thread pool: 4 x 65536, OpenBLAS's default GEMM_MULTITHREAD_THRESHOLD.  Up
 # to it OpenBLAS starts no threads of its own; above it the pool and the
 # BLAS threads compete for the same cores.
@@ -75,7 +77,6 @@ _POOL_GEMM_LIMIT = 1 << 18
 # (2 cores, 30 calls per size).
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
-_ARG_FLOOR = np.float32(-7e37)   # keeps tile maxima finite in float32
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
 _GRID_LIMIT = 50_000_000
 
@@ -150,7 +151,7 @@ def _column_tiles(centers32, b0, b1):
     """Yield ``(width, delta, |delta|^2)`` for block rows ``b0:b1`` against each column tile.
 
     ``delta[i, k] = x_{b0+i} - x_{k0+k}`` in float32, for tiles of
-    ``_COL_TILE`` centers; both Monte-Carlo kernels consume these tiles.
+    ``_COL_TILE`` centers; both modes of ``_mc_block`` consume these tiles.
     """
     n = centers32.shape[0]
     cb = centers32[b0:b1]
@@ -160,16 +161,23 @@ def _column_tiles(centers32, b0, b1):
         yield k1 - k0, delta, np.einsum("ikd,ikd->ik", delta, delta)
 
 
-def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf):
-    """Log density of all (center, draw) queries in one block, no max tracking.
+def _mc_block(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max):
+    """Log density of all (center, draw) queries in one block.
 
-    Relative to the row shift ``-|Z|^2/(2 sigma^2)`` the exponent of the
-    self term is exactly 0, so the sum over centers is always >= 1 and needs
-    no running maximum.  Exponents are produced by a single augmented matrix
-    product: ``z_aug = [Z | 1]`` against ``[-delta^T/sigma^2 ; -|delta|^2/(2 sigma^2)]``.
-    Exponents can only overflow in float32 when ``|Z|^2/(2 sigma^2) > ~87``,
-    which is detected here (non-finite sum, ``None`` returned) so the caller
-    retries via the safe path.
+    Exponents come from a single augmented matrix product per column tile,
+    ``z_aug = [Z | 1]`` against ``[-delta^T/sigma^2 ; -|delta|^2/(2 sigma^2)]``,
+    so they are taken relative to the row shift ``-|Z|^2/(2 sigma^2)``, in
+    which the self term's exponent is exactly 0.
+
+    * Plain-sum mode: the sum over centers is always >= 1 and needs no
+      maximum.  Its float32 exponents overflow only when
+      ``|Z|^2/(2 sigma^2) > ~87``; the sum is then not finite and ``None`` is
+      returned.
+    * Running-max mode (an online log-sum-exp): each query keeps a float32
+      shift, starting at 0 because the self term bounds its maximum from
+      below.  Each tile raises the shift to the tile maximum, rescales the
+      float64 sums by ``exp(old - new)`` and adds its terms relative to the
+      new shift, so every exponent range float32 holds works.
 
     ``aug`` and ``buf`` are float32 scratch, at least ``(b1 - b0, dim + 1, w)``
     and ``(b1 - b0, n_draws, w)`` for ``w = min(n, _COL_TILE)``.
@@ -178,43 +186,33 @@ def _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf):
     inv_s2 = np.float32(-1.0 / sigma**2)
     inv_2s2 = np.float32(-0.5 / sigma**2)
     sums = np.zeros((rows, draws), dtype=np.float64)
-    for width, delta, dd in _column_tiles(centers32, b0, b1):
-        a = aug[:rows, :, :width]
-        np.multiply(delta.transpose(0, 2, 1), inv_s2, out=a[:, :dim, :])
-        np.multiply(dd, inv_2s2, out=a[:, dim, :])
-        args = np.matmul(z_aug, a, out=buf[:rows, :draws, :width])
-        np.maximum(args, _EXP_FLOOR, out=args)
-        np.exp(args, out=args)
-        sums += args.sum(axis=2)
-    if not np.all(np.isfinite(sums)):
+    shift = np.zeros((rows, draws), dtype=np.float32)
+    # Overflow is detected from the sums, and inputs beyond float32 from the
+    # estimate, so numpy's own warnings for them are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for width, delta, dd in _column_tiles(centers32, b0, b1):
+            a = aug[:rows, :, :width]
+            np.multiply(delta.transpose(0, 2, 1), inv_s2, out=a[:, :dim, :])
+            np.multiply(dd, inv_2s2, out=a[:, dim, :])
+            args = np.matmul(z_aug, a, out=buf[:rows, :draws, :width])
+            if running_max:
+                new = np.maximum(shift, args.max(axis=2))
+                sums *= np.exp((shift - new).astype(np.float64))
+                args -= new[:, :, None]
+                shift = new
+            np.maximum(args, _EXP_FLOOR, out=args)
+            np.exp(args, out=args)
+            sums += args.sum(axis=2)
+    if not (running_max or np.all(np.isfinite(sums))):
         return None
-    return np.log(sums) - z2 / (2.0 * sigma**2) - const
-
-
-def _mc_block_safe(centers32, b0, b1, z32, z2, sigma, const):
-    """Streaming log-sum-exp with a running maximum; works for any exponent range."""
-    inv_s2 = np.float32(-1.0 / sigma**2)
-    z2h32 = (np.float32(0.5) * z2).astype(np.float32)
-    running_max = np.full(z2h32.shape, -np.inf, dtype=np.float32)
-    running_sum = np.zeros(z2h32.shape, dtype=np.float64)
-    for _, delta, dd in _column_tiles(centers32, b0, b1):
-        args = z32 @ delta.transpose(0, 2, 1)
-        args += z2h32[:, :, None]
-        args += (np.float32(0.5) * dd)[:, None, :]
-        args *= inv_s2
-        np.maximum(args, _ARG_FLOOR, out=args)
-        new_max = np.maximum(running_max, args.max(axis=2))
-        args -= new_max[:, :, None]
-        np.maximum(args, _EXP_FLOOR, out=args)
-        np.exp(args, out=args)
-        running_sum *= np.exp((running_max - new_max).astype(np.float64))
-        running_sum += args.sum(axis=2, dtype=np.float64)
-        running_max = new_max
-    return running_max.astype(np.float64) + np.log(running_sum) - const
+    logs = np.log(sums)
+    if running_max:
+        logs += shift
+    return logs - z2 / (2.0 * sigma**2) - const
 
 
 def _worker_count() -> int:
-    """Threads for a pooled fast kernel: the cores this process may run on."""
+    """Threads for a pooled kernel: the cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -227,11 +225,19 @@ def _run_now(fn, *args) -> Future:
     return done
 
 
-def _fast_with_scratch(free, centers32, b0, b1, z_aug, z2, sigma, const):
-    """``_mc_block_fast`` on a scratch pair taken from, and returned to, ``free``."""
+def _logg_block(free, centers32, b0, b1, z_aug, z2, sigma, const):
+    """One block's log densities, on a scratch pair taken from, and returned to, ``free``.
+
+    Up to ``d = 32`` plain sums run first and the block is rerun in
+    running-max mode if they overflow; above, where ``|Z|^2/(2 sigma^2)``
+    is large (a chi-square with ``d`` degrees of freedom, halved), running-max
+    mode runs alone.  The choice depends on the block's own values only.
+    """
     aug, buf = free.get()
     try:
-        return _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
+        args = (centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
+        logg = _mc_block(*args, running_max=False) if centers32.shape[1] <= 32 else None
+        return _mc_block(*args, running_max=True) if logg is None else logg
     finally:
         free.put((aug, buf))
 
@@ -239,47 +245,32 @@ def _fast_with_scratch(free, centers32, b0, b1, z_aug, z2, sigma, const):
 def _logg_blocks(centers32, sigma, const, n_mc, seed):
     """Yield the log densities of all (center, draw) queries, one block at a time in order.
 
-    This thread draws every block's noise, in center order, and decides the
-    fast-to-safe fallback.  Fast-kernel shapes with at least
-    ``_POOL_MIN_CENTERS`` centers whose per-center GEMM is at most
-    ``_POOL_GEMM_LIMIT`` multiply-adds run that kernel on a pool of
-    ``_worker_count()`` threads, at most two blocks per thread in flight;
-    each thread computes exactly what this one would, so the yielded arrays
-    do not depend on the pool.  Each thread that runs the fast kernel takes
-    a scratch pair from ``free``, allocated here once per call.
+    This thread draws every block's noise, in center order.  Shapes up to
+    ``d = 32`` with at least ``_POOL_MIN_CENTERS`` centers whose per-center
+    GEMM is at most ``_POOL_GEMM_LIMIT`` multiply-adds run ``_logg_block`` on
+    a pool of ``_worker_count()`` threads, at most two blocks per thread in
+    flight; each thread computes exactly what this one would, so the yielded
+    arrays do not depend on the pool.  Each thread takes a scratch pair from
+    ``free``, allocated here once per call.
     """
     n, dim = centers32.shape
-    prefer_fast = dim <= 32  # exponent overflow plausible only for large chi^2_d
     jc = min(n_mc, _ROW_TARGET)
     block = min(n, max(1, _ROW_TARGET // jc), max(1, _DELTA_BUDGET // (_COL_TILE * (dim + 1))))
     workers = 1
     small_gemm = jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT
-    if prefer_fast and small_gemm and n >= _POOL_MIN_CENTERS:
+    if dim <= 32 and small_gemm and n >= _POOL_MIN_CENTERS:
         workers = _worker_count()
     in_flight = 2 * workers if workers > 1 else 0
 
     tile = min(n, _COL_TILE)
     free = queue.SimpleQueue()
-    for _ in range(workers if prefer_fast else 0):
+    for _ in range(workers):
         free.put(
             (
                 np.empty((block, dim + 1, tile), dtype=np.float32),
                 np.empty((block, jc, tile), dtype=np.float32),
             )
         )
-
-    # The safe kernel's float32 noise has one buffer per call.  A fresh array
-    # per block, freed when the block was done, cost 10x the minor page
-    # faults and 15-35% more time at d = 200, n = 250.
-    z32_buf = np.empty((block, jc, dim), dtype=np.float32)
-
-    def resolve(b0, b1, z64, z2, fast):
-        logg = None if fast is None else fast.result()
-        if logg is None:
-            z32 = z32_buf[: b1 - b0, : z64.shape[1]]
-            np.copyto(z32, z64, casting="same_kind")
-            logg = _mc_block_safe(centers32, b0, b1, z32, z2, sigma, const)
-        return logg
 
     pending = deque()
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -293,19 +284,16 @@ def _logg_blocks(centers32, sigma, const, n_mc, seed):
                 for t, rng in enumerate(rngs):
                     z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
                 z2 = np.einsum("ijd,ijd->ij", z64, z64)
-                fast = None
-                if prefer_fast:
-                    z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
-                    z_aug[:, :, :dim] = z64
-                    z_aug[:, :, dim] = 1.0
-                    fast = submit(
-                        _fast_with_scratch, free, centers32, b0, b1, z_aug, z2, sigma, const
-                    )
-                pending.append((b0, b1, z64, z2, fast))
+                z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
+                z_aug[:, :, :dim] = z64
+                z_aug[:, :, dim] = 1.0
+                pending.append(
+                    submit(_logg_block, free, centers32, b0, b1, z_aug, z2, sigma, const)
+                )
                 while len(pending) > in_flight:
-                    yield resolve(*pending.popleft())
+                    yield pending.popleft().result()
         while pending:
-            yield resolve(*pending.popleft())
+            yield pending.popleft().result()
 
 
 def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEstimate:
@@ -319,7 +307,14 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
     if n_mc < 1:
         raise InvalidConfig(f"n_mc must be >= 1, got {n_mc}")
 
-    centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
+    with np.errstate(over="ignore", divide="ignore"):
+        centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
+        precision32 = np.float32(1.0 / np.float64(mix.sigma) ** 2)
+    if not (np.isfinite(precision32) and np.all(np.isfinite(centers32))):
+        raise Unsupported(
+            f"sigma = {mix.sigma:g} or a center coordinate is beyond the float32 range of "
+            "the Monte-Carlo kernel: 1/sigma^2 and every coordinate must stay below 3.4e38"
+        )
     n, dim = centers32.shape
     const = _log_norm_const(n, dim, mix.sigma)
 
@@ -336,6 +331,8 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
         t2 += float(dev @ dev)
         total += flat.size
     mean = pivot + t1 / total
+    if not math.isfinite(mean):
+        raise Unsupported("Monte-Carlo estimate is not finite: center differences exceed float32")
     if total > 1:
         var = max(0.0, (t2 - t1 * t1 / total) / (total - 1))
     else:

@@ -107,6 +107,14 @@ class TestEntropy:
     def test_bad_dim_is_config_error(self, sample_file):
         assert main(["entropy", str(sample_file), "--dim", "0"]) == EXIT_CONFIG
 
+    def test_sigma_beyond_float32_is_data_error(self, sample_file, capsys):
+        # 1/sigma^2 = 1e40 overflows the kernel's float32; 1e-15 still fits
+        base = ["entropy", str(sample_file), "--dim", "2", "--n-mc", "20", "--seed", "2"]
+        assert main(base + ["--sigma", "1e-20"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: sigma = 1e-20 or a center")
+        assert main(base + ["--sigma", "1e-15"]) == EXIT_OK
+        assert math.isfinite(float(capsys.readouterr().out.split()[2]))
+
     def test_dim_exceeding_ambient_is_config_error(self, sample_file):
         assert main(["entropy", str(sample_file), "--dim", "99"]) == EXIT_CONFIG
 

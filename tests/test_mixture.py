@@ -24,8 +24,7 @@ from smoothent.mixture import (
     _COL_TILE,
     _log_density_rows,
     _log_norm_const,
-    _mc_block_fast,
-    _mc_block_safe,
+    _mc_block,
 )
 from smoothent.rng import substream
 
@@ -188,6 +187,25 @@ class TestPluginEntropyMc:
         assert math.isfinite(est.value)
         assert est.value >= gaussian_entropy(40, 0.5) - 3 * est.mc_std_error
 
+    def test_inputs_beyond_float32_are_unsupported(self):
+        # 1/sigma^2 = 1e40 and a coordinate of 1e39 both overflow float32
+        with pytest.raises(Unsupported, match="float32"):
+            plugin_entropy_mc(mixture_of([[0.0, 1.0, 2.0]] * 3, 1e-20), 20, seed=1)
+        with pytest.raises(Unsupported, match="float32"):
+            plugin_entropy_mc(mixture_of([[0.0, 1e39, 2.0]], 1.0), 20, seed=1)
+        # each coordinate fits, but their difference of 6e38 does not
+        with pytest.raises(Unsupported, match="float32"):
+            plugin_entropy_mc(mixture_of([[-3e38, 3e38]], 1.0), 20, seed=1)
+
+    def test_tiny_sigma_within_float32(self):
+        # sigma = 1e-15 (1/sigma^2 = 1e30) still fits: the centers are
+        # separated by 1e15 sigma, so h = ln n + h(N(0, sigma^2 I_3))
+        rng = np.random.default_rng(48)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((3, 50))), 1e-15)
+        est = plugin_entropy_mc(mix, 100, seed=5)
+        expected = math.log(50) + gaussian_entropy(3, 1e-15)
+        assert abs(est.value - expected) <= 4 * est.mc_std_error + 1e-6
+
     def test_estimate_metadata(self):
         est = plugin_entropy_mc(mixture_of([[0.0, 1.0]], 0.5), 25, seed=17)
         assert est == EntropyEstimate(est.value, est.mc_std_error, 2, 25, 17)
@@ -195,44 +213,67 @@ class TestPluginEntropyMc:
 
 
 class TestMcKernels:
-    @pytest.mark.parametrize("dim", [1, 3, 10])
+    @staticmethod
+    def block_args(centers32, b0, b1, z64, sigma):
+        """``_mc_block``'s arguments for rows ``b0:b1`` with noise ``z64``, scratch included."""
+        n, dim = centers32.shape
+        rows, n_mc = z64.shape[:2]
+        z_aug = np.ones((rows, n_mc, dim + 1), dtype=np.float32)
+        z_aug[:, :, :dim] = z64
+        z2 = np.einsum("ijd,ijd->ij", z64, z64)
+        aug = np.empty((rows, dim + 1, _COL_TILE), dtype=np.float32)
+        buf = np.empty((rows, n_mc, _COL_TILE), dtype=np.float32)
+        return centers32, b0, b1, z_aug, z2, sigma, _log_norm_const(n, dim, sigma), aug, buf
+
+    @staticmethod
+    def exact(centers32, b0, b1, z64, sigma):
+        """The float64 evaluator at the same queries, on the same float32 centers."""
+        centers64 = centers32.astype(np.float64)
+        queries = (centers64[b0:b1, None, :] + z64).reshape(-1, centers32.shape[1])
+        return _log_density_rows(centers64, sigma, queries).reshape(z64.shape[:2])
+
+    @pytest.mark.parametrize("dim", [1, 3, 10, 40, 100])
     def test_fast_and_safe_agree_with_double_precision(self, dim):
-        # both float32 kernels on one block (b0:b1 spans two column tiles of
-        # centers) against the float64 evaluator on the same float32 centers
+        # plain-sum and running-max modes on one block (b0:b1 spans two
+        # column tiles of centers) against the float64 evaluator
         rng = np.random.default_rng(200 + dim)
         n, n_mc, sigma = 700, 7, 0.5
         centers32 = rng.standard_normal((n, dim)).astype(np.float32)
         b0, b1 = 40, 52
         z64 = rng.normal(0.0, sigma, size=(b1 - b0, n_mc, dim))
-        z2 = np.einsum("ijd,ijd->ij", z64, z64)
-        const = _log_norm_const(n, dim, sigma)
-        z_aug = np.ones((b1 - b0, n_mc, dim + 1), dtype=np.float32)
-        z_aug[:, :, :dim] = z64
-        aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
-        buf = np.empty((b1 - b0, n_mc, _COL_TILE), dtype=np.float32)
-        fast = _mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
-        safe = _mc_block_safe(
-            centers32, b0, b1, np.ascontiguousarray(z64, dtype=np.float32), z2, sigma, const
+        args = self.block_args(centers32, b0, b1, z64, sigma)
+        plain = _mc_block(*args, running_max=False)
+        running = _mc_block(*args, running_max=True)
+        exact = self.exact(centers32, b0, b1, z64, sigma)
+        assert plain is not None
+        np.testing.assert_allclose(plain, exact, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(running, exact, rtol=0, atol=1e-4)
+
+    def test_overflowing_exponent(self):
+        # a draw 2.95 from its own center toward a second center 3 away, at
+        # sigma = 0.1: the second term's exponent in the self-term frame is
+        # (2.95 * 3 - 9 / 2) / 0.01 = 435, beyond float32's exp range (~88.7)
+        centers32 = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], dtype=np.float32)
+        z64 = np.array([[[2.95, 0.0, 0.0]], [[-0.1, 0.05, 0.0]]])
+        args = self.block_args(centers32, 0, 2, z64, 0.1)
+        assert _mc_block(*args, running_max=False) is None
+        running = _mc_block(*args, running_max=True)
+        np.testing.assert_allclose(
+            running, self.exact(centers32, 0, 2, z64, 0.1), rtol=0, atol=1e-4
         )
-        centers64 = centers32.astype(np.float64)
-        queries = (centers64[b0:b1, None, :] + z64).reshape(-1, dim)
-        exact = _log_density_rows(centers64, sigma, queries).reshape(b1 - b0, n_mc)
-        assert fast is not None
-        np.testing.assert_allclose(fast, exact, rtol=0, atol=1e-4)
-        np.testing.assert_allclose(safe, exact, rtol=0, atol=1e-4)
 
 
 def serial_reference(mix, n_mc, seed):
     """``plugin_entropy_mc``'s serial loop as it was before the thread pool.
 
-    Scratch is allocated per block, the kernels are looked up on the module
-    (so monkeypatched kernels apply), and ``(value, mc_std_error)`` is returned.
+    Scratch is allocated per block, the kernel is looked up on the module
+    (so a monkeypatched kernel applies), and ``(value, mc_std_error)`` is
+    returned.
     """
     centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
     n, dim = centers32.shape
     sigma = mix.sigma
     const = _log_norm_const(n, dim, sigma)
-    prefer_fast = dim <= 32
     jc = min(n_mc, mixture._ROW_TARGET)
     block = min(
         n,
@@ -251,17 +292,17 @@ def serial_reference(mix, n_mc, seed):
             for t, rng in enumerate(rngs):
                 z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
             z2 = np.einsum("ijd,ijd->ij", z64, z64)
+            z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
+            z_aug[:, :, :dim] = z64
+            z_aug[:, :, dim] = 1.0
+            aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
+            buf = np.empty((b1 - b0, j1 - j0, _COL_TILE), dtype=np.float32)
+            args = (centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
             logg = None
-            if prefer_fast:
-                z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
-                z_aug[:, :, :dim] = z64
-                z_aug[:, :, dim] = 1.0
-                aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
-                buf = np.empty((b1 - b0, j1 - j0, _COL_TILE), dtype=np.float32)
-                logg = mixture._mc_block_fast(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
+            if dim <= 32:
+                logg = mixture._mc_block(*args, running_max=False)
             if logg is None:
-                z32 = np.ascontiguousarray(z64, dtype=np.float32)
-                logg = mixture._mc_block_safe(centers32, b0, b1, z32, z2, sigma, const)
+                logg = mixture._mc_block(*args, running_max=True)
             flat = logg.ravel()
             if pivot is None:
                 pivot = float(flat[0])
@@ -287,19 +328,19 @@ class TestPooledKernel:
 
     @staticmethod
     def record_threads(monkeypatch, fail_block=None, error_block=None):
-        """Wrap ``_mc_block_fast``: log the calling thread, fail or raise at one block."""
-        real = mixture._mc_block_fast
+        """Wrap ``_mc_block``: log the calling thread, raise at one block or fail its plain sums."""
+        real = mixture._mc_block
         threads = []
 
-        def fast(centers32, b0, *rest):
+        def kernel(centers32, b0, *rest, running_max):
             threads.append(threading.current_thread())
             if b0 == error_block:
                 raise RuntimeError("kernel failure in block")
-            if b0 == fail_block:
+            if b0 == fail_block and not running_max:
                 return None
-            return real(centers32, b0, *rest)
+            return real(centers32, b0, *rest, running_max=running_max)
 
-        monkeypatch.setattr(mixture, "_mc_block_fast", fast)
+        monkeypatch.setattr(mixture, "_mc_block", kernel)
         return threads
 
     def pooled(self, monkeypatch, mix, workers):
@@ -319,20 +360,22 @@ class TestPooledKernel:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_safe_fallback_of_one_block(self, monkeypatch, workers):
+        # the block whose plain sums fail is rerun in running-max mode
         mix = self.mix(3)
-        safe_blocks = []
-        real_safe = mixture._mc_block_safe
-
-        def safe(centers32, b0, *rest):
-            safe_blocks.append(b0)
-            return real_safe(centers32, b0, *rest)
-
-        monkeypatch.setattr(mixture, "_mc_block_safe", safe)
         self.record_threads(monkeypatch, fail_block=40)
+        failing = mixture._mc_block
+        reruns = []
+
+        def kernel(centers32, b0, *rest, running_max):
+            if running_max:
+                reruns.append(b0)
+            return failing(centers32, b0, *rest, running_max=running_max)
+
+        monkeypatch.setattr(mixture, "_mc_block", kernel)
         got = self.pooled(monkeypatch, mix, workers)
-        assert safe_blocks == [40]
+        assert reruns == [40]
         assert got == serial_reference(mix, self.N_MC, self.SEED)
-        assert safe_blocks == [40, 40]
+        assert reruns == [40, 40]
 
     def test_short_switch_interval(self, monkeypatch):
         mix = self.mix(3)
