@@ -39,7 +39,7 @@ __all__ = [
     "pca_error_bound",
 ]
 
-SPLIT_POLICIES = ("half", "reuse", "indices")
+SPLIT_POLICIES = ("half", "reuse")
 
 # Substream tags used when deriving per-stage seeds from config.seed.
 _SPLIT_TAG = 0
@@ -50,10 +50,9 @@ _MC_TAG = 1
 class EstimatorConfig:
     """Everything needed to reproduce one smoothed-entropy estimate.
 
-    ``split`` is one of ``"half"`` (seeded shuffle, first ceil(n/2) samples
-    fit the basis, the rest feed the entropy estimate), ``"reuse"`` (fit and
-    estimate on the full set), or ``"indices"`` (explicit ``fit_indices`` /
-    ``eval_indices``).
+    ``split`` is ``"half"`` (seeded shuffle, first ceil(n/2) samples fit
+    the basis, the rest feed the entropy estimate) or ``"reuse"`` (fit and
+    estimate on the full set).
     """
 
     sigma: float
@@ -62,8 +61,6 @@ class EstimatorConfig:
     seed: int = 0
     split: str = "half"
     center: bool = True
-    fit_indices: tuple[int, ...] | None = None
-    eval_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -74,8 +71,6 @@ class EstimatorConfig:
             raise InvalidConfig(f"n_mc must be >= 1, got {self.n_mc}")
         if self.split not in SPLIT_POLICIES:
             raise InvalidConfig(f"split must be one of {SPLIT_POLICIES}, got {self.split!r}")
-        if self.split == "indices" and (self.fit_indices is None or self.eval_indices is None):
-            raise InvalidConfig("split='indices' requires fit_indices and eval_indices")
 
 
 @dataclass(frozen=True)
@@ -152,14 +147,6 @@ def _split_samples(samples: SampleMatrix, config: EstimatorConfig):
     n = samples.count
     if config.split == "reuse":
         return samples, samples
-    if config.split == "indices":
-        fit_idx = np.asarray(config.fit_indices, dtype=np.intp)
-        eval_idx = np.asarray(config.eval_indices, dtype=np.intp)
-        if fit_idx.size < 1 or eval_idx.size < 1:
-            raise InsufficientData("explicit split needs at least one sample on each side")
-        if fit_idx.min() < 0 or fit_idx.max() >= n or eval_idx.min() < 0 or eval_idx.max() >= n:
-            raise InvalidData("explicit split indices out of range")
-        return samples.take(fit_idx), samples.take(eval_idx)
     if n < 2:
         raise InsufficientData(f"half split needs at least 2 samples, got {n}")
     perm = substream(config.seed, _SPLIT_TAG).permutation(n)

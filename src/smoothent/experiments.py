@@ -250,12 +250,6 @@ class AucReport:
     auc_reduced: float
     auc_ambient: float
     rows: tuple[dict, ...]
-    n_datasets: int
-    n: int
-    intrinsic_dim: int
-    ambient_dim: int
-    noise_std: float
-    sigma: float
 
 
 def run_indep_auc(
@@ -309,12 +303,6 @@ def run_indep_auc(
         auc_reduced=rank_auc(reduced_pos, reduced_neg),
         auc_ambient=rank_auc(ambient_pos, ambient_neg),
         rows=tuple(rows),
-        n_datasets=n_datasets,
-        n=n,
-        intrinsic_dim=intrinsic_dim,
-        ambient_dim=ambient_dim,
-        noise_std=noise_std,
-        sigma=config.sigma,
     )
 
 

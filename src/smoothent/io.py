@@ -43,7 +43,6 @@ __all__ = [
     "write_activation_dump",
     "ingest_activation_dump",
     "write_joint_dataset",
-    "read_joint_dataset",
     "write_rows_csv",
 ]
 
@@ -255,15 +254,3 @@ def write_joint_dataset(prefix, data: JointDataset, dependent: bool, seed: int) 
     write_rows_csv(manifest, [row], list(row))
     return {"x": x_path, "y": y_path, "manifest": manifest}
 
-
-def read_joint_dataset(manifest_path) -> tuple[JointDataset, bool, int]:
-    """Read a paired dataset back from its manifest."""
-    manifest_path = Path(manifest_path)
-    with manifest_path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) != 2 or rows[0][:4] != ["x_file", "y_file", "dependent", "seed"]:
-        raise InvalidData(f"{manifest_path}: not a joint-dataset manifest")
-    x_name, y_name, dep, seed = rows[1][:4]
-    base = manifest_path.parent
-    data = JointDataset(x=read_samples(base / x_name), y=read_samples(base / y_name))
-    return data, dep.strip().lower() == "true", int(seed)

@@ -135,7 +135,12 @@ class MiEstimate:
 
     @property
     def std_error(self) -> float:
-        """Root-sum-square of the weighted terms' Monte-Carlo standard errors."""
+        """Root-sum-square of the weighted terms' Monte-Carlo standard errors.
+
+        For :func:`joint_mi` the ``x``, ``y`` and ``joint`` terms are built
+        from the same pairs, so they are correlated and this is not the
+        standard error of the MI, only a per-term Monte-Carlo diagnostic.
+        """
         squares = ((term.weight * term.result.mc_std_error) ** 2 for term in self.terms)
         return float(np.sqrt(_total(squares)))
 
@@ -185,26 +190,17 @@ def conditional_mi(
 def joint_mi(
     data: JointDataset,
     config: EstimatorConfig,
-    target_dim_x: int | None = None,
-    target_dim_y: int | None = None,
     target_dim_joint: int | None = None,
 ) -> MiEstimate:
     """Estimate ``I(X+Z1; Y+Z2)`` from paired samples.
 
-    The joint term stacks x on top of y (always in that order, so results
-    are reproducible) and defaults to target dimension
-    ``target_dim_x + target_dim_y``.
+    The x and y terms reduce to ``config.target_dim``.  The joint term
+    stacks x on top of y (always in that order, so results are
+    reproducible) and defaults to target dimension ``2 * config.target_dim``.
     """
-    d_x = config.target_dim if target_dim_x is None else target_dim_x
-    d_y = config.target_dim if target_dim_y is None else target_dim_y
-    d_joint = d_x + d_y if target_dim_joint is None else target_dim_joint
-
-    x_term = pca_smoothed_entropy(
-        data.x, replace(config_with_seed(config, _TAG_X), target_dim=d_x)
-    )
-    y_term = pca_smoothed_entropy(
-        data.y, replace(config_with_seed(config, _TAG_Y), target_dim=d_y)
-    )
+    x_term = pca_smoothed_entropy(data.x, config_with_seed(config, _TAG_X))
+    y_term = pca_smoothed_entropy(data.y, config_with_seed(config, _TAG_Y))
+    d_joint = 2 * config.target_dim if target_dim_joint is None else target_dim_joint
     stacked = SampleMatrix(np.concatenate([data.x.data, data.y.data], axis=0))
     joint_term = pca_smoothed_entropy(
         stacked, replace(config_with_seed(config, _TAG_JOINT), target_dim=d_joint)

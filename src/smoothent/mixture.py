@@ -31,21 +31,22 @@ Numerical notes
   may use, when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and
   one center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
   ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
-  ``n_mc <= 128`` at ``d = 3``.  The calling thread draws all noise in
-  center order and folds ``(pivot, t1, t2)`` in block order, and each
-  block's fallback depends on its own values only, so value and
-  ``mc_std_error`` are bitwise the same for any worker count.  Larger
-  GEMMs stay serial: above that size OpenBLAS threads the GEMM itself, and
-  a pool competing with its threads ran slower than the serial loop.
+  ``n_mc <= 128`` at ``d = 3``.  Each block draws its own centers'
+  substreams on whichever thread runs it, its fallback depends on its own
+  values only, and the calling thread folds ``(pivot, t1, t2)`` in block
+  order, so value and ``mc_std_error`` are bitwise the same for any worker
+  count.  Larger GEMMs stay serial: above that size OpenBLAS threads the
+  GEMM itself, and a pool competing with its threads ran slower than the
+  serial loop.  Serial and pooled shapes run the same per-block job.
 """
 
 import math
 import os
 import queue
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -218,40 +219,52 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_now(fn, *args) -> Future:
-    """Call ``fn`` on this thread; the inline stand-in for ``ThreadPoolExecutor.submit``."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
+def _logg_block(free, centers32, sigma, const, n_mc, seed, block, b0):
+    """All of one block's work, on a scratch set taken from, and returned to, ``free``.
 
-
-def _logg_block(free, centers32, b0, b1, z_aug, z2, sigma, const):
-    """One block's log densities, on a scratch pair taken from, and returned to, ``free``.
-
-    Up to ``d = 32`` plain sums run first and the block is rerun in
-    running-max mode if they overflow; above, where ``|Z|^2/(2 sigma^2)``
-    is large (a chi-square with ``d`` degrees of freedom, halved), running-max
-    mode runs alone.  The choice depends on the block's own values only.
+    Centers ``b0:b0 + block`` draw their noise from ``substream(seed, i)``
+    in chunks of at most ``_ROW_TARGET`` draws, and the block's log densities
+    are returned as one array per chunk, in draw order.  Up to ``d = 32``
+    plain sums run first and a chunk is rerun in running-max mode if they
+    overflow; above, where ``|Z|^2/(2 sigma^2)`` is large (a chi-square with
+    ``d`` degrees of freedom, halved), running-max mode runs alone.  The
+    result depends on the block's own draws only, not on the thread.
     """
-    aug, buf = free.get()
+    n, dim = centers32.shape
+    b1 = min(b0 + block, n)
+    rows = b1 - b0
+    rngs = [substream(seed, i) for i in range(b0, b1)]
+    aug, buf, z64, z_aug = free.get()
     try:
-        args = (centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
-        logg = _mc_block(*args, running_max=False) if centers32.shape[1] <= 32 else None
-        return _mc_block(*args, running_max=True) if logg is None else logg
+        logs = []
+        for j0 in range(0, n_mc, _ROW_TARGET):
+            draws = min(_ROW_TARGET, n_mc - j0)
+            # contiguous views of the flat noise scratch, laid out as fresh arrays would be
+            z = z64[: rows * draws * dim].reshape(rows, draws, dim)
+            for t, rng in enumerate(rngs):
+                z[t] = rng.normal(0.0, sigma, size=(draws, dim))
+            za = z_aug[: rows * draws * (dim + 1)].reshape(rows, draws, dim + 1)
+            za[:, :, :dim] = z
+            za[:, :, dim] = 1.0
+            z2 = np.einsum("ijd,ijd->ij", z, z)
+            args = (centers32, b0, b1, za, z2, sigma, const, aug, buf)
+            logg = _mc_block(*args, running_max=False) if dim <= 32 else None
+            logs.append(_mc_block(*args, running_max=True) if logg is None else logg)
+        return logs
     finally:
-        free.put((aug, buf))
+        free.put((aug, buf, z64, z_aug))
 
 
 def _logg_blocks(centers32, sigma, const, n_mc, seed):
-    """Yield the log densities of all (center, draw) queries, one block at a time in order.
+    """Yield the log densities of all (center, draw) queries, one chunk at a time in order.
 
-    This thread draws every block's noise, in center order.  Shapes up to
-    ``d = 32`` with at least ``_POOL_MIN_CENTERS`` centers whose per-center
-    GEMM is at most ``_POOL_GEMM_LIMIT`` multiply-adds run ``_logg_block`` on
-    a pool of ``_worker_count()`` threads, at most two blocks per thread in
-    flight; each thread computes exactly what this one would, so the yielded
-    arrays do not depend on the pool.  Each thread takes a scratch pair from
-    ``free``, allocated here once per call.
+    Every shape maps ``_logg_block`` over the block starts: on this thread,
+    or, for shapes up to ``d = 32`` with at least ``_POOL_MIN_CENTERS``
+    centers whose per-center GEMM is at most ``_POOL_GEMM_LIMIT``
+    multiply-adds, on a pool of ``_worker_count()`` threads.  Each thread
+    takes a scratch set from ``free``, allocated here once per call, and
+    computes exactly what this one would, so the yielded arrays do not
+    depend on the pool.
     """
     n, dim = centers32.shape
     jc = min(n_mc, _ROW_TARGET)
@@ -260,7 +273,6 @@ def _logg_blocks(centers32, sigma, const, n_mc, seed):
     small_gemm = jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT
     if dim <= 32 and small_gemm and n >= _POOL_MIN_CENTERS:
         workers = _worker_count()
-    in_flight = 2 * workers if workers > 1 else 0
 
     tile = min(n, _COL_TILE)
     free = queue.SimpleQueue()
@@ -269,31 +281,15 @@ def _logg_blocks(centers32, sigma, const, n_mc, seed):
             (
                 np.empty((block, dim + 1, tile), dtype=np.float32),
                 np.empty((block, jc, tile), dtype=np.float32),
+                np.empty(block * jc * dim),
+                np.empty(block * jc * (dim + 1), dtype=np.float32),
             )
         )
 
-    pending = deque()
+    job = partial(_logg_block, free, centers32, sigma, const, n_mc, seed, block)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        submit = _run_now if pool is None else pool.submit
-        for b0 in range(0, n, block):
-            b1 = min(b0 + block, n)
-            rngs = [substream(seed, i) for i in range(b0, b1)]
-            for j0 in range(0, n_mc, jc):
-                j1 = min(j0 + jc, n_mc)
-                z64 = np.empty((b1 - b0, j1 - j0, dim))
-                for t, rng in enumerate(rngs):
-                    z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
-                z2 = np.einsum("ijd,ijd->ij", z64, z64)
-                z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
-                z_aug[:, :, :dim] = z64
-                z_aug[:, :, dim] = 1.0
-                pending.append(
-                    submit(_logg_block, free, centers32, b0, b1, z_aug, z2, sigma, const)
-                )
-                while len(pending) > in_flight:
-                    yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        for logs in (map if pool is None else pool.map)(job, range(0, n, block)):
+            yield from logs
 
 
 def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEstimate:

@@ -5,10 +5,10 @@ closed-form reference exists (the embedded Gaussian), the population
 covariance is returned alongside the samples so oracles never have to be
 re-derived by callers.
 
-Spiral conventions: the angle is uniform on ``[0, theta_max]`` (default two
-turns, ``4 pi``) and the radius grows linearly from 0.5 to 4.0 over that
-range, so the curve is a fixed Archimedean spiral; the ambient embedding
-appends independent ``N(0, lambda_res^2)`` coordinates.  Note the intensity
+Spiral conventions: the angle is uniform on ``[0, 4 pi]`` (two turns) and
+the radius grows linearly from 0.5 to 4.0 over that range, so the curve is
+a fixed Archimedean spiral; the ambient embedding appends independent
+``N(0, lambda_res^2)`` coordinates.  Note the intensity
 conventions differ deliberately: ``lambda_res`` is a standard deviation for
 the spiral noise block but a variance for the residual axes of the embedded
 Gaussian.
@@ -34,7 +34,7 @@ SPIRAL_KINDS = ("spiral2d", "conical", "cylindrical")
 
 _R_MIN = 0.5
 _R_MAX = 4.0
-_THETA_MAX_DEFAULT = 4.0 * math.pi
+_THETA_MAX = 4.0 * math.pi
 _Z_MAX = 4.0
 
 
@@ -78,24 +78,22 @@ def gen_spiral(
     ambient_dim: int,
     n: int,
     seed: int,
-    theta_max: float = _THETA_MAX_DEFAULT,
 ) -> SampleMatrix:
     """Spiral manifold samples embedded in ``ambient_dim`` dimensions.
 
     ``spiral2d`` -> (r cos t, r sin t); ``conical`` -> (r cos t, r sin t, r);
     ``cylindrical`` -> (r cos t, r sin t, z) with z ~ Unif[0, 4].  The
     remaining ``ambient_dim - intrinsic`` coordinates are independent
-    ``N(0, lambda_res^2)``.  ``theta_max = 0`` degenerates to a point mass.
+    ``N(0, lambda_res^2)``.
     """
     intrinsic = spiral_intrinsic_dim(kind)
     if ambient_dim < intrinsic:
         raise InvalidConfig(f"{kind} needs ambient_dim >= {intrinsic}, got {ambient_dim}")
-    if lambda_res <= 0 or theta_max < 0:
-        raise InvalidConfig("need lambda_res > 0 and theta_max >= 0")
+    if lambda_res <= 0:
+        raise InvalidConfig(f"lambda_res must be positive, got {lambda_res}")
     rng = substream(seed)
-    theta = rng.uniform(0.0, theta_max, size=n) if theta_max > 0 else np.zeros(n)
-    frac = theta / _THETA_MAX_DEFAULT
-    r = _R_MIN + (_R_MAX - _R_MIN) * frac
+    theta = rng.uniform(0.0, _THETA_MAX, size=n)
+    r = _R_MIN + (_R_MAX - _R_MIN) * (theta / _THETA_MAX)
     if kind == "spiral2d":
         core = np.vstack([r * np.cos(theta), r * np.sin(theta)])
     elif kind == "conical":

@@ -115,25 +115,6 @@ class TestSplitPolicies:
         config = EstimatorConfig(sigma=0.5, target_dim=2, n_mc=10, split="reuse")
         assert pca_smoothed_entropy(sm, config).plugin.n_centers == 9
 
-    def test_explicit_indices(self):
-        rng = np.random.default_rng(32)
-        sm = SampleMatrix(rng.standard_normal((2, 10)))
-        config = EstimatorConfig(
-            sigma=0.5, target_dim=1, n_mc=10, split="indices",
-            fit_indices=tuple(range(6)), eval_indices=(6, 7, 8, 9),
-        )
-        assert pca_smoothed_entropy(sm, config).plugin.n_centers == 4
-
-    def test_explicit_indices_validated(self):
-        sm = SampleMatrix(np.ones((1, 4)))
-        config = EstimatorConfig(
-            sigma=0.5, target_dim=1, split="indices", fit_indices=(0, 99), eval_indices=(1,)
-        )
-        with pytest.raises(InvalidData):
-            pca_smoothed_entropy(sm, config)
-        with pytest.raises(InvalidConfig):
-            EstimatorConfig(sigma=0.5, target_dim=1, split="indices")
-
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
             EstimatorConfig(sigma=-1.0, target_dim=1)
@@ -154,23 +135,18 @@ class TestPcaSmoothedEntropy:
 
     def test_rank_d_subspace_is_lossless(self):
         # data confined to the first 2 coordinates: projecting loses nothing,
-        # so the estimate equals the 2-d plug-in on the raw coordinates plus
-        # the correction, up to MC noise (different draws, rotated basis)
+        # so the reuse estimate equals the 2-d plug-in on all 400 centered raw
+        # coordinates plus the correction, up to MC noise (different draws,
+        # rotated basis)
         rng = np.random.default_rng(34)
         ambient = np.zeros((6, 400))
         ambient[:2] = rng.standard_normal((2, 400))
         sm = SampleMatrix(ambient)
-        fit_idx = tuple(range(0, 400, 2))
-        eval_idx = tuple(range(1, 400, 2))
-        config = EstimatorConfig(
-            sigma=0.3, target_dim=2, n_mc=3000, seed=7,
-            split="indices", fit_indices=fit_idx, eval_indices=eval_idx,
-        )
+        config = EstimatorConfig(sigma=0.3, target_dim=2, n_mc=3000, seed=7, split="reuse")
         result = pca_smoothed_entropy(sm, config)
 
-        eval_coords = ambient[:2, list(eval_idx)]
-        eval_coords = eval_coords - ambient[:2, list(fit_idx)].mean(axis=1, keepdims=True)
-        raw = plugin_entropy_mc(IsotropicMixture(SampleMatrix(eval_coords), 0.3), 3000, seed=123)
+        coords = ambient[:2] - ambient[:2].mean(axis=1, keepdims=True)
+        raw = plugin_entropy_mc(IsotropicMixture(SampleMatrix(coords), 0.3), 3000, seed=123)
         correction = dimension_correction(6, 2, 0.3)
         tolerance = 3 * (result.mc_std_error + raw.mc_std_error)
         assert abs(result.value - (raw.value + correction)) <= tolerance

@@ -12,7 +12,6 @@ from smoothent.io import (
     fmt,
     ingest_activation_dump,
     load_pca_model,
-    read_joint_dataset,
     read_samples,
     save_pca_model,
     write_activation_dump,
@@ -316,13 +315,8 @@ class TestJointDatasetFiles:
     def test_round_trip_with_manifest(self, tmp_path):
         data, dependent = gen_common_signal_pair(2, 6, 9, 0.05, seed=13, dependent=False)
         paths = write_joint_dataset(tmp_path / "pair", data, dependent, seed=13)
-        loaded, flag, seed = read_joint_dataset(paths["manifest"])
-        assert flag is False and seed == 13
-        np.testing.assert_array_equal(loaded.x.data, data.x.data)
-        np.testing.assert_array_equal(loaded.y.data, data.y.data)
-
-    def test_manifest_validated(self, tmp_path):
-        path = tmp_path / "bad_manifest.csv"
-        path.write_text("nope\n1,2\n", encoding="utf-8")
-        with pytest.raises(InvalidData):
-            read_joint_dataset(path)
+        with paths["manifest"].open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["x_file", "y_file", "dependent", "seed"], ["pair_x.csv", "pair_y.csv", "false", "13"]]
+        np.testing.assert_array_equal(read_samples(paths["x"]).data, data.x.data)
+        np.testing.assert_array_equal(read_samples(paths["y"]).data, data.y.data)

@@ -343,9 +343,9 @@ class TestPooledKernel:
         monkeypatch.setattr(mixture, "_mc_block", kernel)
         return threads
 
-    def pooled(self, monkeypatch, mix, workers):
+    def pooled(self, monkeypatch, mix, workers, n_mc=N_MC):
         monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
-        est = plugin_entropy_mc(mix, self.N_MC, self.SEED)
+        est = plugin_entropy_mc(mix, n_mc, self.SEED)
         return est.value, est.mc_std_error
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -388,13 +388,18 @@ class TestPooledKernel:
         assert got == serial_reference(mix, self.N_MC, self.SEED)
 
     def test_large_gemm_shapes_stay_on_calling_thread(self, monkeypatch):
-        # d = 5 at n_mc = 100: 100 * 512 * 6 multiply-adds per center, over 2**18
+        # per-center GEMMs over 2**18 multiply-adds: d = 5 at n_mc = 100
+        # (100 * 512 * 6), two draw chunks of 2048 and 52 at n_mc = 2100
+        # (2048 * 512 * 4), and d = 40, where running-max mode runs alone; its
+        # sigma puts some queries nearer another center than their own, so
+        # that the running maximum moves and plain sums would differ in bits
         threads = self.record_threads(monkeypatch)
-        rng = np.random.default_rng(305)
-        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((5, 325))), 0.3)
-        got = self.pooled(monkeypatch, mix, 2)
-        assert threads and set(threads) == {threading.main_thread()}
-        assert got == serial_reference(mix, self.N_MC, self.SEED)
+        for dim, n_mc, sigma in [(5, 100, 0.3), (3, 2100, 0.3), (40, 100, 3.0)]:
+            rng = np.random.default_rng(300 + dim)
+            mix = IsotropicMixture(SampleMatrix(rng.standard_normal((dim, 325))), sigma)
+            got = self.pooled(monkeypatch, mix, 2, n_mc)
+            assert threads and set(threads) == {threading.main_thread()}
+            assert got == serial_reference(mix, n_mc, self.SEED)
 
     @pytest.mark.parametrize("n", [250, mixture._POOL_MIN_CENTERS - 1])
     def test_few_centers_stay_on_calling_thread(self, monkeypatch, n):

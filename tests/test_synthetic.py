@@ -73,11 +73,6 @@ class TestSpirals:
         stds = samples.data[2:].std(axis=1)
         assert np.all(np.abs(stds - lam) < 0.1 * lam)
 
-    def test_zero_angular_spread_degenerates(self):
-        samples = gen_spiral("spiral2d", 0.01, 4, 200, seed=6, theta_max=0.0)
-        np.testing.assert_allclose(samples.data[0], 0.5, atol=1e-12)
-        np.testing.assert_allclose(samples.data[1], 0.0, atol=1e-12)
-
     def test_radius_range(self):
         samples = gen_spiral("spiral2d", 0.01, 2, 50_000, seed=7)
         radius = np.hypot(samples.data[0], samples.data[1])
