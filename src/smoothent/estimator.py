@@ -143,26 +143,49 @@ def dimension_correction(ambient_dim: int, target_dim: int, sigma: float) -> flo
     return 0.5 * (ambient_dim - target_dim) * (LN_2PI + 1.0 + 2.0 * math.log(sigma))
 
 
-def _split_samples(samples: SampleMatrix, config: EstimatorConfig):
-    n = samples.count
-    if config.split == "reuse":
-        return samples, samples
+def _half_split_indices(n: int, config: EstimatorConfig):
     if n < 2:
         raise InsufficientData(f"half split needs at least 2 samples, got {n}")
     perm = substream(config.seed, _SPLIT_TAG).permutation(n)
     n_fit = (n + 1) // 2
-    return samples.take(perm[:n_fit]), samples.take(perm[n_fit:])
+    return perm[:n_fit], perm[n_fit:]
+
+
+def _fit_gathered(samples: SampleMatrix, indices, config: EstimatorConfig) -> PcaModel:
+    """``fit_pca(samples.take(indices), ...)`` bit for bit, without a centered copy.
+
+    The one gathered copy is centered in place; its mean and ``x - mean``
+    are those ``fit_pca`` would compute.
+    """
+    x = np.take(samples.data, indices, axis=1)
+    if not config.center:
+        return fit_pca(SampleMatrix.adopt(x), config.target_dim, center=False)
+    mean = x.mean(axis=1)
+    x -= mean[:, None]
+    model = fit_pca(SampleMatrix.adopt(x), config.target_dim, center=False)
+    return replace(model, mean=mean)
 
 
 def pca_smoothed_entropy(samples: SampleMatrix, config: EstimatorConfig) -> SmoothedEntropyResult:
-    """Estimate the smoothed entropy of high-dimensional samples, in nats."""
+    """Estimate the smoothed entropy of high-dimensional samples, in nats.
+
+    The half split holds each half once, only while its stage runs: the
+    fit half is gathered, centered in place and fitted (one half plus the
+    Gram or covariance workspace beyond the input), then the evaluation half
+    is gathered, projected (it plus one centered copy) and freed before the
+    Monte-Carlo kernel runs.
+    """
     if config.target_dim > samples.dim:
         raise InvalidConfig(
             f"target_dim {config.target_dim} exceeds sample dimension {samples.dim}"
         )
-    fit_part, eval_part = _split_samples(samples, config)
-    model = fit_pca(fit_part, config.target_dim, center=config.center)
-    projected = project(eval_part, model)
+    if config.split == "reuse":
+        model = fit_pca(samples, config.target_dim, center=config.center)
+        projected = project(samples, model)
+    else:
+        fit_idx, eval_idx = _half_split_indices(samples.count, config)
+        model = _fit_gathered(samples, fit_idx, config)
+        projected = project(samples.take(eval_idx), model)
     mixture = IsotropicMixture(projected, config.sigma)
     plugin = plugin_entropy_mc(mixture, config.n_mc, derive_seed(config.seed, _MC_TAG))
     correction = dimension_correction(samples.dim, config.target_dim, config.sigma)

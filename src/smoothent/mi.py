@@ -166,7 +166,7 @@ def conditional_mi(
     defaults to all conditional samples, the groups concatenated in order.
     """
     if marginal is None:
-        marginal = SampleMatrix(np.concatenate([block.data for block in data.samples], axis=1))
+        marginal = SampleMatrix.adopt(np.concatenate([block.data for block in data.samples], axis=1))
     if marginal.dim != data.dim:
         raise InvalidData(
             f"marginal dim {marginal.dim} != conditional dim {data.dim}"
@@ -201,7 +201,7 @@ def joint_mi(
     x_term = pca_smoothed_entropy(data.x, config_with_seed(config, _TAG_X))
     y_term = pca_smoothed_entropy(data.y, config_with_seed(config, _TAG_Y))
     d_joint = 2 * config.target_dim if target_dim_joint is None else target_dim_joint
-    stacked = SampleMatrix(np.concatenate([data.x.data, data.y.data], axis=0))
+    stacked = SampleMatrix.adopt(np.concatenate([data.x.data, data.y.data], axis=0))
     joint_term = pca_smoothed_entropy(
         stacked, replace(config_with_seed(config, _TAG_JOINT), target_dim=d_joint)
     )

@@ -241,8 +241,10 @@ def _logg_block(free, centers32, sigma, const, n_mc, seed, block, b0):
             draws = min(_ROW_TARGET, n_mc - j0)
             # contiguous views of the flat noise scratch, laid out as fresh arrays would be
             z = z64[: rows * draws * dim].reshape(rows, draws, dim)
+            # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
             for t, rng in enumerate(rngs):
-                z[t] = rng.normal(0.0, sigma, size=(draws, dim))
+                rng.standard_normal(out=z[t])
+            z *= sigma
             za = z_aug[: rows * draws * (dim + 1)].reshape(rows, draws, dim + 1)
             za[:, :, :dim] = z
             za[:, :, dim] = 1.0

@@ -49,8 +49,15 @@ _EIG_NEG_RTOL = 1e-10
 _GRAM_EIG_FLOOR = 1e-6
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True, order="C")
+def _readonly(a, copy: bool = True) -> np.ndarray:
+    """``a`` as a read-only C-ordered float64 array of its own.
+
+    With ``copy`` false, an array already in that form that owns its data
+    is frozen in place instead of copied.
+    """
+    out = np.asarray(a, dtype=np.float64, order="C")
+    if not out.flags.owndata or (copy and out is a):
+        out = out.copy()
     out.flags.writeable = False
     return out
 
@@ -61,7 +68,7 @@ class SampleMatrix:
 
     data: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise InvalidData(f"sample matrix must be 2-d, got shape {arr.shape}")
@@ -69,7 +76,22 @@ class SampleMatrix:
             raise InvalidData(f"sample matrix must be at least 1x1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidData("sample matrix contains non-finite entries")
-        object.__setattr__(self, "data", _readonly(arr))
+        object.__setattr__(self, "data", _readonly(arr, copy))
+
+    @classmethod
+    def adopt(cls, data: np.ndarray) -> "SampleMatrix":
+        """Wrap a fresh array without copying it, with the checks of the constructor.
+
+        A C-ordered float64 array that owns its data is made read-only in
+        place and becomes ``data``: the caller hands it over.  Any other
+        input is copied as the constructor copies it.  The library wraps
+        the arrays it has just made (split halves, projections, stacked and
+        generated samples) this way.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "data", data)
+        out.__post_init__(copy=False)
+        return out
 
     @property
     def dim(self) -> int:
@@ -89,8 +111,14 @@ class SampleMatrix:
         return self.data.T.copy()
 
     def take(self, indices) -> "SampleMatrix":
-        """Select a subset of samples (columns) by index."""
-        return SampleMatrix(self.data[:, np.asarray(indices, dtype=np.intp)])
+        """Select a subset of samples (columns) by index.
+
+        The columns are gathered once, by ``np.take``, into a fresh C-ordered
+        array that the result adopts read-only; the values are bitwise those
+        of ``SampleMatrix(data[:, indices])``.  Out-of-range indices raise
+        ``IndexError`` and an empty selection raises ``InvalidData``.
+        """
+        return SampleMatrix.adopt(np.take(self.data, np.asarray(indices, dtype=np.intp), axis=1))
 
 
 @dataclass(frozen=True)
@@ -193,14 +221,18 @@ def _orient(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _gram_route(samples: SampleMatrix, mean: np.ndarray, target_dim: int):
-    """Spectrum and top basis from the ``n x n`` Gram matrix, or ``None`` for the covariance."""
+def _gram_route(samples: SampleMatrix, mean: np.ndarray | None, target_dim: int):
+    """Spectrum and top basis from the ``n x n`` Gram matrix, or ``None`` for the covariance.
+
+    ``mean=None`` uses the samples uncopied, as they are.
+    """
     n, d_amb = samples.count, samples.dim
     if not target_dim <= n < d_amb:
         return None
-    x = samples.data - mean[:, None]
-    gram = (x.T @ x) / n
-    w, u = symmetric_eigendecomposition((gram + gram.T) * 0.5)
+    x = samples.data if mean is None else samples.data - mean[:, None]
+    gram = x.T @ x
+    gram /= n
+    w, u = symmetric_eigendecomposition(gram)
     if not w[target_dim - 1] > _GRAM_EIG_FLOOR * w[0]:
         return None
     basis = _orient(x @ (u[:, :target_dim] / np.sqrt(n * w[:target_dim])))
@@ -208,12 +240,18 @@ def _gram_route(samples: SampleMatrix, mean: np.ndarray, target_dim: int):
 
 
 def fit_pca(samples: SampleMatrix, target_dim: int, center: bool = True) -> PcaModel:
-    """Fit the top-``target_dim`` eigenspace of the sample covariance (module route rule)."""
+    """Fit the top-``target_dim`` eigenspace of the sample covariance (module route rule).
+
+    Memory beyond the samples: the ``n x n`` Gram or ``D x D`` covariance
+    workspace, plus one centered copy of the samples with ``center``.  A
+    caller that centers its own fresh array in place and fits it with
+    ``center=False`` gets the centered fit's bits without that copy.
+    """
     d_amb = samples.dim
     if not (1 <= target_dim <= d_amb):
         raise InvalidConfig(f"target_dim must be in [1, {d_amb}], got {target_dim}")
     mean = samples.data.mean(axis=1) if center else np.zeros(d_amb)
-    fitted = _gram_route(samples, mean, target_dim)
+    fitted = _gram_route(samples, mean if center else None, target_dim)
     if fitted is None:
         spectrum, vectors = symmetric_eigendecomposition(compute_covariance(samples, center))
         fitted = spectrum, vectors[:, :target_dim]
@@ -234,4 +272,4 @@ def project(samples: SampleMatrix, model: PcaModel) -> SampleMatrix:
             f"sample dim {samples.dim} != model ambient dim {model.ambient_dim}"
         )
     shifted = samples.data - model.mean[:, None]
-    return SampleMatrix(model.basis.T @ shifted)
+    return SampleMatrix.adopt(model.basis.T @ shifted)

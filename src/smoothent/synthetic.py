@@ -61,7 +61,7 @@ def gen_embedded_gaussian(
     )
     draws = substream(seed).standard_normal((ambient_dim, n))
     draws *= np.sqrt(variances)[:, None]
-    return SampleMatrix(draws), np.diag(variances)
+    return SampleMatrix.adopt(draws), np.diag(variances)
 
 
 def spiral_intrinsic_dim(kind: str) -> int:
@@ -104,7 +104,7 @@ def gen_spiral(
     if ambient_dim > intrinsic:
         tail = rng.standard_normal((ambient_dim - intrinsic, n)) * lambda_res
         core = np.vstack([core, tail])
-    return SampleMatrix(core)
+    return SampleMatrix.adopt(core)
 
 
 def gen_common_signal_pair(
@@ -141,6 +141,6 @@ def gen_common_signal_pair(
     n_x = rng.standard_normal((ambient_dim, n)) * noise_std
     n_y = rng.standard_normal((ambient_dim, n)) * noise_std
     w_y = w if dependent else rng.standard_normal((intrinsic_dim, n))
-    x = SampleMatrix(p_x @ w + n_x)
-    y = SampleMatrix(p_y @ w_y + n_y)
+    x = SampleMatrix.adopt(p_x @ w + n_x)
+    y = SampleMatrix.adopt(p_y @ w_y + n_y)
     return JointDataset(x=x, y=y), dependent

@@ -1,6 +1,7 @@
 """Projection estimator, dimension correction, Gaussian oracle, error bound."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, getcontext
 
@@ -16,13 +17,17 @@ from smoothent import (
     InvalidData,
     IsotropicMixture,
     SampleMatrix,
+    derive_seed,
     dimension_correction,
+    fit_pca,
     gaussian_smoothed_entropy_oracle,
     pca_smoothed_entropy,
     plugin_entropy_mc,
+    project,
     substream,
     pca_error_bound,
 )
+from smoothent.estimator import _MC_TAG, _SPLIT_TAG
 
 HALF_LN_2PI_E = 1.4189385332046727
 
@@ -133,6 +138,37 @@ class TestPcaSmoothedEntropy:
         result = pca_smoothed_entropy(SampleMatrix(sm.data), EstimatorConfig(sigma=0.4, target_dim=2, seed=3))
         assert result.value == result.plugin.value + result.correction
 
+    @pytest.mark.parametrize("split", ["half", "reuse"])
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("dim,n", [(60, 40), (6, 80)], ids=["gram", "covariance"])
+    def test_matches_reference_composition_bitwise(self, dim, n, center, split):
+        # reference: fit on a copied selection of the fit columns, project a
+        # copied selection of the rest, run the plug-in, with the seeds the
+        # estimator derives from config.seed
+        rng = np.random.default_rng(dim + n)
+        sm = SampleMatrix(rng.standard_normal((dim, n)) * np.linspace(3.0, 0.2, dim)[:, None] + 1.5)
+        config = EstimatorConfig(sigma=0.4, target_dim=3, n_mc=20, seed=9, split=split, center=center)
+        result = pca_smoothed_entropy(sm, config)
+
+        if split == "reuse":
+            fit_part = eval_part = sm
+        else:
+            perm = substream(config.seed, _SPLIT_TAG).permutation(n)
+            n_fit = (n + 1) // 2
+            fit_part = SampleMatrix(sm.data[:, perm[:n_fit]])
+            eval_part = SampleMatrix(sm.data[:, perm[n_fit:]])
+        model = fit_pca(fit_part, 3, center=center)
+        mixture = IsotropicMixture(project(eval_part, model), 0.4)
+        plugin = plugin_entropy_mc(mixture, 20, derive_seed(config.seed, _MC_TAG))
+        reference = plugin.value + dimension_correction(dim, 3, 0.4)
+
+        assert result.value.hex() == reference.hex()
+        assert result.mc_std_error.hex() == plugin.mc_std_error.hex()
+        for name in ("spectrum", "basis", "mean"):
+            assert getattr(result.pca, name).tobytes() == getattr(model, name).tobytes(), name
+        if dim > fit_part.count:  # the Gram route stores exact zeros past n
+            assert not np.any(result.pca.spectrum[fit_part.count :])
+
     def test_rank_d_subspace_is_lossless(self):
         # data confined to the first 2 coordinates: projecting loses nothing,
         # so the reuse estimate equals the 2-d plug-in on all 400 centered raw
@@ -219,6 +255,35 @@ class TestPcaSmoothedEntropy:
             low = 0.5 * deleted * math.log(2 * math.pi * math.e * sigma**2)
             high = 0.5 * deleted * math.log(2 * math.pi * math.e * (spectrum[d] + sigma**2))
             assert low - 1e-8 <= gap <= high + 1e-8
+
+
+class TestSplitMemory:
+    # Traced peak of one half-split call above its input.  Each stage holds
+    # at most two half-sized arrays: the fit half (with the Gram or
+    # covariance workspace), then the evaluation half and its centered copy
+    # while projecting; the kernel's scratch (0.8x on the covariance shape)
+    # comes after both are freed.  That is 1.03x the input on both shapes.
+    # On the covariance shape, a centered copy of the fit half (1.16x), the
+    # evaluation half held through the fit (1.31x) or through the kernel
+    # (1.28x), or all of these (1.77x) exceed the bound.
+    @pytest.mark.parametrize(
+        "dim,n,target_dim,n_mc", [(4000, 300, 3, 10), (300, 4000, 10, 50)], ids=["gram", "covariance"]
+    )
+    def test_peak_above_input(self, dim, n, target_dim, n_mc):
+        sm = SampleMatrix.adopt(substream(12).standard_normal((dim, n)))
+        config = EstimatorConfig(sigma=0.1, target_dim=target_dim, n_mc=n_mc, seed=5)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pca_smoothed_entropy(sm, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1.1 * sm.data.nbytes, peak / sm.data.nbytes
 
 
 class TestPcaErrorBound:

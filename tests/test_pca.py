@@ -44,6 +44,48 @@ class TestSampleMatrix:
         with pytest.raises(ValueError):
             sm.data[0, 0] = 5.0
 
+    def test_take_equals_fancy_index_bitwise(self):
+        # reference: the constructor's own copy of a fancy-indexed selection
+        sm = SampleMatrix(np.random.default_rng(1).standard_normal((7, 40)))
+        for idx in (np.random.default_rng(2).permutation(40)[:23], [3, 3, -1, 0], [39]):
+            taken = sm.take(idx)
+            reference = SampleMatrix(sm.data[:, np.asarray(idx)])
+            assert taken.data.shape == reference.data.shape
+            assert taken.data.tobytes() == reference.data.tobytes()
+            assert taken.data.flags.c_contiguous and not taken.data.flags.writeable
+            assert not np.shares_memory(taken.data, sm.data)
+
+    def test_take_rejects_empty_and_out_of_range(self):
+        sm = SampleMatrix(np.ones((3, 5)))
+        with pytest.raises(InvalidData):
+            sm.take([])
+        with pytest.raises(IndexError):
+            sm.take([0, 5])
+        with pytest.raises(IndexError):
+            sm.take([-6])
+
+    def test_adopt_freezes_a_fresh_array_in_place(self):
+        fresh = np.random.default_rng(3).standard_normal((4, 6))
+        sm = SampleMatrix.adopt(fresh)
+        assert sm.data is fresh and not fresh.flags.writeable
+
+    def test_adopt_copies_what_it_cannot_own(self):
+        base = np.random.default_rng(4).standard_normal((4, 6))
+        for arr in (base[:, ::2], base.T, base[:2], base.astype(np.float32)):
+            sm = SampleMatrix.adopt(arr)
+            assert not np.shares_memory(sm.data, arr)
+            assert sm.data.flags.c_contiguous and not sm.data.flags.writeable
+            np.testing.assert_array_equal(sm.data, arr)
+        assert base.flags.writeable
+
+    def test_adopt_keeps_the_constructor_checks(self):
+        with pytest.raises(InvalidData):
+            SampleMatrix.adopt(np.array([[1.0, np.inf]]))
+        with pytest.raises(InvalidData):
+            SampleMatrix.adopt(np.zeros(3))
+        with pytest.raises(InvalidData):
+            SampleMatrix.adopt(np.zeros((2, 0)))
+
 
 class TestComputeCovariance:
     def test_single_sample_uncentered(self):
