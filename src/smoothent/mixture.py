@@ -18,11 +18,15 @@ Numerical notes
   double-precision accumulation.  The resulting error (~1e-5 nats) is two
   orders of magnitude below the statistical error at any realistic trial
   count.  One kernel, ``_mc_block``, takes its exponents from one augmented
-  matrix product per column tile and has two modes: plain sums (no running
-  maximum) run first for ``d <= 32`` and the block is rerun with a running
-  maximum (an online log-sum-exp) if its float32 exponents overflow; above
-  ``d = 32`` only the running-maximum mode runs.  ``1/sigma^2`` and every
-  center coordinate must be finite in float32, else ``Unsupported``.
+  matrix product per column tile, ``[-Z/sigma^2 | 1]`` times
+  ``[delta^T ; -|delta|^2/(2 sigma^2)]``, whose center differences are
+  written straight into that GEMM layout.  Terms are summed over centers by
+  ``np.einsum`` in a fixed order that no BLAS thread count changes.  At
+  every ``d`` plain sums run first and a chunk is rerun with a running
+  maximum (an online log-sum-exp) only if its float32 exponents overflow.
+  This arithmetic re-baselined the bits once (moves of ~1e-8 relative).
+  ``1/sigma^2`` and every center coordinate must be finite in float32,
+  else ``Unsupported``.
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
@@ -148,32 +152,21 @@ def _log_density_rows(centers_rows: np.ndarray, sigma: float, queries: np.ndarra
     return out
 
 
-def _column_tiles(centers32, b0, b1):
-    """Yield ``(width, delta, |delta|^2)`` for block rows ``b0:b1`` against each column tile.
-
-    ``delta[i, k] = x_{b0+i} - x_{k0+k}`` in float32, for tiles of
-    ``_COL_TILE`` centers; both modes of ``_mc_block`` consume these tiles.
-    """
-    n = centers32.shape[0]
-    cb = centers32[b0:b1]
-    for k0 in range(0, n, _COL_TILE):
-        k1 = min(k0 + _COL_TILE, n)
-        delta = cb[:, None, :] - centers32[None, k0:k1, :]
-        yield k1 - k0, delta, np.einsum("ikd,ikd->ik", delta, delta)
-
-
-def _mc_block(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max):
+def _mc_block(centers_t, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max):
     """Log density of all (center, draw) queries in one block.
 
-    Exponents come from a single augmented matrix product per column tile,
-    ``z_aug = [Z | 1]`` against ``[-delta^T/sigma^2 ; -|delta|^2/(2 sigma^2)]``,
-    so they are taken relative to the row shift ``-|Z|^2/(2 sigma^2)``, in
-    which the self term's exponent is exactly 0.
+    Exponents come from a single augmented matrix product per column tile of
+    ``_COL_TILE`` centers, ``z_aug = [-Z/sigma^2 | 1]`` against
+    ``[delta^T ; -|delta|^2/(2 sigma^2)]`` with ``delta[i, k] = x_{b0+i} - x_k``
+    written straight into ``aug`` from the ``(d, n)`` float32 centers
+    ``centers_t``.  They are taken relative to the row shift
+    ``-|Z|^2/(2 sigma^2)``, in which the self term's exponent is exactly 0,
+    and each tile's terms are summed by ``np.einsum`` in a fixed order.
 
     * Plain-sum mode: the sum over centers is always >= 1 and needs no
-      maximum.  Its float32 exponents overflow only when
-      ``|Z|^2/(2 sigma^2) > ~87``; the sum is then not finite and ``None`` is
-      returned.
+      maximum.  Its float32 exponents overflow only when some center is
+      nearer a query than the query's own center by ~87 in exponent units;
+      the sum is then not finite and ``None`` is returned.
     * Running-max mode (an online log-sum-exp): each query keeps a float32
       shift, starting at 0 because the self term bounds its maximum from
       below.  Each tile raises the shift to the tile maximum, rescales the
@@ -183,18 +176,21 @@ def _mc_block(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max)
     ``aug`` and ``buf`` are float32 scratch, at least ``(b1 - b0, dim + 1, w)``
     and ``(b1 - b0, n_draws, w)`` for ``w = min(n, _COL_TILE)``.
     """
-    rows, draws, dim = z_aug.shape[0], z_aug.shape[1], centers32.shape[1]
-    inv_s2 = np.float32(-1.0 / sigma**2)
+    dim, n = centers_t.shape
+    rows, draws = z_aug.shape[:2]
     inv_2s2 = np.float32(-0.5 / sigma**2)
-    sums = np.zeros((rows, draws), dtype=np.float64)
+    cb = centers_t[:, b0:b1].T[:, :, None]
+    sums = np.zeros((rows, draws))
     shift = np.zeros((rows, draws), dtype=np.float32)
     # Overflow is detected from the sums, and inputs beyond float32 from the
     # estimate, so numpy's own warnings for them are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        for width, delta, dd in _column_tiles(centers32, b0, b1):
+        for k0 in range(0, n, _COL_TILE):
+            width = min(_COL_TILE, n - k0)
             a = aug[:rows, :, :width]
-            np.multiply(delta.transpose(0, 2, 1), inv_s2, out=a[:, :dim, :])
-            np.multiply(dd, inv_2s2, out=a[:, dim, :])
+            delta_t = np.subtract(cb, centers_t[None, :, k0 : k0 + width], out=a[:, :dim])
+            np.einsum("idk,idk->ik", delta_t, delta_t, out=a[:, dim])
+            a[:, dim] *= inv_2s2
             args = np.matmul(z_aug, a, out=buf[:rows, :draws, :width])
             if running_max:
                 new = np.maximum(shift, args.max(axis=2))
@@ -203,7 +199,7 @@ def _mc_block(centers32, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max)
                 shift = new
             np.maximum(args, _EXP_FLOOR, out=args)
             np.exp(args, out=args)
-            sums += args.sum(axis=2)
+            sums += np.einsum("ijk->ij", args)
     if not (running_max or np.all(np.isfinite(sums))):
         return None
     logs = np.log(sums)
@@ -219,18 +215,16 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _logg_block(free, centers32, sigma, const, n_mc, seed, block, b0):
+def _logg_block(free, centers_t, sigma, const, n_mc, seed, block, b0):
     """All of one block's work, on a scratch set taken from, and returned to, ``free``.
 
     Centers ``b0:b0 + block`` draw their noise from ``substream(seed, i)``
     in chunks of at most ``_ROW_TARGET`` draws, and the block's log densities
-    are returned as one array per chunk, in draw order.  Up to ``d = 32``
-    plain sums run first and a chunk is rerun in running-max mode if they
-    overflow; above, where ``|Z|^2/(2 sigma^2)`` is large (a chi-square with
-    ``d`` degrees of freedom, halved), running-max mode runs alone.  The
+    are returned as one array per chunk, in draw order.  Plain sums run
+    first and a chunk is rerun in running-max mode if they overflow.  The
     result depends on the block's own draws only, not on the thread.
     """
-    n, dim = centers32.shape
+    dim, n = centers_t.shape
     b1 = min(b0 + block, n)
     rows = b1 - b0
     rngs = [substream(seed, i) for i in range(b0, b1)]
@@ -246,18 +240,18 @@ def _logg_block(free, centers32, sigma, const, n_mc, seed, block, b0):
                 rng.standard_normal(out=z[t])
             z *= sigma
             za = z_aug[: rows * draws * (dim + 1)].reshape(rows, draws, dim + 1)
-            za[:, :, :dim] = z
+            np.multiply(z, -1.0 / sigma**2, out=za[:, :, :dim])
             za[:, :, dim] = 1.0
             z2 = np.einsum("ijd,ijd->ij", z, z)
-            args = (centers32, b0, b1, za, z2, sigma, const, aug, buf)
-            logg = _mc_block(*args, running_max=False) if dim <= 32 else None
+            args = (centers_t, b0, b1, za, z2, sigma, const, aug, buf)
+            logg = _mc_block(*args, running_max=False)
             logs.append(_mc_block(*args, running_max=True) if logg is None else logg)
         return logs
     finally:
         free.put((aug, buf, z64, z_aug))
 
 
-def _logg_blocks(centers32, sigma, const, n_mc, seed):
+def _logg_blocks(centers_t, sigma, const, n_mc, seed):
     """Yield the log densities of all (center, draw) queries, one chunk at a time in order.
 
     Every shape maps ``_logg_block`` over the block starts: on this thread,
@@ -268,7 +262,7 @@ def _logg_blocks(centers32, sigma, const, n_mc, seed):
     computes exactly what this one would, so the yielded arrays do not
     depend on the pool.
     """
-    n, dim = centers32.shape
+    dim, n = centers_t.shape
     jc = min(n_mc, _ROW_TARGET)
     block = min(n, max(1, _ROW_TARGET // jc), max(1, _DELTA_BUDGET // (_COL_TILE * (dim + 1))))
     workers = 1
@@ -288,7 +282,7 @@ def _logg_blocks(centers32, sigma, const, n_mc, seed):
             )
         )
 
-    job = partial(_logg_block, free, centers32, sigma, const, n_mc, seed, block)
+    job = partial(_logg_block, free, centers_t, sigma, const, n_mc, seed, block)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for logs in (map if pool is None else pool.map)(job, range(0, n, block)):
             yield from logs
@@ -306,21 +300,21 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
         raise InvalidConfig(f"n_mc must be >= 1, got {n_mc}")
 
     with np.errstate(over="ignore", divide="ignore"):
-        centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
+        centers_t = mix.centers.data.astype(np.float32)
         precision32 = np.float32(1.0 / np.float64(mix.sigma) ** 2)
-    if not (np.isfinite(precision32) and np.all(np.isfinite(centers32))):
+    if not (np.isfinite(precision32) and np.all(np.isfinite(centers_t))):
         raise Unsupported(
             f"sigma = {mix.sigma:g} or a center coordinate is beyond the float32 range of "
             "the Monte-Carlo kernel: 1/sigma^2 and every coordinate must stay below 3.4e38"
         )
-    n, dim = centers32.shape
+    dim, n = centers_t.shape
     const = _log_norm_const(n, dim, mix.sigma)
 
     pivot = None
     t1 = 0.0
     t2 = 0.0
     total = 0
-    for logg in _logg_blocks(centers32, mix.sigma, const, n_mc, seed):
+    for logg in _logg_blocks(centers_t, mix.sigma, const, n_mc, seed):
         flat = logg.ravel()
         if pivot is None:
             pivot = float(flat[0])

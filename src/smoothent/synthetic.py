@@ -56,6 +56,8 @@ def gen_embedded_gaussian(
         )
     if lambda_res <= 0:
         raise InvalidConfig(f"lambda_res must be positive, got {lambda_res}")
+    if n < 1:
+        raise InvalidConfig(f"n must be >= 1, got {n}")
     variances = np.concatenate(
         [np.ones(intrinsic_dim), np.full(ambient_dim - intrinsic_dim, lambda_res)]
     )
@@ -91,6 +93,8 @@ def gen_spiral(
         raise InvalidConfig(f"{kind} needs ambient_dim >= {intrinsic}, got {ambient_dim}")
     if lambda_res <= 0:
         raise InvalidConfig(f"lambda_res must be positive, got {lambda_res}")
+    if n < 1:
+        raise InvalidConfig(f"n must be >= 1, got {n}")
     rng = substream(seed)
     theta = rng.uniform(0.0, _THETA_MAX, size=n)
     r = _R_MIN + (_R_MAX - _R_MIN) * (theta / _THETA_MAX)
@@ -134,6 +138,8 @@ def gen_common_signal_pair(
         )
     if noise_std <= 0:
         raise InvalidConfig(f"noise_std must be positive, got {noise_std}")
+    if n < 1:
+        raise InvalidConfig(f"n must be >= 1, got {n}")
     rng = substream(seed)
     p_x = rng.standard_normal((ambient_dim, intrinsic_dim))
     p_y = rng.standard_normal((ambient_dim, intrinsic_dim))

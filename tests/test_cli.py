@@ -57,6 +57,14 @@ class TestGen:
     def test_missing_out_is_config_error(self):
         assert main(["gen", "--kind", "gaussian", "--n", "5"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind", ["gaussian", "spiral2d", "pair"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_sample_count_is_config_error(self, tmp_path, capsys, kind, n):
+        code = main(["gen", "--kind", kind, "--n", n, "--out", str(tmp_path / "g")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: n must be >= 1, got {n}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEntropy:
     def test_basic_run_with_outputs(self, tmp_path, sample_file):

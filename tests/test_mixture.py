@@ -1,9 +1,12 @@
 """Mixture log density and the Monte-Carlo / quadrature entropy estimates."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,23 +217,37 @@ class TestPluginEntropyMc:
 
 class TestMcKernels:
     @staticmethod
-    def block_args(centers32, b0, b1, z64, sigma):
+    def block_args(centers_t, b0, b1, z64, sigma):
         """``_mc_block``'s arguments for rows ``b0:b1`` with noise ``z64``, scratch included."""
-        n, dim = centers32.shape
+        dim, n = centers_t.shape
         rows, n_mc = z64.shape[:2]
         z_aug = np.ones((rows, n_mc, dim + 1), dtype=np.float32)
-        z_aug[:, :, :dim] = z64
+        z_aug[:, :, :dim] = -z64 / sigma**2
         z2 = np.einsum("ijd,ijd->ij", z64, z64)
         aug = np.empty((rows, dim + 1, _COL_TILE), dtype=np.float32)
         buf = np.empty((rows, n_mc, _COL_TILE), dtype=np.float32)
-        return centers32, b0, b1, z_aug, z2, sigma, _log_norm_const(n, dim, sigma), aug, buf
+        return centers_t, b0, b1, z_aug, z2, sigma, _log_norm_const(n, dim, sigma), aug, buf
 
     @staticmethod
-    def exact(centers32, b0, b1, z64, sigma):
+    def exact(centers_t, b0, b1, z64, sigma):
         """The float64 evaluator at the same queries, on the same float32 centers."""
-        centers64 = centers32.astype(np.float64)
-        queries = (centers64[b0:b1, None, :] + z64).reshape(-1, centers32.shape[1])
+        centers64 = centers_t.T.astype(np.float64)
+        queries = (centers64[b0:b1, None, :] + z64).reshape(-1, centers_t.shape[0])
         return _log_density_rows(centers64, sigma, queries).reshape(z64.shape[:2])
+
+    @staticmethod
+    def overflow_case(dim):
+        """Two centers 3 apart and, at sigma = 0.1, a draw 2.95 from the first toward the second.
+
+        The second term's exponent in the self-term frame is
+        ``(2.95 * 3 - 9 / 2) / 0.01 = 435``, beyond float32's exp range (~88.7).
+        """
+        centers_t = np.zeros((dim, 2), dtype=np.float32)
+        centers_t[0, 1] = 3.0
+        z64 = np.zeros((2, 1, dim))
+        z64[0, 0, 0] = 2.95
+        z64[1, 0, :2] = [-0.1, 0.05]
+        return centers_t, z64
 
     @pytest.mark.parametrize("dim", [1, 3, 10, 40, 100])
     def test_fast_and_safe_agree_with_double_precision(self, dim):
@@ -238,29 +255,53 @@ class TestMcKernels:
         # column tiles of centers) against the float64 evaluator
         rng = np.random.default_rng(200 + dim)
         n, n_mc, sigma = 700, 7, 0.5
-        centers32 = rng.standard_normal((n, dim)).astype(np.float32)
+        centers_t = rng.standard_normal((dim, n)).astype(np.float32)
         b0, b1 = 40, 52
         z64 = rng.normal(0.0, sigma, size=(b1 - b0, n_mc, dim))
-        args = self.block_args(centers32, b0, b1, z64, sigma)
+        args = self.block_args(centers_t, b0, b1, z64, sigma)
         plain = _mc_block(*args, running_max=False)
         running = _mc_block(*args, running_max=True)
-        exact = self.exact(centers32, b0, b1, z64, sigma)
+        exact = self.exact(centers_t, b0, b1, z64, sigma)
         assert plain is not None
         np.testing.assert_allclose(plain, exact, rtol=0, atol=1e-4)
         np.testing.assert_allclose(running, exact, rtol=0, atol=1e-4)
 
     def test_overflowing_exponent(self):
-        # a draw 2.95 from its own center toward a second center 3 away, at
-        # sigma = 0.1: the second term's exponent in the self-term frame is
-        # (2.95 * 3 - 9 / 2) / 0.01 = 435, beyond float32's exp range (~88.7)
-        centers32 = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], dtype=np.float32)
-        z64 = np.array([[[2.95, 0.0, 0.0]], [[-0.1, 0.05, 0.0]]])
-        args = self.block_args(centers32, 0, 2, z64, 0.1)
+        centers_t, z64 = self.overflow_case(3)
+        args = self.block_args(centers_t, 0, 2, z64, 0.1)
         assert _mc_block(*args, running_max=False) is None
         running = _mc_block(*args, running_max=True)
         np.testing.assert_allclose(
-            running, self.exact(centers32, 0, 2, z64, 0.1), rtol=0, atol=1e-4
+            running, self.exact(centers_t, 0, 2, z64, 0.1), rtol=0, atol=1e-4
         )
+
+    def test_high_dim_overflow_is_rerun_in_running_max_mode(self, monkeypatch):
+        # plain sums run first at every d: a d = 40 block whose plain sums
+        # overflow is rerun in running-max mode by the block job
+        centers_t, z64 = self.overflow_case(40)
+        args = self.block_args(centers_t, 0, 2, z64, 0.1)
+        assert _mc_block(*args, running_max=False) is None
+        exact = self.exact(centers_t, 0, 2, z64, 0.1)
+        np.testing.assert_allclose(_mc_block(*args, running_max=True), exact, rtol=0, atol=1e-4)
+
+        class Draws:
+            def __init__(self, seed, i):
+                self.i = i
+
+            def standard_normal(self, out):
+                out[...] = z64[self.i] / 0.1
+
+        modes = []
+
+        def kernel(*rest, running_max):
+            modes.append(running_max)
+            return _mc_block(*rest, running_max=running_max)
+
+        monkeypatch.setattr(mixture, "substream", Draws)
+        monkeypatch.setattr(mixture, "_mc_block", kernel)
+        est = plugin_entropy_mc(IsotropicMixture(SampleMatrix(centers_t), 0.1), 1, seed=0)
+        assert modes == [False, True]
+        assert est.value == pytest.approx(-exact.mean(), abs=1e-4)
 
 
 def serial_reference(mix, n_mc, seed):
@@ -270,8 +311,8 @@ def serial_reference(mix, n_mc, seed):
     (so a monkeypatched kernel applies), and ``(value, mc_std_error)`` is
     returned.
     """
-    centers32 = np.ascontiguousarray(mix.centers.data.T, dtype=np.float32)
-    n, dim = centers32.shape
+    centers_t = mix.centers.data.astype(np.float32)
+    dim, n = centers_t.shape
     sigma = mix.sigma
     const = _log_norm_const(n, dim, sigma)
     jc = min(n_mc, mixture._ROW_TARGET)
@@ -293,14 +334,12 @@ def serial_reference(mix, n_mc, seed):
                 z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
             z2 = np.einsum("ijd,ijd->ij", z64, z64)
             z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
-            z_aug[:, :, :dim] = z64
+            z_aug[:, :, :dim] = z64 * (-1.0 / sigma**2)
             z_aug[:, :, dim] = 1.0
             aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
             buf = np.empty((b1 - b0, j1 - j0, _COL_TILE), dtype=np.float32)
-            args = (centers32, b0, b1, z_aug, z2, sigma, const, aug, buf)
-            logg = None
-            if dim <= 32:
-                logg = mixture._mc_block(*args, running_max=False)
+            args = (centers_t, b0, b1, z_aug, z2, sigma, const, aug, buf)
+            logg = mixture._mc_block(*args, running_max=False)
             if logg is None:
                 logg = mixture._mc_block(*args, running_max=True)
             flat = logg.ravel()
@@ -332,13 +371,13 @@ class TestPooledKernel:
         real = mixture._mc_block
         threads = []
 
-        def kernel(centers32, b0, *rest, running_max):
+        def kernel(centers_t, b0, *rest, running_max):
             threads.append(threading.current_thread())
             if b0 == error_block:
                 raise RuntimeError("kernel failure in block")
             if b0 == fail_block and not running_max:
                 return None
-            return real(centers32, b0, *rest, running_max=running_max)
+            return real(centers_t, b0, *rest, running_max=running_max)
 
         monkeypatch.setattr(mixture, "_mc_block", kernel)
         return threads
@@ -366,10 +405,10 @@ class TestPooledKernel:
         failing = mixture._mc_block
         reruns = []
 
-        def kernel(centers32, b0, *rest, running_max):
+        def kernel(centers_t, b0, *rest, running_max):
             if running_max:
                 reruns.append(b0)
-            return failing(centers32, b0, *rest, running_max=running_max)
+            return failing(centers_t, b0, *rest, running_max=running_max)
 
         monkeypatch.setattr(mixture, "_mc_block", kernel)
         got = self.pooled(monkeypatch, mix, workers)
@@ -390,9 +429,8 @@ class TestPooledKernel:
     def test_large_gemm_shapes_stay_on_calling_thread(self, monkeypatch):
         # per-center GEMMs over 2**18 multiply-adds: d = 5 at n_mc = 100
         # (100 * 512 * 6), two draw chunks of 2048 and 52 at n_mc = 2100
-        # (2048 * 512 * 4), and d = 40, where running-max mode runs alone; its
-        # sigma puts some queries nearer another center than their own, so
-        # that the running maximum moves and plain sums would differ in bits
+        # (2048 * 512 * 4), and d = 40, whose sigma puts some queries nearer
+        # another center than their own, so that exponents above 0 occur
         threads = self.record_threads(monkeypatch)
         for dim, n_mc, sigma in [(5, 100, 0.3), (3, 2100, 0.3), (40, 100, 3.0)]:
             rng = np.random.default_rng(300 + dim)
@@ -420,6 +458,38 @@ class TestPooledKernel:
             self.pooled(monkeypatch, mix, 2)
         assert any(t is not threading.main_thread() for t in threads)
         assert threading.active_count() == start
+
+
+_BLAS_THREADS_SCRIPT = """
+import numpy as np
+from smoothent import IsotropicMixture, SampleMatrix, plugin_entropy_mc
+for dim, n, scale, sigma in [(3, 400, 1.0, 0.3), (200, 250, 0.05, 1.0)]:
+    rng = np.random.default_rng(dim)
+    mix = IsotropicMixture(SampleMatrix(rng.standard_normal((dim, n)) * scale), sigma)
+    est = plugin_entropy_mc(mix, 99, seed=5)
+    print(est.value.hex(), est.mc_std_error.hex())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    # a pooled shape and a high-d shape whose GEMMs OpenBLAS threads; the
+    # high-d centers sit within sigma of each other, so every pair term
+    # counts.  At n_mc = 99 a block holds 1980 queries, which two BLAS
+    # threads do not split on the kernels' unrolling, so a row sum taken by
+    # a BLAS product with a ones vector changes bits here (at n_mc = 100 it
+    # does not).
+    src = str(Path(mixture.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(run.stdout.split())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 class TestPluginEntropyQuadrature:
