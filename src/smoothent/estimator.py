@@ -157,7 +157,7 @@ def _fit_gathered(samples: SampleMatrix, indices, config: EstimatorConfig) -> Pc
     The one gathered copy is centered in place; its mean and ``x - mean``
     are those ``fit_pca`` would compute.
     """
-    x = np.take(samples.data, indices, axis=1)
+    x = samples.gather(indices)
     if not config.center:
         return fit_pca(SampleMatrix.adopt(x), config.target_dim, center=False)
     mean = x.mean(axis=1)

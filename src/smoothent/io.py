@@ -152,7 +152,12 @@ def _write_float_rows(fh, rows, lead: str = "") -> None:
 
 
 def read_samples(path) -> SampleMatrix:
-    """Read a sample CSV (one row per sample; header auto-detected)."""
+    """Read a sample CSV (one row per sample; header auto-detected).
+
+    The samples are held once: the result adopts the parser's fresh
+    ``(n, D)`` row array, and its ``data`` is that array's ``(D, n)``
+    transposed, read-only view.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         first = next(csv.reader(fh), [])
@@ -161,7 +166,7 @@ def read_samples(path) -> SampleMatrix:
             rows = _float_rows(path, fh)
         else:
             rows = _float_rows(path, fh, header=first)
-    return SampleMatrix.from_rows(rows)
+    return SampleMatrix.adopt(rows, rows=True)
 
 
 def write_samples(path, samples: SampleMatrix, header: bool = True) -> None:
@@ -214,6 +219,7 @@ def ingest_activation_dump(path) -> ConditionalDataset:
     followed by the D-dimensional sample, one row per sample.  Conditions
     keep the order of their first row and each group its file order.
     Group sizes may be ragged; an unparseable file raises ``InvalidData``.
+    Each group is held as its own fresh rows, as ``read_samples`` holds a file.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -234,7 +240,7 @@ def ingest_activation_dump(path) -> ConditionalDataset:
     order = conds[np.sort(first)]
     return ConditionalDataset(
         conditions=tuple(int(c) for c in order),
-        samples=tuple(SampleMatrix.from_rows(rows[conds == c, 1:]) for c in order),
+        samples=tuple(SampleMatrix.adopt(rows[conds == c, 1:], rows=True) for c in order),
     )
 
 

@@ -165,13 +165,15 @@ def conditional_mi(
     conditional samples, and the marginal has weight 1.  ``marginal``
     defaults to all conditional samples, the groups concatenated in order.
     """
+    total = sum(block.count for block in data.samples)
     if marginal is None:
-        marginal = SampleMatrix.adopt(np.concatenate([block.data for block in data.samples], axis=1))
+        columns = np.empty((data.dim, total))  # C-ordered, whatever the groups' storage
+        np.concatenate([block.data for block in data.samples], axis=1, out=columns)
+        marginal = SampleMatrix.adopt(columns)
     if marginal.dim != data.dim:
         raise InvalidData(
             f"marginal dim {marginal.dim} != conditional dim {data.dim}"
         )
-    total = sum(block.count for block in data.samples)
     terms = [
         EntropyTerm(
             f"condition[{idx}]",
@@ -201,7 +203,8 @@ def joint_mi(
     x_term = pca_smoothed_entropy(data.x, config_with_seed(config, _TAG_X))
     y_term = pca_smoothed_entropy(data.y, config_with_seed(config, _TAG_Y))
     d_joint = 2 * config.target_dim if target_dim_joint is None else target_dim_joint
-    stacked = SampleMatrix.adopt(np.concatenate([data.x.data, data.y.data], axis=0))
+    joint = np.empty((data.x.dim + data.y.dim, data.x.count))  # C-ordered, whatever the storage
+    stacked = SampleMatrix.adopt(np.concatenate([data.x.data, data.y.data], axis=0, out=joint))
     joint_term = pca_smoothed_entropy(
         stacked, replace(config_with_seed(config, _TAG_JOINT), target_dim=d_joint)
     )

@@ -300,7 +300,7 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
         raise InvalidConfig(f"n_mc must be >= 1, got {n_mc}")
 
     with np.errstate(over="ignore", divide="ignore"):
-        centers_t = mix.centers.data.astype(np.float32)
+        centers_t = mix.centers.data.astype(np.float32, order="C")
         precision32 = np.float32(1.0 / np.float64(mix.sigma) ** 2)
     if not (np.isfinite(precision32) and np.all(np.isfinite(centers_t))):
         raise Unsupported(

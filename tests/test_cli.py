@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothent import pca
 from smoothent.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from smoothent.io import read_samples
 from smoothent.pca import SampleMatrix
@@ -125,6 +126,20 @@ class TestEntropy:
 
     def test_dim_exceeding_ambient_is_config_error(self, sample_file):
         assert main(["entropy", str(sample_file), "--dim", "99"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("dim,kind,size", [("2", "Gram", 5), ("8", "covariance", 12)])
+    def test_workspace_above_limit_is_data_error(self, tmp_path, monkeypatch, capsys, dim, kind, size):
+        # 10 samples in 12 dimensions: the fit half of 5 takes the Gram route
+        # at --dim 2 and the covariance at --dim 8 > 5, as a wide CSV would
+        # at full scale.
+        path = tmp_path / "wide.csv"
+        write_samples(path, SampleMatrix(substream(7).standard_normal((12, 10))))
+        monkeypatch.setattr(pca, "_WORKSPACE_LIMIT", 8 * size * size - 1)
+        assert main(["entropy", str(path), "--dim", dim, "--n-mc", "5"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: the {kind} matrix of 5 samples in 12 dimensions is {size} x {size}, "
+            f"{8 * size * size} bytes, above the PCA fit's limit of {8 * size * size - 1} bytes\n"
+        )
 
 
 class TestMiCommands:

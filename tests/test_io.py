@@ -2,12 +2,30 @@
 
 import csv
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothent import InvalidData, PcaModel, SampleMatrix, fit_pca, gen_common_signal_pair, substream
+from smoothent import (
+    ConditionalDataset,
+    EstimatorConfig,
+    InvalidData,
+    IsotropicMixture,
+    JointDataset,
+    PcaModel,
+    SampleMatrix,
+    conditional_mi,
+    fit_pca,
+    gen_common_signal_pair,
+    joint_mi,
+    mixture_log_density,
+    pca_smoothed_entropy,
+    plugin_entropy_mc,
+    substream,
+)
+from smoothent import pca
 from smoothent.io import (
     fmt,
     ingest_activation_dump,
@@ -76,7 +94,7 @@ class TestSampleCsv:
         path = tmp_path / "raw.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
         loaded = read_samples(path)
-        np.testing.assert_array_equal(loaded.as_rows(), [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(loaded.data.T, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_detected_by_non_numeric_token(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -108,7 +126,7 @@ class TestSampleCsv:
         for header in (True, False):
             path = tmp_path / f"extreme_{header}.csv"
             write_samples(path, SampleMatrix.from_rows(rows), header=header)
-            assert_bits_equal(read_samples(path).as_rows(), rows)
+            assert_bits_equal(read_samples(path).data.T, rows)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -123,7 +141,7 @@ class TestSampleCsv:
     def test_float_syntax_beyond_loadtxt(self, tmp_path, text, expected):
         path = tmp_path / "loose.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_bits_equal(read_samples(path).as_rows(), expected)
+        assert_bits_equal(read_samples(path).data.T, expected)
 
     @pytest.mark.parametrize("text", ["\n\r\n", "f0,f1\n", "f0,f1\n\n\n"])
     def test_header_or_blank_lines_only_rejected(self, tmp_path, text):
@@ -235,7 +253,7 @@ class TestActivationDumpCsv:
         dataset = ingest_activation_dump(path)
         assert dataset.conditions == (4, -2)
         for loaded, rows in zip(dataset.samples, blocks):
-            assert_bits_equal(loaded.as_rows(), rows)
+            assert_bits_equal(loaded.data.T, rows)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -320,3 +338,89 @@ class TestJointDatasetFiles:
         assert rows == [["x_file", "y_file", "dependent", "seed"], ["pair_x.csv", "pair_y.csv", "false", "13"]]
         np.testing.assert_array_equal(read_samples(paths["x"]).data, data.x.data)
         np.testing.assert_array_equal(read_samples(paths["y"]).data, data.y.data)
+
+
+def entropy_bits(result):
+    """The arrays of one entropy estimate compared bit for bit."""
+    model = result.pca
+    return [result.value, result.mc_std_error, model.spectrum, model.basis, model.mean]
+
+
+def storage_case(case, tmp_path, rows):
+    """The result arrays of ``case`` on C-ordered samples or, with ``rows``, on their CSV."""
+
+    def stored(sm, name):
+        if not rows:
+            return sm
+        write_samples(tmp_path / f"{name}.csv", sm)
+        loaded = read_samples(tmp_path / f"{name}.csv")
+        assert loaded.data.flags.f_contiguous and not loaded.data.flags.c_contiguous
+        return loaded
+
+    config = EstimatorConfig(sigma=0.3, target_dim=3, n_mc=20, seed=4)
+    if case.startswith("entropy"):
+        _, route, split, center = case.split("-")
+        shape = {"gram": (60, 40), "covariance": (6, 300)}[route]
+        sm = stored(SampleMatrix(substream(21).standard_normal(shape)), case)
+        result = pca_smoothed_entropy(sm, replace(config, split=split, center=center == "centered"))
+        return entropy_bits(result)
+    if case == "joint_mi":
+        data, _ = gen_common_signal_pair(2, 8, 60, 0.05, seed=13, dependent=True)
+        estimate = joint_mi(JointDataset(stored(data.x, "x"), stored(data.y, "y")), config)
+        return [bits for term in estimate.terms for bits in entropy_bits(term.result)]
+    if case == "conditional_mi":
+        blocks = [SampleMatrix(substream(22, k).standard_normal((7, 50 + 10 * k)) + k) for k in range(3)]
+        if rows:
+            write_activation_dump(tmp_path / "dump.csv", [0, 1, 2], blocks)
+            data = ingest_activation_dump(tmp_path / "dump.csv")
+            assert not data.samples[0].data.flags.c_contiguous
+        else:
+            data = ConditionalDataset(conditions=(0, 1, 2), samples=tuple(blocks))
+        estimate = conditional_mi(data, config)
+        return [bits for term in estimate.terms for bits in entropy_bits(term.result)]
+    mix = IsotropicMixture(stored(SampleMatrix(substream(23).standard_normal((3, 400))), "centers"), 0.3)
+    if case == "plugin_entropy_mc":
+        estimate = plugin_entropy_mc(mix, 30, 5)
+        return [estimate.value, estimate.mc_std_error]
+    return [mixture_log_density(mix, point) for point in substream(24).standard_normal((5, 3))]
+
+
+STORAGE_CASES = [
+    f"entropy-{route}-{split}-{center}"
+    for route in ("gram", "covariance")
+    for split in ("half", "reuse")
+    for center in ("centered", "uncentered")
+] + ["joint_mi", "conditional_mi", "plugin_entropy_mc", "mixture_log_density"]
+
+
+class TestRowStorage:
+    """Samples read from CSV are held as the parser's rows; results keep their bits."""
+
+    @pytest.mark.parametrize("case", STORAGE_CASES)
+    def test_results_do_not_depend_on_storage(self, tmp_path, case):
+        expected = storage_case(case, tmp_path, rows=False)
+        actual = storage_case(case, tmp_path, rows=True)
+        assert len(actual) == len(expected)
+        for a, e in zip(actual, expected):
+            assert_bits_equal(a, e)
+
+    def test_read_holds_the_samples_once(self, tmp_path, traced_peak):
+        # The parser's rows become the samples: no transposed copy is made.
+        # Twice the matrix at the copying reader; 1.2-1.4x here.
+        sm = SampleMatrix(substream(25).standard_normal((500, 500)))
+        write_samples(tmp_path / "square.csv", sm)
+        loaded, peak = traced_peak(read_samples, tmp_path / "square.csv")
+        np.testing.assert_array_equal(loaded.data, sm.data)
+        assert peak <= 1.5 * sm.data.nbytes, peak / sm.data.nbytes
+
+    def test_adopted_rows_are_frozen_and_callers_rows_copied(self, monkeypatch):
+        monkeypatch.setattr(pca, "_GATHER_BYTES", 48)  # gather two samples at a time
+        rows = substream(26).standard_normal((5, 3))
+        held = rows.copy()
+        copied = SampleMatrix.from_rows(held)
+        assert copied.data.flags.c_contiguous and held.flags.writeable
+        adopted = SampleMatrix.adopt(held, rows=True)
+        assert adopted.data.base is held and not held.flags.writeable
+        np.testing.assert_array_equal(adopted.data, copied.data)
+        assert_bits_equal(adopted.take([4, 0, 2]).data, copied.take([4, 0, 2]).data)
+        assert adopted.take([1, 3]).data.flags.c_contiguous

@@ -8,11 +8,14 @@ from smoothent import (
     InvalidData,
     PcaModel,
     SampleMatrix,
+    Unsupported,
     compute_covariance,
     fit_pca,
     project,
+    substream,
     symmetric_eigendecomposition,
 )
+from smoothent import pca
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -21,13 +24,12 @@ class TestSampleMatrix:
     def test_shape_and_accessors(self):
         sm = SampleMatrix(np.arange(6, dtype=float).reshape(2, 3))
         assert sm.dim == 2 and sm.count == 3
-        np.testing.assert_array_equal(sm.as_rows(), sm.data.T)
 
     def test_from_rows_round_trip(self):
         rows = np.random.default_rng(0).standard_normal((5, 3))
         sm = SampleMatrix.from_rows(rows)
         assert sm.dim == 3 and sm.count == 5
-        np.testing.assert_array_equal(sm.as_rows(), rows)
+        np.testing.assert_array_equal(sm.data.T, rows)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidData):
@@ -170,6 +172,48 @@ class TestEigendecomposition:
         _, v1 = symmetric_eigendecomposition(a)
         _, v2 = symmetric_eigendecomposition(a.copy())
         np.testing.assert_array_equal(v1, v2)
+
+    @staticmethod
+    def symmetrized_solve(a):
+        """The decomposition of ``(a + a^T) / 2``, sorted and oriented as the library does."""
+        w, v = np.linalg.eigh((a + a.T) * 0.5)
+        order = np.argsort(-w, kind="stable")
+        return w[order], pca._orient(v[:, order])
+
+    @staticmethod
+    def assert_same_bits(actual, expected):
+        for a, e in zip(actual, expected):
+            np.testing.assert_array_equal(a.view(np.uint64), e.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (300, 7)])
+    def test_products_are_exactly_symmetric(self, shape):
+        # numpy mirrors one triangle of x^T x and x x^T into the other, so the
+        # Gram and covariance matrices reach eigh without a symmetrized copy.
+        x = substream(31).standard_normal(shape)
+        assert pca._is_symmetric(x.T @ x) and pca._is_symmetric(x @ x.T)
+
+    def test_exactly_symmetric_input_has_the_symmetrized_bits(self):
+        x = substream(32).standard_normal((60, 45))
+        for a in (x.T @ x, x @ x.T / 45, np.diag(np.arange(5.0))):
+            self.assert_same_bits(symmetric_eigendecomposition(a), self.symmetrized_solve(a))
+
+    def test_near_symmetric_input_is_symmetrized(self):
+        x = substream(33).standard_normal((30, 20))
+        a = x.T @ x
+        a[0, 1] += 1e-12 * np.max(np.abs(a))
+        assert not pca._is_symmetric(a)
+        self.assert_same_bits(symmetric_eigendecomposition(a), self.symmetrized_solve(a))
+        a[0, 1] += 1e-9 * np.max(np.abs(a))
+        with pytest.raises(InvalidData, match="not symmetric"):
+            symmetric_eigendecomposition(a)
+
+    def test_no_symmetrized_copy_is_traced(self, traced_peak):
+        # Traced arrays: the solver's eigenvectors and their reordered copy
+        # (2.0x the matrix); a symmetrized copy made 3.0x.
+        x = substream(34).standard_normal((350, 300))
+        a = x.T @ x
+        _, peak = traced_peak(symmetric_eigendecomposition, a)
+        assert peak < 2.5 * a.nbytes, peak / a.nbytes
 
 
 class TestFitPca:
@@ -366,3 +410,29 @@ class TestGramRoute:
         w, basis = dense_fit(sm, 5)
         np.testing.assert_array_equal(model.basis, basis)
         np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(5), atol=1e-12)
+
+
+class TestWorkspaceLimit:
+    # (dim, count, target_dim): the half split's Gram shape, a covariance
+    # forced by target_dim > count, and the n >= D covariance.
+    @pytest.mark.parametrize(
+        "dim,n,target_dim,kind,size",
+        [(50, 10, 3, "Gram", 10), (50, 10, 15, "covariance", 50), (5, 40, 2, "covariance", 5)],
+    )
+    def test_fit_refuses_a_matrix_above_the_limit(self, monkeypatch, dim, n, target_dim, kind, size):
+        sm = SampleMatrix(substream(35).standard_normal((dim, n)))
+        monkeypatch.setattr(pca, "_WORKSPACE_LIMIT", 8 * size * size - 1)
+        message = (
+            f"the {kind} matrix of {n} samples in {dim} dimensions is {size} x {size}, "
+            f"{8 * size * size} bytes, above the PCA fit's limit of {8 * size * size - 1} bytes"
+        )
+        with pytest.raises(Unsupported) as info:
+            fit_pca(sm, target_dim)
+        assert str(info.value) == message
+        monkeypatch.setattr(pca, "_WORKSPACE_LIMIT", 8 * size * size)
+        assert fit_pca(sm, target_dim).basis.shape == (dim, target_dim)
+
+    def test_compute_covariance_refuses_a_matrix_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(pca, "_WORKSPACE_LIMIT", 8 * 7 * 7 - 1)
+        with pytest.raises(Unsupported, match="covariance matrix of 30 samples in 7 dimensions"):
+            compute_covariance(SampleMatrix(substream(36).standard_normal((7, 30))))
