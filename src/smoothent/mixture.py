@@ -209,7 +209,7 @@ def _mc_block(centers_t, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max)
 
 
 def _worker_count() -> int:
-    """Threads for a pooled kernel: the cores this process may run on."""
+    """Workers for a pooled kernel or a split CSV parse: the cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -1,8 +1,16 @@
 """Shared fixtures."""
 
+import multiprocessing
 import tracemalloc
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_processes():
+    """Fail any test that leaves a child process running."""
+    yield
+    assert not multiprocessing.active_children()
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """CSV round-trips: samples, fitted models, dumps, paired datasets."""
 
 import csv
+import multiprocessing
+import os
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +27,8 @@ from smoothent import (
     plugin_entropy_mc,
     substream,
 )
-from smoothent import pca
+from smoothent import io as sio
+from smoothent import mixture, pca
 from smoothent.io import (
     fmt,
     ingest_activation_dump,
@@ -81,6 +84,42 @@ def extreme_model():
     )
 
 
+@pytest.fixture
+def split_reads(monkeypatch):
+    """Split every read into parts of whole lines on up to three worker processes.
+
+    Returns the log of reads: ``True`` for one the workers parsed, ``False``
+    for one that fell back to the serial parse.
+    """
+    monkeypatch.setattr(sio, "_PART_MIN_BYTES", 1)
+    monkeypatch.setattr(mixture, "_worker_count", lambda: 3)
+    forked_rows = sio._forked_rows
+    log = []
+
+    def logged(path, header):
+        rows = forked_rows(path, header)
+        log.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(sio, "_forked_rows", logged)
+    return log
+
+
+def read_outcome(reader, path):
+    """The bits of every array ``reader(path)`` gives, or its ``InvalidData`` message."""
+    try:
+        result = reader(path)
+    except InvalidData as exc:
+        return str(exc)
+    if isinstance(result, SampleMatrix):
+        arrays = [result.data]
+    elif isinstance(result, PcaModel):
+        arrays = [result.mean, result.spectrum, result.basis]
+    else:
+        arrays = [np.array(result.conditions, dtype=float)] + [s.data for s in result.samples]
+    return [np.ascontiguousarray(a).view(np.uint64).tolist() for a in arrays]
+
+
 class TestSampleCsv:
     def test_round_trip_with_header(self, tmp_path):
         sm = SampleMatrix(substream(1).standard_normal((4, 7)))
@@ -95,6 +134,12 @@ class TestSampleCsv:
         path.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
         loaded = read_samples(path)
         np.testing.assert_array_equal(loaded.data.T, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("header", ["", "f0,f1\n"])
+    def test_byte_order_mark_keeps_every_row(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + header + "1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_samples(path).data.T, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_detected_by_non_numeric_token(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -238,6 +283,13 @@ class TestPcaModelCsv:
         with pytest.raises(InvalidData, match=r"bad_model\.csv" + message):
             load_pca_model(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "model.csv"
+        path.write_text("\ufeff0,0\n1,0.5\n1,0\n", encoding="utf-8")
+        loaded = load_pca_model(path)
+        np.testing.assert_array_equal(loaded.mean, [0.0, 0.0])
+        np.testing.assert_array_equal(loaded.basis, [[1.0], [0.0]])
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("0.0,0.0\n1.0,0.5\n", encoding="utf-8")
@@ -254,6 +306,13 @@ class TestActivationDumpCsv:
         assert dataset.conditions == (4, -2)
         for loaded, rows in zip(dataset.samples, blocks):
             assert_bits_equal(loaded.data.T, rows)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "dump.csv"
+        path.write_text("\ufeffcond,f0\n7,1.5\n-2,2.5\n7,3.5\n", encoding="utf-8")
+        dataset = ingest_activation_dump(path)
+        assert dataset.conditions == (7, -2)
+        np.testing.assert_array_equal(dataset.samples[0].data, [[1.5, 3.5]])
 
     @pytest.mark.parametrize(
         "text, message",
@@ -404,12 +463,19 @@ class TestRowStorage:
         for a, e in zip(actual, expected):
             assert_bits_equal(a, e)
 
-    def test_read_holds_the_samples_once(self, tmp_path, traced_peak):
-        # The parser's rows become the samples: no transposed copy is made.
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "forked"])
+    def test_read_holds_the_samples_once(
+        self, tmp_path, monkeypatch, traced_peak, split_reads, workers
+    ):
+        # The parser's rows, or the array the worker processes' rows are
+        # received into, become the samples: no transposed copy is made.
         # Twice the matrix at the copying reader; 1.2-1.4x here.
+        monkeypatch.setattr(sio, "_PART_MIN_BYTES", 1 << 20)
+        monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
         sm = SampleMatrix(substream(25).standard_normal((500, 500)))
         write_samples(tmp_path / "square.csv", sm)
         loaded, peak = traced_peak(read_samples, tmp_path / "square.csv")
+        assert split_reads == [workers > 1]
         np.testing.assert_array_equal(loaded.data, sm.data)
         assert peak <= 1.5 * sm.data.nbytes, peak / sm.data.nbytes
 
@@ -424,3 +490,101 @@ class TestRowStorage:
         np.testing.assert_array_equal(adopted.data, copied.data)
         assert_bits_equal(adopted.take([4, 0, 2]).data, copied.take([4, 0, 2]).data)
         assert adopted.take([1, 3]).data.flags.c_contiguous
+
+
+SPLIT_INPUTS = [
+    (read_samples, text)
+    for text in [
+        "1.0,2.0\n3.0,4.0\n5,6\n",
+        "f0,f1\n1,2\n3,4\n5,6",  # no final newline
+        "f0,f1\r\n1,2\r\n\r\n3,4\r\n5,6\r\n",
+        "1,2\r3,4\r5,6\r",  # bare CR
+        "f0,f1\r1,2\n3,4\r5,6\n",
+        '"1.5",2\n3,"4"\n5,6\n',
+        '1,"2\n"\n3,4\n5,6\n',  # a line break inside a quoted cell
+        'f0,"f\n1"\n1,2\n3,4\n',  # a line break inside the header
+        "\n\n1,2\n\n\n3,4\n\n5,6\n\n",
+        " 1.5 , -2 \n3,\t4\n5 ,6\n",
+        "1,2\n  \n3,4\n",
+        "1_0,2\n3,4\n5,6\n",
+        "1,2\n\u0661,4\n5,6\n",  # ARABIC-INDIC DIGIT ONE
+        "1,2\n3,x\n5,6\n",
+        "f0,f1\n1,2\n3,4\n5,x\n",
+        "1,2\n3\n5,6\n",
+        "1,2\n3,4\n5,6,7\n",
+        "f0,f1,f2\n1,2\n3,4\n",  # header wider than every row
+        "f0\n1,2\n3,4\n",  # header narrower than every row
+        "\ufeff1,2\n3,4\n5,6\n",
+        "\ufefff0,f1\n1,2\n3,4\n",
+        "\n\r\n",
+        "f0,f1\n\n\n",
+    ]
+] + [
+    (ingest_activation_dump, text)
+    for text in [
+        "cond,f0,f1\n0,1,2\n1,3,4\n0,5,6\n",
+        "\ufeffcond,f0\n0,1\n1,2\n0,3\n",
+        "cond,f0,f1\n0,1,2\n1,3\n0,5,6\n",
+        "cond,f0,f1\n0,1\n1,3\n",
+        "cond,f0\n0,1,2\n1,3,4\n",
+        "cond,f0\n0.5,1\n1,2\n",
+    ]
+] + [
+    (load_pca_model, text)
+    for text in [
+        "0,0\n1,0.5\n1,0\n",
+        "\ufeff0,0\n1,0.5\n1,0\n0,1\n",
+        "0,0\n1,x\n1,0\n",
+        "0,0\n1,0.5\n1\n",
+        "m0,m1\n0,0\n1,0.5\n1,0\n",
+    ]
+]
+
+
+class TestSplitParse:
+    """Large files are parsed in byte ranges on worker processes, with the serial result."""
+
+    @pytest.mark.parametrize("reader, text", SPLIT_INPUTS)
+    def test_equal_to_the_serial_parse(self, tmp_path, monkeypatch, split_reads, reader, text):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        split = read_outcome(reader, path)
+        monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
+        assert split == read_outcome(reader, path)
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (read_samples, "1,2\n3,4\n5,6\n"),
+            (read_samples, "\ufefff0,f1\r\n1,2\r\n3,4\r\n"),
+            (ingest_activation_dump, "cond,f0\n0,1\n1,2\n0,3\n"),
+            (load_pca_model, "\ufeff0,0\n1,0.5\n1,0\n"),
+        ],
+    )
+    def test_plain_files_are_split(self, tmp_path, split_reads, reader, text):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        reader(path)
+        assert split_reads == [True]
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_extreme_doubles_bitwise(self, tmp_path, split_reads, header):
+        rows = random_and_extreme(27, 9)
+        write_samples(tmp_path / "extreme.csv", SampleMatrix.from_rows(rows), header=header)
+        assert_bits_equal(read_samples(tmp_path / "extreme.csv").data.T, rows)
+        assert split_reads == [True]
+
+    def test_a_dead_worker_falls_back_to_the_serial_parse(self, tmp_path, monkeypatch, split_reads):
+        parse_part = sio._parse_part
+
+        def dies_after_the_first_part(path, begin, end, conn):
+            if begin > 0:
+                os._exit(1)
+            parse_part(path, begin, end, conn)
+
+        monkeypatch.setattr(sio, "_parse_part", dies_after_the_first_part)
+        rows = random_and_extreme(28, 6)
+        write_samples(tmp_path / "samples.csv", SampleMatrix.from_rows(rows))
+        assert_bits_equal(read_samples(tmp_path / "samples.csv").data.T, rows)
+        assert split_reads == [False]
+        assert not multiprocessing.active_children()
