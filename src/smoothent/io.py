@@ -28,9 +28,21 @@ core, up to one per ``_PART_MIN_BYTES``.  Each range goes through the same
 result once and receives every part into its rows.  Any failure (a range
 loadtxt rejects or warns on, one holding a quote, a child that dies, widths
 that differ) falls back to the serial parse, so the values, the accepted
-inputs and the messages do not depend on the path.  Known limit: from
-Python 3.12, ``os.fork`` warns when the process has other threads, such as
-OpenBLAS's; this module does not filter that warning.
+inputs and the messages do not depend on the path.
+
+Large blocks of rows are written on worker processes too.  On Linux, when
+the process may run on at least two cores, the output is a regular file
+and the block gives at least two ranges of ``_WRITE_MIN_VALUES`` values, it
+is split into one range of rows per core.  The writer streams the first
+range into the file as the serial writer does, while a forked child formats
+each other range into bytes; once the writer knows where each range starts,
+it sends the child that offset and the child writes its bytes there with
+``os.pwrite``.  After a child fails (it errs, dies or writes too little),
+the file is cut at the start of that range and the rest is written
+serially.  Either way the bytes are those of the serial writer, and a pipe,
+FIFO or terminal is always written serially.  Known limit: from Python
+3.12, ``os.fork`` warns when the process has other threads, such as
+OpenBLAS's; this module does not filter that warning, on reads or writes.
 
 Byte-identical reruns assume a fixed BLAS thread count: the spectrum and
 basis of a fitted model can move by a few ulp between, e.g.,
@@ -40,9 +52,12 @@ files and the ``eigen_gap``/``residual`` columns of result files.
 
 import csv
 import itertools
+import os
+import stat
 import sys
 import warnings
 from codecs import BOM_UTF8
+from contextlib import contextmanager, suppress
 from io import SEEK_END, BytesIO, TextIOWrapper
 from pathlib import Path
 
@@ -74,6 +89,12 @@ _PART_MIN_BYTES = 2 << 20
 # pieces of 64 KiB hold its overhead to a few of them; 1 MiB pieces added
 # 0.69x a 2 MB matrix to the traced peak, and read no faster.
 _SEND_BYTES = 1 << 16
+# Break-even of a two-part write on 2 cores (rows of 1000 values, median of
+# 15, two runs): 4000 values a part took 6.7 ms serially and 8.9 ms split,
+# 8000 values 12.9 and 12.9 ms, then 18.4 and 13.8 ms, 16000 values 25.0 and
+# 20.8 ms, then 34.5 and 22.5 ms (the second runs with 150 MiB of live heap
+# to fork).  So a part holds at least 16384 values, twice the break-even.
+_WRITE_MIN_VALUES = 1 << 14
 
 
 def fmt(value) -> str:
@@ -199,6 +220,40 @@ def _byte_ranges(path, header, workers) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:])) if len(bounds) > 2 else []
 
 
+@contextmanager
+def _forked(target, jobs, duplex=False):
+    """Run ``target(*job, conn)`` for each of the ``jobs`` in a child forked from this process.
+
+    Yields this side's connection to each child, in job order, or ``None``
+    when not every child could start: a daemonic process may not start
+    any, and one out of processes or descriptors starts too few.  Only the
+    child holds its end of a pipe, so its exit reads here as an end of file.
+    On exit every connection is closed and every child killed and joined.
+    """
+    import multiprocessing  # only reads and writes that split pay for the import
+
+    context = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        if not multiprocessing.current_process().daemon:
+            with suppress(OSError):
+                for job in jobs:
+                    mine, theirs = context.Pipe(duplex=duplex)
+                    conns.append(mine)
+                    with theirs:
+                        proc = context.Process(target=target, args=(*job, theirs))
+                        proc.start()
+                    procs.append(proc)
+        yield conns if len(procs) == len(jobs) else None
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.kill()
+            proc.join()
+            proc.close()
+
+
 def _forked_rows(path, header) -> np.ndarray | None:
     """Parse the data rows of ``path`` on forked worker processes, or return ``None``.
 
@@ -215,41 +270,25 @@ def _forked_rows(path, header) -> np.ndarray | None:
     ranges = _byte_ranges(path, header, workers)
     if not ranges:
         return None
-    import multiprocessing  # only reads that split pay for the import
-
-    if multiprocessing.current_process().daemon:  # a daemonic process may not start children
-        return None
-    context = multiprocessing.get_context("fork")
-    conns, procs = [], []
-    try:
-        for begin, end in ranges:
-            recv, send = context.Pipe(duplex=False)
-            conns.append(recv)
-            with send:  # the child's copy alone stays open, so its exit reads as an end of file
-                proc = context.Process(target=_parse_part, args=(path, begin, end, send))
-                proc.start()
-            procs.append(proc)
-        counts, widths = zip(*(conn.recv() for conn in conns))
-        if min(counts) < 1 or len(set(widths)) > 1:
+    with _forked(_parse_part, [(path, begin, end) for begin, end in ranges]) as conns:
+        if conns is None:
             return None
-        if header is not None and widths[0] != len(header):
+        try:
+            counts, widths = zip(*(conn.recv() for conn in conns))
+            if min(counts) < 1 or len(set(widths)) > 1:
+                return None
+            if header is not None and widths[0] != len(header):
+                return None
+            rows = np.empty((sum(counts), widths[0]))
+            raw = memoryview(rows).cast("B")
+            offset = 0
+            for conn, count in zip(conns, counts):
+                end = offset + count * rows[0].nbytes
+                while offset < end:
+                    offset += conn.recv_bytes_into(raw[:end], offset)
+            return rows
+        except (EOFError, OSError):
             return None
-        rows = np.empty((sum(counts), widths[0]))
-        raw = memoryview(rows).cast("B")
-        offset = 0
-        for conn, count in zip(conns, counts):
-            end = offset + count * rows[0].nbytes
-            while offset < end:
-                offset += conn.recv_bytes_into(raw[:end], offset)
-        return rows
-    except (EOFError, OSError):
-        return None
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.kill()
-            proc.join()
 
 
 def _float_rows(path, fh, header=None) -> np.ndarray:
@@ -286,15 +325,91 @@ def _float_rows(path, fh, header=None) -> np.ndarray:
     return _row_loop(path, enumerate(reader, start=2), width=len(header))
 
 
+def _format_rows(rows, lead):
+    """Each row of floats as ``lead`` plus its comma-joined ``repr`` values and a newline."""
+    for row in rows:
+        yield lead + ",".join(map(repr, row.tolist())) + "\n"
+
+
+def _format_part(rows, lead, fd, conn) -> None:
+    """Worker process: format ``rows``, send the byte count, then write them at the offset received.
+
+    The bytes go to ``fd``, the writer's file, with ``os.pwrite``, which
+    leaves the file position alone; the count written is sent last.  On any
+    failure nothing more is sent, and the parent, which then reads an end of
+    file, writes this part and the ones after it itself.
+    """
+    try:
+        data = bytearray()  # held once: a joined str and its encoding would be twice the bytes
+        for line in _format_rows(rows, lead):
+            data += line.encode()
+        conn.send(len(data))
+        offset = conn.recv()
+        written = 0
+        while written < len(data):
+            written += os.pwrite(fd, memoryview(data)[written:], offset + written)
+        conn.send(written)
+    except Exception:  # the parent writes the part serially and reports the error, if there is one
+        pass
+    finally:
+        conn.close()
+
+
+def _forked_write(fh, rows, lead) -> int:
+    """Write leading rows of the 2-D ``rows`` on forked worker processes; return how many.
+
+    The rows are split into one range per core, each of at least
+    ``_WRITE_MIN_VALUES`` values, or into none (and 0 is returned) unless
+    this is Linux, there are two such ranges and ``fh`` is a regular file.
+    This process streams the first range into ``fh`` while a child formats
+    each other range into bytes; with the count of each it tells the child
+    where its bytes start, and the child writes them there.  After a child
+    fails, the file is cut at the start of its range and fewer rows are
+    returned, so the caller writes the rest serially and the bytes are those
+    of the serial writer.  Every child is killed and joined before this
+    returns, and ``fh`` is left at the end of what was written.
+    """
+    workers = mixture._worker_count()
+    if sys.platform != "linux" or workers < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return 0
+    count, width = rows.shape
+    parts = min(workers, count // -(-_WRITE_MIN_VALUES // max(width, 1)))
+    if parts < 2:
+        return 0
+    bounds = [count * k // parts for k in range(parts + 1)]
+    fh.flush()  # a child must not inherit bytes buffered for the file
+    jobs = [(rows[b:e], lead, fh.fileno()) for b, e in zip(bounds[1:-1], bounds[2:])]
+    with _forked(_format_part, jobs, duplex=True) as conns:
+        if conns is None:
+            return 0
+        fh.writelines(_format_rows(rows[: bounds[1]], lead))
+        ends = [fh.tell()]  # the file offset where each range ends; tell flushes
+        done = 1  # ranges whose bytes are in the file
+        with suppress(EOFError, OSError):
+            for conn in conns:
+                conn.send(ends[-1])
+                ends.append(ends[-1] + conn.recv())
+        with suppress(EOFError, OSError):  # the children told where to write
+            for conn, begin, end in zip(conns, ends, ends[1:]):
+                if conn.recv() != end - begin:
+                    break
+                done += 1
+    fh.seek(ends[done - 1])  # every child has exited: nothing else writes to the file
+    fh.truncate()
+    return bounds[done]
+
+
 def _write_float_rows(fh, rows, lead: str = "") -> None:
-    """Write each row of floats as ``lead`` plus its comma-joined ``repr`` values.
+    """Write each row of the 2-D ``rows`` as ``lead`` plus its comma-joined float ``repr`` values.
 
     ``repr`` of a Python float is what ``fmt`` writes for it, and it holds no
     character ``csv.writer`` would quote, so the bytes are those of
-    ``csv.writer`` over ``fmt`` at the speed of ``str.join``.
+    ``csv.writer`` over ``fmt`` at the speed of ``str.join``.  A large block
+    of a regular file is written on worker processes by ``_forked_write``,
+    with the same bytes; the rows it leaves are written here.
     """
-    for row in rows:
-        fh.write(lead + ",".join(map(repr, row.tolist())) + "\n")
+    done = _forked_write(fh, rows, lead)
+    fh.writelines(_format_rows(rows[done:], lead))
 
 
 def read_samples(path) -> SampleMatrix:
@@ -316,7 +431,11 @@ def read_samples(path) -> SampleMatrix:
 
 
 def write_samples(path, samples: SampleMatrix, header: bool = True) -> None:
-    """Write a sample CSV (one row per sample, ``f0..f{D-1}`` header)."""
+    """Write a sample CSV (one row per sample, ``f0..f{D-1}`` header).
+
+    A large matrix written to a regular file is formatted and written in
+    ranges of rows on worker processes, with the bytes of the serial writer.
+    """
     with _open_write(path) as fh:
         if header:
             fh.write(",".join(f"f{k}" for k in range(samples.dim)) + "\n")
@@ -326,7 +445,7 @@ def write_samples(path, samples: SampleMatrix, header: bool = True) -> None:
 def save_pca_model(path, model: PcaModel) -> None:
     """Write the positional model blocks: mean, spectrum, then d basis rows."""
     with _open_write(path) as fh:
-        _write_float_rows(fh, (model.mean, model.spectrum))
+        _write_float_rows(fh, np.array((model.mean, model.spectrum)))
         _write_float_rows(fh, model.basis.T)
 
 

@@ -1,16 +1,24 @@
 """Shared fixtures."""
 
 import multiprocessing
+import os
+import sys
 import tracemalloc
 
 import pytest
 
 
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if sys.platform == "linux" else []
+
+
 @pytest.fixture(autouse=True)
-def no_child_processes():
-    """Fail any test that leaves a child process running."""
+def no_child_processes_or_open_fds():
+    """Fail any test that leaves a child process running or, on Linux, a file descriptor open."""
+    before = _open_fds()
     yield
     assert not multiprocessing.active_children()
+    assert _open_fds() == before
 
 
 @pytest.fixture

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, flags, exit codes, CSV outputs."""
 
 import csv
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothent import pca
+from smoothent import io as sio
+from smoothent import mixture, pca
 from smoothent.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from smoothent.io import read_samples
 from smoothent.pca import SampleMatrix
@@ -54,6 +60,44 @@ class TestGen:
         manifest = (tmp_path / "pair_manifest.csv").read_text(encoding="utf-8")
         assert "false" in manifest.splitlines()[1]
         assert read_samples(tmp_path / "pair_x.csv").count == 30
+
+    def test_split_write_keeps_the_bytes(self, tmp_path, monkeypatch):
+        n = 2 * -(-sio._WRITE_MIN_VALUES // 100)  # two ranges of the break-even
+        args = ["gen", "--kind", "gaussian", "--n", str(n), "--ambient-dim", "100",
+                "--seed", "5", "--out"]
+        forked_write = sio._forked_write
+        split = []
+
+        def logged(*args):
+            split.append(forked_write(*args))
+            return split[-1]
+
+        monkeypatch.setattr(sio, "_forked_write", logged)
+        digests = []
+        for workers in (1, 2):
+            monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
+            assert main(args + [str(tmp_path / f"{workers}.csv")]) == EXIT_OK
+            digests.append(hashlib.sha256((tmp_path / f"{workers}.csv").read_bytes()).hexdigest())
+        assert split == [0, n]
+        assert digests[0] == digests[1]
+
+    def test_stdout_pipe_is_written_serially(self, tmp_path, monkeypatch):
+        # a file that would split on two cores; a pipe takes no positioned writes
+        n = 2 * -(-sio._WRITE_MIN_VALUES // 100)
+        args = ["gen", "--kind", "gaussian", "--n", str(n), "--ambient-dim", "100",
+                "--seed", "6", "--out"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(sio.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        script = "import sys; from smoothent.cli import main; sys.exit(main())"
+        run = subprocess.run([sys.executable, "-c", script, *args, "/dev/stdout"],
+                             env=env, capture_output=True, timeout=300)
+        assert run.returncode == EXIT_OK, run.stderr
+        monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
+        assert main(args + [str(tmp_path / "serial.csv")]) == EXIT_OK
+        report = f"wrote /dev/stdout ({n} samples x 100 dims)\n".encode()
+        assert run.stdout == (tmp_path / "serial.csv").read_bytes() + report
 
     def test_missing_out_is_config_error(self):
         assert main(["gen", "--kind", "gaussian", "--n", "5"]) == EXIT_CONFIG

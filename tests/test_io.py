@@ -3,9 +3,11 @@
 import csv
 import multiprocessing
 import os
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -588,3 +590,132 @@ class TestSplitParse:
         assert_bits_equal(read_samples(tmp_path / "samples.csv").data.T, rows)
         assert split_reads == [False]
         assert not multiprocessing.active_children()
+
+
+@pytest.fixture
+def split_writes(monkeypatch):
+    """Split every block of rows written into ranges for up to three worker processes.
+
+    Returns the log of block writes: ``(rows the workers wrote, rows)``; the
+    writer writes the rest serially.
+    """
+    monkeypatch.setattr(sio, "_WRITE_MIN_VALUES", 1)
+    monkeypatch.setattr(mixture, "_worker_count", lambda: 3)
+    forked_write = sio._forked_write
+    log = []
+
+    def logged(fh, rows, lead):
+        done = forked_write(fh, rows, lead)
+        log.append((done, len(rows)))
+        return done
+
+    monkeypatch.setattr(sio, "_forked_write", logged)
+    return log
+
+
+# Values a split write must render as the serial writer does.
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5])
+
+
+def special_block(seed, rows):
+    """``rows`` samples of ``random_and_extreme`` plus SPECIALS, for the writers.
+
+    A ``SampleMatrix`` holds no non-finite value, so this stand-in has only
+    what the writers read: ``data``, ``dim`` and ``count``.
+    """
+    data = np.hstack([random_and_extreme(seed, rows), np.tile(SPECIALS, (rows, 1))]).T
+    return SimpleNamespace(data=data, dim=data.shape[0], count=rows)
+
+
+def write_case(case, directory, reference=False):
+    """Write ``case`` into ``directory`` with the library's writer, or with ``csv.writer``.
+
+    Returns the bytes of each file; the reference writes no manifest.
+    """
+    directory.mkdir()
+    blocks = [special_block(31, 7), special_block(32, 5)]
+    if case in ("samples", "headerless"):
+        writer = reference_write_samples if reference else write_samples
+        writer(directory / "s.csv", blocks[0], header=case == "samples")
+    elif case == "dump":
+        writer = reference_write_activation_dump if reference else write_activation_dump
+        writer(directory / "d.csv", [4, -2], blocks)
+    elif reference:
+        reference_write_samples(directory / "p_x.csv", blocks[0])
+        reference_write_samples(directory / "p_y.csv", special_block(33, 7))
+    else:
+        write_joint_dataset(directory / "p", JointDataset(blocks[0], special_block(33, 7)), True, 5)
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+WRITE_CASES = ["samples", "headerless", "dump", "joint"]
+
+
+class TestSplitWrite:
+    """Large blocks of rows are written in ranges by worker processes, byte for byte."""
+
+    @pytest.mark.parametrize("case", WRITE_CASES)
+    def test_equal_to_csv_writer_and_the_serial_write(self, tmp_path, monkeypatch, split_writes, case):
+        split = write_case(case, tmp_path / "split")
+        assert split_writes and all(done == rows for done, rows in split_writes)
+        reference = write_case(case, tmp_path / "reference", reference=True)
+        assert {name: split[name] for name in reference} == reference
+        monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
+        assert write_case(case, tmp_path / "serial") == split
+
+    def test_files_are_split_into_one_range_per_worker(self, tmp_path, monkeypatch, split_writes):
+        ranges = []
+        forked = sio._forked
+
+        def logged(target, jobs, duplex=False):
+            ranges.append([len(rows) for rows, _, _ in jobs])
+            return forked(target, jobs, duplex)
+
+        monkeypatch.setattr(sio, "_forked", logged)
+        write_case("dump", tmp_path / "split")
+        # 7 and 5 rows in three ranges each: this process writes the first
+        assert ranges == [[2, 3], [2, 2]]
+        assert split_writes == [(7, 7), (5, 5)]
+
+    @pytest.mark.parametrize("doomed", [0, 1], ids=["middle", "last"])
+    @pytest.mark.parametrize("when", ["at_start", "after_half_its_bytes"])
+    def test_a_dead_worker_falls_back_to_the_serial_bytes(
+        self, tmp_path, monkeypatch, split_writes, doomed, when
+    ):
+        sm = special_block(34, 7)
+        format_part = sio._format_part
+        doomed_row = sm.data.T[[3, 6][doomed]]  # in ranges [2, 4) and [4, 7)
+
+        def dies(rows, lead, fd, conn):
+            if not np.shares_memory(rows, doomed_row):
+                return format_part(rows, lead, fd, conn)
+            if when != "at_start":
+                data = "".join(sio._format_rows(rows, lead)).encode()
+                conn.send(len(data))
+                os.pwrite(fd, data[: len(data) // 2], conn.recv())
+            os._exit(1)
+
+        monkeypatch.setattr(sio, "_format_part", dies)
+        write_samples(tmp_path / "split.csv", sm)
+        assert split_writes == [([2, 4][doomed], 7)]
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
+        write_samples(tmp_path / "serial.csv", sm)
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_a_fifo_is_written_serially(self, tmp_path, monkeypatch, split_writes):
+        sm = special_block(35, 7)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        drain = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        drain.start()
+        try:
+            write_samples(fifo, sm)
+        finally:
+            drain.join(timeout=60)
+        assert not drain.is_alive()
+        assert split_writes == [(0, 7)]
+        monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
+        write_samples(tmp_path / "serial.csv", sm)
+        assert received == [(tmp_path / "serial.csv").read_bytes()]
