@@ -1,0 +1,122 @@
+"""sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
+
+Runs 16 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+gaussian, conical, pair), ``entropy`` (``--save-pca``, ``--bits``, Gram
+route ``half`` and ``reuse``, ``--no-center``, conical), ``mi-joint`` and
+``mi-cond`` (``half`` and ``reuse`` each), a 2 x 2 ``sweep`` and
+``indep-auc``.  ``mi-cond`` reads a 3-condition activation dump written by
+``io.write_activation_dump`` from seeded draws.  Prints ``sha256  file`` for
+every file written, each invocation's standard output included (as
+``<name>.out``), then one combined digest over those lines.
+
+Two trees give the same digests when their CLI writes the same bytes, so
+running this before and after a change records whether any output moved.
+The package is imported from the ``src`` directory next to this script.
+Bytes depend on the BLAS thread count (see README, Reproducibility), so
+``OPENBLAS_NUM_THREADS`` is set to 1 unless the environment sets it.
+
+Usage: ``python3 scripts/cli_digests.py``
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from smoothent import cli, substream  # noqa: E402
+from smoothent.io import write_activation_dump  # noqa: E402
+from smoothent.pca import SampleMatrix  # noqa: E402
+
+FAST = ["--n-mc", "20"]
+
+INVOCATIONS = [
+    ("gen_gaussian", ["gen", "--kind", "gaussian", "--n", "600", "--dim", "3",
+                      "--ambient-dim", "40", "--lambda-res", "0.01", "--seed", "1",
+                      "--out", "gaussian.csv"]),
+    ("gen_wide", ["gen", "--kind", "gaussian", "--n", "300", "--dim", "5",
+                  "--ambient-dim", "2000", "--lambda-res", "0.01", "--seed", "2",
+                  "--out", "wide.csv"]),
+    ("gen_conical", ["gen", "--kind", "conical", "--n", "400", "--ambient-dim", "20",
+                     "--lambda-res", "0.05", "--seed", "3", "--out", "conical.csv"]),
+    ("gen_pair", ["gen", "--kind", "pair", "--n", "300", "--dim", "2", "--ambient-dim", "30",
+                  "--noise-std", "0.05", "--seed", "4", "--out", "pair"]),
+    ("entropy_save_pca", ["entropy", "gaussian.csv", "--sigma", "0.1", "--dim", "3",
+                          "--seed", "5", "--save-pca", "gaussian_pca.csv",
+                          "--out", "entropy.csv", *FAST]),
+    ("entropy_bits", ["entropy", "gaussian.csv", "--sigma", "0.2", "--dim", "2",
+                      "--seed", "6", "--bits", "--out", "entropy_bits.csv", *FAST]),
+    ("entropy_gram_half", ["entropy", "wide.csv", "--sigma", "0.1", "--dim", "5",
+                           "--seed", "7", "--save-pca", "wide_half_pca.csv",
+                           "--out", "entropy_gram_half.csv", *FAST]),
+    ("entropy_gram_reuse", ["entropy", "wide.csv", "--sigma", "0.1", "--dim", "5",
+                            "--seed", "7", "--split", "reuse", "--save-pca",
+                            "wide_reuse_pca.csv", "--out", "entropy_gram_reuse.csv", *FAST]),
+    ("entropy_no_center", ["entropy", "gaussian.csv", "--sigma", "0.1", "--dim", "3",
+                           "--seed", "8", "--no-center", "--out", "entropy_no_center.csv",
+                           *FAST]),
+    ("entropy_conical", ["entropy", "conical.csv", "--sigma", "0.1", "--dim", "3",
+                         "--seed", "9", "--save-pca", "conical_pca.csv",
+                         "--out", "entropy_conical.csv", *FAST]),
+    ("mi_joint_half", ["mi-joint", "pair_x.csv", "pair_y.csv", "--sigma", "0.5", "--dim", "2",
+                       "--seed", "10", "--out", "mi_joint_half.csv", *FAST]),
+    ("mi_joint_reuse", ["mi-joint", "pair_x.csv", "pair_y.csv", "--sigma", "0.5", "--dim", "2",
+                        "--seed", "10", "--split", "reuse", "--out", "mi_joint_reuse.csv",
+                        *FAST]),
+    ("mi_cond_half", ["mi-cond", "dump.csv", "--sigma", "0.2", "--dim", "2", "--seed", "11",
+                      "--out", "mi_cond_half.csv", *FAST]),
+    ("mi_cond_reuse", ["mi-cond", "dump.csv", "--sigma", "0.2", "--dim", "2", "--seed", "11",
+                       "--split", "reuse", "--out", "mi_cond_reuse.csv", *FAST]),
+    ("sweep", ["sweep", "--kind", "gaussian", "--n", "100,200", "--d", "2,3", "--sigmas", "0.2",
+               "--repeats", "2", "--ambient-dim", "20", "--seed", "12", "--out", "sweep.csv",
+               *FAST]),
+    ("indep_auc", ["indep-auc", "--n-datasets", "10", "--n", "150", "--dim", "2",
+                   "--ambient-dim", "30", "--sigma", "1.0", "--seed", "13", "--out", "auc.csv",
+                   *FAST]),
+]
+
+
+def write_dump(path) -> None:
+    """A 3-condition dump of 12-dimensional draws with ragged groups (60, 45, 75 rows)."""
+    blocks = [
+        SampleMatrix(substream(14, k).standard_normal((12, count)) + 0.5 * k)
+        for k, count in enumerate((60, 45, 75))
+    ]
+    write_activation_dump(path, [0, 1, 2], blocks)
+
+
+def main() -> int:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        os.chdir(work)
+        try:
+            write_dump("dump.csv")
+            for name, argv in INVOCATIONS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                if code != cli.EXIT_OK:
+                    print(f"{name}: exit {code}", file=sys.stderr)
+                    return 1
+                (work / f"{name}.out").write_text(out.getvalue(), encoding="utf-8")
+            lines = [
+                f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+                for path in sorted(work.iterdir())
+            ]
+        finally:
+            os.chdir(home)
+    for line in lines:
+        print(line)
+    combined = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    print(f"{combined}  combined")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,6 +52,7 @@ files and the ``eigen_gap``/``residual`` columns of result files.
 
 import csv
 import itertools
+import numbers
 import os
 import stat
 import sys
@@ -427,7 +428,7 @@ def read_samples(path) -> SampleMatrix:
             rows = _float_rows(path, fh)
         else:
             rows = _float_rows(path, fh, header=first)
-    return SampleMatrix.adopt(rows, rows=True)
+    return SampleMatrix.adopt(rows)
 
 
 def write_samples(path, samples: SampleMatrix, header: bool = True) -> None:
@@ -456,6 +457,8 @@ def load_pca_model(path) -> PcaModel:
         blocks = _float_rows(path, fh)
     if len(blocks) < 3:
         raise InvalidData(f"{path}: expected mean, spectrum and at least one basis row")
+    if (basis_rows := len(blocks) - 2) > blocks.shape[1]:
+        raise InvalidData(f"{path}: expected at most {blocks.shape[1]} basis rows, got {basis_rows}")
     return PcaModel(
         basis=blocks[2:].T,
         spectrum=blocks[1],
@@ -466,15 +469,29 @@ def load_pca_model(path) -> PcaModel:
 
 
 def write_activation_dump(path, conditions, sample_blocks) -> None:
-    """Write a ``cond,f0,...`` dump: one block of rows per condition id."""
-    blocks = list(sample_blocks)
+    """Write a ``cond,f0,...`` dump: one block of rows per condition id.
+
+    Unless there is one distinct integer id per block and one dimension for
+    all blocks, which ``ingest_activation_dump`` needs to read the blocks
+    back, ``InvalidData`` is raised before the file is opened.
+    """
+    blocks, ids = list(sample_blocks), list(conditions)
     if not blocks:
         raise InvalidData("need at least one condition block")
-    dim = blocks[0].dim
+    if len(ids) != len(blocks):
+        raise InvalidData(f"need one condition id per block, got {len(ids)} for {len(blocks)}")
+    if bad := [cond for cond in ids if not isinstance(cond, numbers.Integral)]:
+        raise InvalidData(f"condition ids must be integers, got {bad[0]!r}")
+    ids = [int(cond) for cond in ids]
+    if len(set(ids)) != len(ids):
+        raise InvalidData(f"condition ids must be distinct, got {ids}")
+    dims = sorted({block.dim for block in blocks})
+    if len(dims) > 1:
+        raise InvalidData(f"condition blocks must share one dimension, got {dims}")
     with _open_write(path) as fh:
-        fh.write(",".join(["cond"] + [f"f{k}" for k in range(dim)]) + "\n")
-        for cond, block in zip(conditions, blocks):
-            _write_float_rows(fh, block.data.T, lead=f"{int(cond)},")
+        fh.write(",".join(["cond"] + [f"f{k}" for k in range(dims[0])]) + "\n")
+        for cond, block in zip(ids, blocks):
+            _write_float_rows(fh, block.data.T, lead=f"{cond},")
 
 
 def ingest_activation_dump(path) -> ConditionalDataset:
@@ -505,7 +522,7 @@ def ingest_activation_dump(path) -> ConditionalDataset:
     order = conds[np.sort(first)]
     return ConditionalDataset(
         conditions=tuple(int(c) for c in order),
-        samples=tuple(SampleMatrix.adopt(rows[conds == c, 1:], rows=True) for c in order),
+        samples=tuple(SampleMatrix.adopt(rows[conds == c, 1:]) for c in order),
     )
 
 

@@ -363,7 +363,7 @@ def plugin_entropy_quadrature(mix: IsotropicMixture) -> float:
         raise Unsupported(f"quadrature oracle supports d <= 2, got d = {dim}")
     if mix.n_centers > 200:
         raise Unsupported(f"quadrature oracle supports n <= 200, got n = {mix.n_centers}")
-    centers_rows = mix.centers.data.T.copy()
+    centers_rows = mix.centers.data.T
     sigma = mix.sigma
     pad = 8.0 * sigma
     axes = [

@@ -36,6 +36,21 @@ _R_MIN = 0.5
 _R_MAX = 4.0
 _THETA_MAX = 4.0 * math.pi
 _Z_MAX = 4.0
+# Bytes of normals ``_draw_normal_rows`` holds beside the rows it fills.
+_DRAW_BYTES = 1 << 20
+
+
+def _draw_normal_rows(rng, out: np.ndarray) -> None:
+    """Fill the ``(n, k)`` rows ``out`` with ``rng.standard_normal((k, n)).T``.
+
+    The normals keep the ``(k, n)`` draw order the generators have always
+    used, so their values do not depend on the sample layout; drawn a block
+    of dimensions at a time, they need no second ``(k, n)`` array.
+    """
+    n, k = out.shape
+    step = max(1, _DRAW_BYTES // (8 * n))
+    for lo in range(0, k, step):
+        out[:, lo : lo + step] = rng.standard_normal((min(step, k - lo), n)).T
 
 
 def gen_embedded_gaussian(
@@ -61,9 +76,10 @@ def gen_embedded_gaussian(
     variances = np.concatenate(
         [np.ones(intrinsic_dim), np.full(ambient_dim - intrinsic_dim, lambda_res)]
     )
-    draws = substream(seed).standard_normal((ambient_dim, n))
-    draws *= np.sqrt(variances)[:, None]
-    return SampleMatrix.adopt(draws), np.diag(variances)
+    rows = np.empty((n, ambient_dim))
+    _draw_normal_rows(substream(seed), rows)
+    rows *= np.sqrt(variances)
+    return SampleMatrix.adopt(rows), np.diag(variances)
 
 
 def spiral_intrinsic_dim(kind: str) -> int:
@@ -98,17 +114,16 @@ def gen_spiral(
     rng = substream(seed)
     theta = rng.uniform(0.0, _THETA_MAX, size=n)
     r = _R_MIN + (_R_MAX - _R_MIN) * (theta / _THETA_MAX)
-    if kind == "spiral2d":
-        core = np.vstack([r * np.cos(theta), r * np.sin(theta)])
-    elif kind == "conical":
-        core = np.vstack([r * np.cos(theta), r * np.sin(theta), r])
-    else:
-        z = rng.uniform(0.0, _Z_MAX, size=n)
-        core = np.vstack([r * np.cos(theta), r * np.sin(theta), z])
-    if ambient_dim > intrinsic:
-        tail = rng.standard_normal((ambient_dim - intrinsic, n)) * lambda_res
-        core = np.vstack([core, tail])
-    return SampleMatrix.adopt(core)
+    rows = np.empty((n, ambient_dim))
+    rows[:, 0] = r * np.cos(theta)
+    rows[:, 1] = r * np.sin(theta)
+    if kind == "conical":
+        rows[:, 2] = r
+    elif kind == "cylindrical":
+        rows[:, 2] = rng.uniform(0.0, _Z_MAX, size=n)
+    _draw_normal_rows(rng, rows[:, intrinsic:])
+    rows[:, intrinsic:] *= lambda_res
+    return SampleMatrix.adopt(rows)
 
 
 def gen_common_signal_pair(
@@ -147,6 +162,6 @@ def gen_common_signal_pair(
     n_x = rng.standard_normal((ambient_dim, n)) * noise_std
     n_y = rng.standard_normal((ambient_dim, n)) * noise_std
     w_y = w if dependent else rng.standard_normal((intrinsic_dim, n))
-    x = SampleMatrix.adopt(p_x @ w + n_x)
-    y = SampleMatrix.adopt(p_y @ w_y + n_y)
+    x = SampleMatrix(p_x @ w + n_x)
+    y = SampleMatrix(p_y @ w_y + n_y)
     return JointDataset(x=x, y=y), dependent

@@ -23,14 +23,17 @@ from smoothent import (
     conditional_mi,
     fit_pca,
     gen_common_signal_pair,
+    gen_embedded_gaussian,
+    gen_spiral,
     joint_mi,
     mixture_log_density,
     pca_smoothed_entropy,
     plugin_entropy_mc,
+    project,
     substream,
 )
 from smoothent import io as sio
-from smoothent import mixture, pca
+from smoothent import mixture
 from smoothent.io import (
     fmt,
     ingest_activation_dump,
@@ -172,7 +175,7 @@ class TestSampleCsv:
         rows = random_and_extreme(5, 6)
         for header in (True, False):
             path = tmp_path / f"extreme_{header}.csv"
-            write_samples(path, SampleMatrix.from_rows(rows), header=header)
+            write_samples(path, SampleMatrix(rows.T), header=header)
             assert_bits_equal(read_samples(path).data.T, rows)
 
     @pytest.mark.parametrize(
@@ -277,6 +280,7 @@ class TestPcaModelCsv:
             ("0,0\n1,0.5\n1\n", r":3: expected 2 fields, got 1"),
             ("0,0\n\n1,0.5\n1,0,0\n", r":4: expected 2 fields, got 3"),
             ("m0,m1\n0,0\n1,0.5\n1,0\n", r":1: could not convert string to float: 'm0'"),
+            ("0,0\n1,0.5\n1,0\n0,1\n1,1\n", r": expected at most 2 basis rows, got 3"),
         ],
     )
     def test_bad_rows_name_their_line(self, tmp_path, text, message):
@@ -303,11 +307,28 @@ class TestActivationDumpCsv:
     def test_extreme_doubles_round_trip_bitwise(self, tmp_path):
         blocks = [random_and_extreme(6, 5), random_and_extreme(7, 3)]
         path = tmp_path / "dump.csv"
-        write_activation_dump(path, [4, -2], [SampleMatrix.from_rows(b) for b in blocks])
+        write_activation_dump(path, [4, -2], [SampleMatrix(b.T) for b in blocks])
         dataset = ingest_activation_dump(path)
         assert dataset.conditions == (4, -2)
         for loaded, rows in zip(dataset.samples, blocks):
             assert_bits_equal(loaded.data.T, rows)
+
+    @pytest.mark.parametrize(
+        "conditions, dims, message",
+        [
+            ([4], [3, 3], r"one condition id per block, got 1 for 2"),
+            ([4, -2], [3, 2], r"share one dimension, got \[2, 3\]"),
+            ([4, 1.7], [3, 3], r"must be integers, got 1\.7"),
+            ([4, 4], [3, 3], r"must be distinct, got \[4, 4\]"),
+        ],
+        ids=["short-conditions", "mixed-dims", "non-integer-id", "duplicate-id"],
+    )
+    def test_unreadable_dump_rejected_before_writing(self, tmp_path, conditions, dims, message):
+        blocks = [SampleMatrix(substream(15, k).standard_normal((dim, 4))) for k, dim in enumerate(dims)]
+        path = tmp_path / "dump.csv"
+        with pytest.raises(InvalidData, match=message):
+            write_activation_dump(path, conditions, blocks)
+        assert not path.exists()
 
     def test_byte_order_mark_accepted(self, tmp_path):
         path = tmp_path / "dump.csv"
@@ -370,7 +391,7 @@ class TestWritersMatchCsvWriter:
     @pytest.mark.parametrize("header", [True, False])
     def test_samples(self, tmp_path, header):
         for seed, sm in [(0, SampleMatrix(substream(8).standard_normal((7, 30)))),
-                         (1, SampleMatrix.from_rows(random_and_extreme(9, 12)))]:
+                         (1, SampleMatrix(random_and_extreme(9, 12).T))]:
             write_samples(tmp_path / f"new{seed}.csv", sm, header=header)
             reference_write_samples(tmp_path / f"ref{seed}.csv", sm, header=header)
             assert (tmp_path / f"new{seed}.csv").read_bytes() == (tmp_path / f"ref{seed}.csv").read_bytes()
@@ -384,7 +405,7 @@ class TestWritersMatchCsvWriter:
 
     def test_activation_dump(self, tmp_path):
         blocks = [SampleMatrix(substream(11).standard_normal((40, 6))),
-                  SampleMatrix.from_rows(random_and_extreme(12, 4))]
+                  SampleMatrix(random_and_extreme(12, 4).T)]
         write_activation_dump(tmp_path / "new.csv", [-3, 12], blocks)
         reference_write_activation_dump(tmp_path / "ref.csv", [-3, 12], blocks)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -414,9 +435,7 @@ def storage_case(case, tmp_path, rows):
         if not rows:
             return sm
         write_samples(tmp_path / f"{name}.csv", sm)
-        loaded = read_samples(tmp_path / f"{name}.csv")
-        assert loaded.data.flags.f_contiguous and not loaded.data.flags.c_contiguous
-        return loaded
+        return read_samples(tmp_path / f"{name}.csv")
 
     config = EstimatorConfig(sigma=0.3, target_dim=3, n_mc=20, seed=4)
     if case.startswith("entropy"):
@@ -434,7 +453,6 @@ def storage_case(case, tmp_path, rows):
         if rows:
             write_activation_dump(tmp_path / "dump.csv", [0, 1, 2], blocks)
             data = ingest_activation_dump(tmp_path / "dump.csv")
-            assert not data.samples[0].data.flags.c_contiguous
         else:
             data = ConditionalDataset(conditions=(0, 1, 2), samples=tuple(blocks))
         estimate = conditional_mi(data, config)
@@ -444,6 +462,43 @@ def storage_case(case, tmp_path, rows):
         estimate = plugin_entropy_mc(mix, 30, 5)
         return [estimate.value, estimate.mc_std_error]
     return [mixture_log_density(mix, point) for point in substream(24).standard_normal((5, 3))]
+
+
+def layout_case(producer, tmp_path, request):
+    """``(made, callers)``: the sample matrices ``producer`` makes and the arrays its caller keeps."""
+    rows = substream(27).standard_normal((40, 6))
+    sm = SampleMatrix(rows.T)
+    if producer == "constructor":
+        return [sm], [rows]
+    if producer == "adopt":  # a view is copied, not held
+        return [SampleMatrix.adopt(rows[::2])], [rows]
+    if producer == "take":
+        return [sm.take([3, 0, 3])], [sm.data]
+    if producer == "project":
+        model = fit_pca(sm, 2)
+        return [project(sm, model)], [sm.data, model.basis, model.mean]
+    if producer == "gen_embedded_gaussian":
+        return [gen_embedded_gaussian(2, 6, 0.1, 40, seed=1)[0]], []
+    if producer == "gen_spiral":
+        return [gen_spiral("cylindrical", 0.1, 6, 40, seed=2)], []
+    if producer == "gen_common_signal_pair":
+        data, _ = gen_common_signal_pair(2, 6, 40, 0.05, seed=3)
+        return [data.x, data.y], []
+    if producer.startswith("read_samples"):
+        forked = producer.endswith("forked")
+        log = request.getfixturevalue("split_reads") if forked else []
+        write_samples(tmp_path / "rows.csv", sm)
+        loaded = read_samples(tmp_path / "rows.csv")
+        assert log == ([True] if forked else [])
+        return [loaded], [sm.data]
+    write_activation_dump(tmp_path / "dump.csv", [0, 1], [sm, sm.take(range(7))])
+    return list(ingest_activation_dump(tmp_path / "dump.csv").samples), [sm.data]
+
+
+LAYOUT_PRODUCERS = [
+    "constructor", "adopt", "take", "project", "gen_embedded_gaussian", "gen_spiral",
+    "gen_common_signal_pair", "read_samples-serial", "read_samples-forked", "ingest_activation_dump",
+]
 
 
 STORAGE_CASES = [
@@ -481,17 +536,28 @@ class TestRowStorage:
         np.testing.assert_array_equal(loaded.data, sm.data)
         assert peak <= 1.5 * sm.data.nbytes, peak / sm.data.nbytes
 
-    def test_adopted_rows_are_frozen_and_callers_rows_copied(self, monkeypatch):
-        monkeypatch.setattr(pca, "_GATHER_BYTES", 48)  # gather two samples at a time
+    def test_adopted_rows_are_frozen_and_callers_rows_copied(self):
         rows = substream(26).standard_normal((5, 3))
         held = rows.copy()
-        copied = SampleMatrix.from_rows(held)
-        assert copied.data.flags.c_contiguous and held.flags.writeable
-        adopted = SampleMatrix.adopt(held, rows=True)
+        copied = SampleMatrix(held.T)
+        assert held.flags.writeable
+        adopted = SampleMatrix.adopt(held)
         assert adopted.data.base is held and not held.flags.writeable
         np.testing.assert_array_equal(adopted.data, copied.data)
         assert_bits_equal(adopted.take([4, 0, 2]).data, copied.take([4, 0, 2]).data)
-        assert adopted.take([1, 3]).data.flags.c_contiguous
+
+    @pytest.mark.parametrize("producer", LAYOUT_PRODUCERS)
+    def test_every_producer_holds_its_own_c_ordered_rows(self, request, tmp_path, producer):
+        # One layout: each matrix holds a read-only, C-ordered (n, D) array
+        # of its own, and data is its transposed view.
+        made, callers = layout_case(producer, tmp_path, request)
+        for k, sm in enumerate(made):
+            rows = sm.data.T
+            assert rows.flags.c_contiguous and rows.dtype == np.float64, producer
+            assert not (rows.flags.writeable or sm.data.flags.writeable), producer
+            assert sm.data.base.flags.owndata and not sm.data.base.flags.writeable, producer
+            for other in callers + [m.data for m in made[:k]]:
+                assert not np.shares_memory(rows, other), producer
 
 
 SPLIT_INPUTS = [
@@ -572,7 +638,7 @@ class TestSplitParse:
     @pytest.mark.parametrize("header", [True, False])
     def test_extreme_doubles_bitwise(self, tmp_path, split_reads, header):
         rows = random_and_extreme(27, 9)
-        write_samples(tmp_path / "extreme.csv", SampleMatrix.from_rows(rows), header=header)
+        write_samples(tmp_path / "extreme.csv", SampleMatrix(rows.T), header=header)
         assert_bits_equal(read_samples(tmp_path / "extreme.csv").data.T, rows)
         assert split_reads == [True]
 
@@ -586,7 +652,7 @@ class TestSplitParse:
 
         monkeypatch.setattr(sio, "_parse_part", dies_after_the_first_part)
         rows = random_and_extreme(28, 6)
-        write_samples(tmp_path / "samples.csv", SampleMatrix.from_rows(rows))
+        write_samples(tmp_path / "samples.csv", SampleMatrix(rows.T))
         assert_bits_equal(read_samples(tmp_path / "samples.csv").data.T, rows)
         assert split_reads == [False]
         assert not multiprocessing.active_children()

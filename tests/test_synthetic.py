@@ -1,8 +1,11 @@
 """Synthetic data generators: distributions, determinism, population params."""
 
+import math
+
 import numpy as np
 import pytest
 
+from smoothent import synthetic
 from smoothent import InvalidConfig, SampleMatrix, fit_pca, gen_common_signal_pair, gen_embedded_gaussian, gen_spiral, substream
 from smoothent.synthetic import spiral_intrinsic_dim
 
@@ -48,6 +51,26 @@ class TestEmbeddedGaussian:
             gen_embedded_gaussian(5, 3, 0.1, 10, seed=0)
         with pytest.raises(InvalidConfig):
             gen_embedded_gaussian(2, 3, -0.1, 10, seed=0)
+
+
+@pytest.mark.parametrize("block_dims", [2, None], ids=["blocks-of-2", "default"])
+def test_draws_keep_their_dimension_order(monkeypatch, block_dims):
+    # reference: normals drawn as one (D, n) array, one dimension's n values
+    # after another, whatever block of dimensions the generators draw at a time
+    n = 30
+    if block_dims is not None:
+        monkeypatch.setattr(synthetic, "_DRAW_BYTES", 8 * n * block_dims)
+    samples, _ = gen_embedded_gaussian(2, 7, 0.1, n, seed=5)
+    scale = np.sqrt(np.array([1.0, 1.0] + [0.1] * 5))[:, None]
+    np.testing.assert_array_equal(samples.data, substream(5).standard_normal((7, n)) * scale)
+
+    rng = substream(6)
+    theta = rng.uniform(0.0, 4.0 * math.pi, size=n)
+    r = 0.5 + (4.0 - 0.5) * (theta / (4.0 * math.pi))
+    z = rng.uniform(0.0, 4.0, size=n)
+    tail = rng.standard_normal((4, n)) * 0.2
+    expected = np.vstack([r * np.cos(theta), r * np.sin(theta), z, tail])
+    np.testing.assert_array_equal(gen_spiral("cylindrical", 0.2, 7, n, seed=6).data, expected)
 
 
 class TestSpirals:
