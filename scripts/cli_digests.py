@@ -1,13 +1,15 @@
 """sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
 
-Runs 16 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+Runs 18 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
 gaussian, conical, pair), ``entropy`` (``--save-pca``, ``--bits``, Gram
-route ``half`` and ``reuse``, ``--no-center``, conical), ``mi-joint`` and
-``mi-cond`` (``half`` and ``reuse`` each), a 2 x 2 ``sweep`` and
-``indep-auc``.  ``mi-cond`` reads a 3-condition activation dump written by
-``io.write_activation_dump`` from seeded draws.  Prints ``sha256  file`` for
-every file written, each invocation's standard output included (as
-``<name>.out``), then one combined digest over those lines.
+route ``half`` and ``reuse``, ``--no-center``, conical), ``mi-joint``
+(``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``), a
+2 x 2 ``sweep``, ``indep-auc`` and ``activation-mi`` (one dump and one
+missing path, so one error row).  ``mi-cond`` and ``activation-mi`` read a
+3-condition activation dump written by ``io.write_activation_dump`` from
+seeded draws.  Prints ``sha256  file`` for every file written, each
+invocation's standard output included (as ``<name>.out``), then one
+combined digest over those lines.
 
 Two trees give the same digests when their CLI writes the same bytes, so
 running this before and after a change records whether any output moved.
@@ -72,6 +74,10 @@ INVOCATIONS = [
                       "--out", "mi_cond_half.csv", *FAST]),
     ("mi_cond_reuse", ["mi-cond", "dump.csv", "--sigma", "0.2", "--dim", "2", "--seed", "11",
                        "--split", "reuse", "--out", "mi_cond_reuse.csv", *FAST]),
+    ("mi_cond_bits", ["mi-cond", "dump.csv", "--sigma", "0.2", "--dim", "2", "--seed", "11",
+                      "--bits", "--out", "mi_cond_bits.csv", *FAST]),
+    ("activation_mi", ["activation-mi", "h1:0:dump.csv", "h2:1:missing.csv", "--sigma", "0.2",
+                       "--dim", "2", "--seed", "15", "--out", "activation_mi.csv", *FAST]),
     ("sweep", ["sweep", "--kind", "gaussian", "--n", "100,200", "--d", "2,3", "--sigmas", "0.2",
                "--repeats", "2", "--ambient-dim", "20", "--seed", "12", "--out", "sweep.csv",
                *FAST]),

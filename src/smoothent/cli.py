@@ -4,7 +4,8 @@ Subcommands: ``gen`` (synthetic datasets), ``entropy`` (single estimate),
 ``mi-cond`` / ``mi-joint`` (mutual information), ``sweep`` (parameter grids),
 ``indep-auc`` (independence-test AUC), ``activation-mi`` (MI trajectories
 from activation dumps).  All outputs are CSV; entropies are in nats unless
-``--bits`` converts them for display.
+``--bits`` (``entropy``, ``mi-cond``, ``mi-joint``) converts them for display.
+Each subcommand takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, 2 invalid configuration, 3 data errors.
 """
@@ -23,6 +24,7 @@ from .experiments import (
     AUC_COLUMNS,
     SWEEP_COLUMNS,
     SweepSpec,
+    conditional_mi_figures,
     run_activation_mi,
     run_indep_auc,
     run_sweep,
@@ -36,7 +38,7 @@ from .io import (
     write_rows_csv,
     write_samples,
 )
-from .mi import JointDataset, conditional_entropy, conditional_mi, joint_mi
+from .mi import JointDataset, conditional_mi, joint_mi
 from .synthetic import SPIRAL_KINDS, gen_common_signal_pair, gen_embedded_gaussian, gen_spiral
 
 LN2 = math.log(2.0)
@@ -46,23 +48,29 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    common.add_argument("--sigma", type=float, default=0.1, help="smoothing noise std dev")
-    common.add_argument("--dim", type=int, default=3, help="projection target dimension d")
-    common.add_argument("--n-mc", type=int, default=100, help="Monte-Carlo trials per center")
-    common.add_argument("--split", choices=["half", "reuse"], default="half",
-                        help="sample split policy (half = independent fit/eval sets)")
-    common.add_argument("--no-center", action="store_true", help="skip mean subtraction")
-    common.add_argument("--bits", action="store_true",
-                        help="display entropies/MI in bits instead of nats")
-    common.add_argument("--out", type=Path, default=None, help="output CSV path")
-    return common
+def _flags(*, estimating: bool, bits: bool = False) -> argparse.ArgumentParser:
+    """The shared flags a subcommand reads: seed and output always, the
+    estimator's settings when it estimates, ``--bits`` when it scales its rows."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    if estimating:
+        flags.add_argument("--sigma", type=float, default=0.1, help="smoothing noise std dev")
+        flags.add_argument("--dim", type=int, default=3, help="projection target dimension d")
+        flags.add_argument("--n-mc", type=int, default=100, help="Monte-Carlo trials per center")
+        flags.add_argument("--split", choices=["half", "reuse"], default="half",
+                           help="sample split policy (half = independent fit/eval sets)")
+        flags.add_argument("--no-center", action="store_true", help="skip mean subtraction")
+    if bits:
+        flags.add_argument("--bits", action="store_true",
+                           help="display entropies/MI in bits instead of nats")
+    flags.add_argument("--out", type=Path, default=None, help="output CSV path")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    plain = _flags(estimating=False)
+    estimating = _flags(estimating=True)
+    scaled = _flags(estimating=True, bits=True)
     parser = argparse.ArgumentParser(
         prog="smoothent",
         description="Smoothed entropy and mutual information estimation via "
@@ -70,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("gen", parents=[plain], help="generate a synthetic dataset")
+    p.add_argument("--dim", type=int, default=3, help="intrinsic dimension (gaussian, pair)")
     p.add_argument("--kind", required=True,
                    choices=["gaussian", *SPIRAL_KINDS, "pair"])
     p.add_argument("--n", type=int, required=True, help="number of samples")
@@ -82,12 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair kinds: break the common signal (null dataset)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("entropy", parents=[common], help="smoothed entropy of a sample file")
+    p = sub.add_parser("entropy", parents=[scaled], help="smoothed entropy of a sample file")
     p.add_argument("samples", type=Path, help="sample CSV (one row per sample)")
     p.add_argument("--save-pca", type=Path, default=None, help="write the fitted model CSV")
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("mi-cond", parents=[common],
+    p = sub.add_parser("mi-cond", parents=[scaled],
                        help="conditional-sampling MI from an activation dump")
     p.add_argument("dump", type=Path, help="activation dump CSV (cond,f0,...)")
     p.add_argument("--marginal", type=Path, default=None,
@@ -95,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "conditions are weighted by their row counts")
     p.set_defaults(func=cmd_mi_cond)
 
-    p = sub.add_parser("mi-joint", parents=[common], help="joint-sampling MI from paired files")
+    p = sub.add_parser("mi-joint", parents=[scaled], help="joint-sampling MI from paired files")
     p.add_argument("x", type=Path, help="sample CSV for X")
     p.add_argument("y", type=Path, help="sample CSV for Y (column-paired)")
     p.add_argument("--joint-dim", type=int, default=None,
                    help="target dimension of the stacked term (default 2d)")
     p.set_defaults(func=cmd_mi_joint)
 
-    p = sub.add_parser("sweep", parents=[common], help="parameter-sweep grid, CSV output")
+    p = sub.add_parser("sweep", parents=[estimating], help="parameter-sweep grid, CSV output")
     p.add_argument("--kind", default="gaussian", help="comma list of cell kinds")
     p.add_argument("--n", default="100,1000", help="comma list of per-half sample counts")
     p.add_argument("--d", default=None, help="comma list of target dims (default: --dim)")
@@ -118,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add a wall_time_s column (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("indep-auc", parents=[common],
+    p = sub.add_parser("indep-auc", parents=[estimating],
                        help="independence-testing AUC, reduced vs ambient")
     p.add_argument("--n-datasets", type=int, default=20, help="balanced total dataset count")
     p.add_argument("--n", type=int, default=500, help="pairs per dataset")
@@ -126,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float, default=0.01)
     p.set_defaults(func=cmd_indep_auc)
 
-    p = sub.add_parser("activation-mi", parents=[common],
+    p = sub.add_parser("activation-mi", parents=[estimating],
                        help="MI trajectories from per-layer/epoch activation dumps")
     p.add_argument("dumps", nargs="*", metavar="LAYER:EPOCH:PATH",
                    help="one entry per dump file")
@@ -218,11 +227,9 @@ def cmd_mi_cond(args) -> int:
     marginal = read_samples(args.marginal) if args.marginal is not None else None
     estimate = conditional_mi(dataset, _config(args), marginal=marginal)
     scale, _ = _scale(args)
-    extra = {
-        "n_conditions": dataset.n_conditions,
-        "marginal_entropy": estimate.components["marginal"].value * scale,
-        "conditional_entropy_mean": conditional_entropy(estimate) * scale,
-    }
+    extra = conditional_mi_figures(estimate)
+    for key in ("marginal_entropy", "conditional_entropy_mean"):
+        extra[key] *= scale
     _print_mi(estimate, args, extra)
     return EXIT_OK
 

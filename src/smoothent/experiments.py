@@ -149,6 +149,17 @@ def _closed_form_reference(cell: dict, ambient_dim: int, population_cov) -> floa
     )
 
 
+def _cell_config(spec: SweepSpec, cell: dict, seed: int) -> EstimatorConfig:
+    return EstimatorConfig(
+        sigma=cell["sigma"],
+        target_dim=cell["d"],
+        n_mc=spec.n_mc,
+        seed=seed,
+        split=spec.split,
+        center=spec.center,
+    )
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Execute the grid; one record per (cell, repeat), canonical order."""
     records: list[SweepRecord] = []
@@ -162,15 +173,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
                 samples, population_cov = _generate_cell(
                     cell, spec.ambient_dim, 2 * cell["n"], data_seed
                 )
-                config = EstimatorConfig(
-                    sigma=cell["sigma"],
-                    target_dim=cell["d"],
-                    n_mc=spec.n_mc,
-                    seed=est_seed,
-                    split=spec.split,
-                    center=spec.center,
-                )
-                result = pca_smoothed_entropy(samples, config)
+                result = pca_smoothed_entropy(samples, _cell_config(spec, cell, est_seed))
                 reference = None
                 if spec.reference == "closed-form":
                     reference = _closed_form_reference(cell, spec.ambient_dim, population_cov)
@@ -179,30 +182,25 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
                     if key not in reference_cache:
                         reference_cache[key] = _self_consistency_reference(spec, cell)
                     reference = reference_cache[key]
-                records.append(
-                    SweepRecord(
-                        **cell,
-                        repeat=repeat,
-                        seed=est_seed,
-                        estimate=result.value,
-                        reference=reference,
-                        abs_error=None if reference is None else abs(result.value - reference),
-                        mc_std_error=result.mc_std_error,
-                        eigen_gap=result.pca.eigen_gap,
-                        residual=result.pca.residual,
-                        wall_time_s=time.perf_counter() - started,
-                    )
-                )
+                figures = {
+                    "estimate": result.value,
+                    "reference": reference,
+                    "abs_error": None if reference is None else abs(result.value - reference),
+                    "mc_std_error": result.mc_std_error,
+                    "eigen_gap": result.pca.eigen_gap,
+                    "residual": result.pca.residual,
+                }
             except (SmoothentError, ValueError) as exc:
-                records.append(
-                    SweepRecord(
-                        **cell,
-                        repeat=repeat,
-                        seed=est_seed,
-                        error=f"{type(exc).__name__}: {exc}",
-                        wall_time_s=time.perf_counter() - started,
-                    )
+                figures = {"error": f"{type(exc).__name__}: {exc}"}
+            records.append(
+                SweepRecord(
+                    **cell,
+                    repeat=repeat,
+                    seed=est_seed,
+                    **figures,
+                    wall_time_s=time.perf_counter() - started,
                 )
+            )
     return records
 
 
@@ -213,15 +211,7 @@ def _self_consistency_reference(spec: SweepSpec, cell: dict) -> float:
     data_seed = _cell_seed(spec.seed, ref_cell, 2)
     est_seed = _cell_seed(spec.seed, ref_cell, 3)
     samples, _ = _generate_cell(ref_cell, spec.ambient_dim, 2 * ref_cell["n"], data_seed)
-    config = EstimatorConfig(
-        sigma=cell["sigma"],
-        target_dim=cell["d"],
-        n_mc=spec.n_mc,
-        seed=est_seed,
-        split=spec.split,
-        center=spec.center,
-    )
-    return pca_smoothed_entropy(samples, config).value
+    return pca_smoothed_entropy(samples, _cell_config(spec, ref_cell, est_seed)).value
 
 
 def rank_auc(positive_scores, negative_scores) -> float:
@@ -269,41 +259,36 @@ def run_indep_auc(
             f"need an even n_datasets >= 10 for a balanced test, got {n_datasets}"
         )
     half = n_datasets // 2
-    ambient_config = replace(config, target_dim=ambient_dim)
+    # (row column, estimator config, _cell_seed tag of its estimate)
+    columns = (
+        ("score_reduced", config, 1),
+        ("score_ambient", replace(config, target_dim=ambient_dim), 2),
+    )
     rows = []
     for idx in range(n_datasets):
         dependent = idx < half
+        cell = _auc_cell(idx)
         data, _ = gen_common_signal_pair(
             intrinsic_dim,
             ambient_dim,
             n,
             noise_std,
-            seed=_cell_seed(config.seed, _auc_cell(idx), 0),
+            seed=_cell_seed(config.seed, cell, 0),
             dependent=dependent,
         )
-        per_dataset = replace(config, seed=_cell_seed(config.seed, _auc_cell(idx), 1))
-        score_reduced = joint_mi(data, per_dataset).value
-        per_dataset_ambient = replace(
-            ambient_config, seed=_cell_seed(config.seed, _auc_cell(idx), 2)
+        row = {"dataset": idx, "dependent": dependent}
+        for column, column_config, tag in columns:
+            scored = replace(column_config, seed=_cell_seed(config.seed, cell, tag))
+            row[column] = joint_mi(data, scored).value
+        rows.append(row)
+    auc_reduced, auc_ambient = (
+        rank_auc(
+            [r[column] for r in rows if r["dependent"]],
+            [r[column] for r in rows if not r["dependent"]],
         )
-        score_ambient = joint_mi(data, per_dataset_ambient).value
-        rows.append(
-            {
-                "dataset": idx,
-                "dependent": dependent,
-                "score_reduced": score_reduced,
-                "score_ambient": score_ambient,
-            }
-        )
-    reduced_pos = [r["score_reduced"] for r in rows if r["dependent"]]
-    reduced_neg = [r["score_reduced"] for r in rows if not r["dependent"]]
-    ambient_pos = [r["score_ambient"] for r in rows if r["dependent"]]
-    ambient_neg = [r["score_ambient"] for r in rows if not r["dependent"]]
-    return AucReport(
-        auc_reduced=rank_auc(reduced_pos, reduced_neg),
-        auc_ambient=rank_auc(ambient_pos, ambient_neg),
-        rows=tuple(rows),
+        for column, _, _ in columns
     )
+    return AucReport(auc_reduced=auc_reduced, auc_ambient=auc_ambient, rows=tuple(rows))
 
 
 def _auc_cell(idx: int) -> dict:
@@ -324,6 +309,17 @@ ACTIVATION_COLUMNS = [
 ]
 
 
+def conditional_mi_figures(estimate) -> dict:
+    """``n_conditions``, ``marginal_entropy`` and ``conditional_entropy_mean``
+    (in nats) of a :func:`conditional_mi` estimate, in ``mi-cond``'s column
+    order.  The estimate holds one term per condition plus the marginal."""
+    return {
+        "n_conditions": len(estimate.terms) - 1,
+        "marginal_entropy": estimate.components["marginal"].value,
+        "conditional_entropy_mean": conditional_entropy(estimate),
+    }
+
+
 def run_activation_mi(entries, config: EstimatorConfig) -> list[dict]:
     """Conditional MI for each (layer, epoch, dump path) entry.
 
@@ -338,11 +334,8 @@ def run_activation_mi(entries, config: EstimatorConfig) -> list[dict]:
         try:
             dataset = ingest_activation_dump(path)
             estimate = conditional_mi(dataset, config)
-            row["mi"] = estimate.value
-            row["std_error"] = estimate.std_error
-            row["marginal_entropy"] = estimate.components["marginal"].value
-            row["conditional_entropy_mean"] = conditional_entropy(estimate)
-            row["n_conditions"] = dataset.n_conditions
+            row.update(mi=estimate.value, std_error=estimate.std_error)
+            row.update(conditional_mi_figures(estimate))
         except (SmoothentError, OSError, ValueError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

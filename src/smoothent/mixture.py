@@ -31,17 +31,17 @@ Numerical notes
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
   centers.  Block and tile sizes are fixed functions of ``(n, d, n_mc)``.
-* For ``d <= 32`` blocks run on a thread pool, one thread per core the process
-  may use, when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and
-  one center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
+* Blocks run on a thread pool, one thread per core the process may use,
+  when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and one
+  center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
   ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
-  ``n_mc <= 128`` at ``d = 3``.  Each block draws its own centers'
-  substreams on whichever thread runs it, its fallback depends on its own
-  values only, and the calling thread folds ``(pivot, t1, t2)`` in block
-  order, so value and ``mc_std_error`` are bitwise the same for any worker
-  count.  Larger GEMMs stay serial: above that size OpenBLAS threads the
-  GEMM itself, and a pool competing with its threads ran slower than the
-  serial loop.  Serial and pooled shapes run the same per-block job.
+  ``n_mc <= 128`` at ``d = 3``, ``d <= 50`` at ``n_mc = 10``.  Each block
+  draws its own centers' substreams on whichever thread runs it, its
+  fallback depends on its own values only, and the calling thread folds
+  ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error`` are
+  bitwise the same for any worker count.  Larger GEMMs stay serial: above
+  that size OpenBLAS threads the GEMM itself, and a pool competing with its
+  threads ran slower than the serial loop.  Serial and pooled shapes run the same per-block job.
 """
 
 import math
@@ -255,19 +255,17 @@ def _logg_blocks(centers_t, sigma, const, n_mc, seed):
     """Yield the log densities of all (center, draw) queries, one chunk at a time in order.
 
     Every shape maps ``_logg_block`` over the block starts: on this thread,
-    or, for shapes up to ``d = 32`` with at least ``_POOL_MIN_CENTERS``
-    centers whose per-center GEMM is at most ``_POOL_GEMM_LIMIT``
-    multiply-adds, on a pool of ``_worker_count()`` threads.  Each thread
-    takes a scratch set from ``free``, allocated here once per call, and
-    computes exactly what this one would, so the yielded arrays do not
-    depend on the pool.
+    or, with at least ``_POOL_MIN_CENTERS`` centers whose per-center GEMM is
+    at most ``_POOL_GEMM_LIMIT`` multiply-adds, on a pool of
+    ``_worker_count()`` threads.  Each thread takes a scratch set from
+    ``free``, allocated here once per call, and computes exactly what this
+    one would, so the yielded arrays do not depend on the pool.
     """
     dim, n = centers_t.shape
     jc = min(n_mc, _ROW_TARGET)
     block = min(n, max(1, _ROW_TARGET // jc), max(1, _DELTA_BUDGET // (_COL_TILE * (dim + 1))))
     workers = 1
-    small_gemm = jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT
-    if dim <= 32 and small_gemm and n >= _POOL_MIN_CENTERS:
+    if jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT and n >= _POOL_MIN_CENTERS:
         workers = _worker_count()
 
     tile = min(n, _COL_TILE)

@@ -37,6 +37,29 @@ def sample_file(tmp_path):
     return path
 
 
+# (subcommand and a valid argument list, a shared flag it does not read)
+UNREAD_FLAGS = [
+    *[(["gen", "--kind", "gaussian", "--n", "10"], flag)
+      for flag in (["--sigma", "0.1"], ["--n-mc", "5"], ["--split", "reuse"],
+                   ["--no-center"], ["--bits"])],
+    (["sweep", "--n", "20", "--d", "1", "--repeats", "1", "--ambient-dim", "4",
+      "--n-mc", "5"], ["--bits"]),
+    (["indep-auc", "--n-datasets", "10", "--n", "30", "--dim", "1", "--ambient-dim", "4",
+      "--n-mc", "5"], ["--bits"]),
+    (["activation-mi"], ["--bits"]),
+]
+
+
+@pytest.mark.parametrize("argv, flag", UNREAD_FLAGS, ids=lambda v: " ".join(v[:1]))
+def test_unread_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag + ["--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestGen:
     def test_gaussian_roundtrip(self, sample_file):
         samples = read_samples(sample_file)
@@ -225,6 +248,17 @@ class TestMiCommands:
         assert float(row["mi"]) == (
             float(row["marginal_entropy"]) - float(row["conditional_entropy_mean"])
         )
+
+    def test_mi_cond_row_equals_activation_mi_row(self, tmp_path, dump_file):
+        flags = ["--sigma", "0.5", "--dim", "2", "--n-mc", "50", "--seed", "6", "--out"]
+        mi_out, traj_out = tmp_path / "mi.csv", tmp_path / "traj.csv"
+        assert main(["mi-cond", str(dump_file), *flags, str(mi_out)]) == EXIT_OK
+        assert main(["activation-mi", f"h1:0:{dump_file}", *flags, str(traj_out)]) == EXIT_OK
+        (mi_row,), (traj_row,) = read_csv_dict(mi_out), read_csv_dict(traj_out)
+        # floats are written in shortest round-trip form, so equal text is equal bits
+        for column in ("mi", "std_error", "marginal_entropy", "conditional_entropy_mean",
+                       "n_conditions"):
+            assert mi_row[column] == traj_row[column]
 
     def test_explicit_marginal_equal_to_all_rows(self, tmp_path, dump_file):
         marginal = tmp_path / "marginal.csv"

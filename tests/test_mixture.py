@@ -397,6 +397,15 @@ class TestPooledKernel:
         assert bool(pool_threads) == (workers > 1)
         assert got == serial_reference(mix, self.N_MC, self.SEED)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_wide_shape_with_small_gemm_pools(self, monkeypatch, workers):
+        # d = 40 at n_mc = 10: a per-center GEMM of 10 * 512 * 41 <= 2**18 pools
+        mix = self.mix(40)
+        threads = self.record_threads(monkeypatch)
+        got = self.pooled(monkeypatch, mix, workers, n_mc=10)
+        assert any(t is not threading.main_thread() for t in threads)
+        assert got == serial_reference(mix, 10, self.SEED)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_safe_fallback_of_one_block(self, monkeypatch, workers):
         # the block whose plain sums fail is rerun in running-max mode
