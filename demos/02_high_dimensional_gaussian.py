@@ -42,12 +42,10 @@ print(f"eigen gap : {result.pca.eigen_gap:.4f}, residual {result.pca.residual:.4
 # The explicit (PCA-error) term of the error bound, from the diagnostics.
 bound = pca_error_bound(
     BoundInputs(
-        sub_gaussian_k=1.0,
         second_moment=float(np.trace(population)),
         residual=result.pca.residual,
         eigen_gap=result.pca.eigen_gap,
         ambient_dim=100,
-        target_dim=3,
         sigma=SIGMA,
         n=samples.count // 2,
     )

@@ -1,11 +1,12 @@
 """sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
 
-Runs 18 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+Runs 19 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
 gaussian, conical, pair), ``entropy`` (``--save-pca``, ``--bits``, Gram
 route ``half`` and ``reuse``, ``--no-center``, conical), ``mi-joint``
-(``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``), a
-2 x 2 ``sweep``, ``indep-auc`` and ``activation-mi`` (one dump and one
-missing path, so one error row).  ``mi-cond`` and ``activation-mi`` read a
+(``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``),
+``sweep`` (a 2 x 2 grid, and one on the default ``--d`` and ``--sigmas``),
+``indep-auc`` and ``activation-mi`` (one dump and one missing path, so one
+error row).  ``mi-cond`` and ``activation-mi`` read a
 3-condition activation dump written by ``io.write_activation_dump`` from
 seeded draws.  Prints ``sha256  file`` for every file written, each
 invocation's standard output included (as ``<name>.out``), then one
@@ -81,6 +82,8 @@ INVOCATIONS = [
     ("sweep", ["sweep", "--kind", "gaussian", "--n", "100,200", "--d", "2,3", "--sigmas", "0.2",
                "--repeats", "2", "--ambient-dim", "20", "--seed", "12", "--out", "sweep.csv",
                *FAST]),
+    ("sweep_defaults", ["sweep", "--n", "60", "--repeats", "2", "--ambient-dim", "12",
+                        "--seed", "16", "--out", "sweep_defaults.csv", *FAST]),
     ("indep_auc", ["indep-auc", "--n-datasets", "10", "--n", "150", "--dim", "2",
                    "--ambient-dim", "30", "--sigma", "1.0", "--seed", "13", "--out", "auc.csv",
                    *FAST]),

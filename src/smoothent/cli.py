@@ -5,7 +5,8 @@ Subcommands: ``gen`` (synthetic datasets), ``entropy`` (single estimate),
 ``indep-auc`` (independence-test AUC), ``activation-mi`` (MI trajectories
 from activation dumps).  All outputs are CSV; entropies are in nats unless
 ``--bits`` (``entropy``, ``mi-cond``, ``mi-joint``) converts them for display.
-Each subcommand takes only the flags it reads; any other is a usage error.
+Each subcommand takes only the flags it reads, spelled out in full; any
+other, an abbreviation included, is a usage error.
 
 Exit codes: 0 success, 2 invalid configuration, 3 data errors.
 """
@@ -15,13 +16,15 @@ import csv
 import math
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from .errors import InvalidConfig, SmoothentError
-from .estimator import EstimatorConfig, pca_smoothed_entropy
+from .estimator import SPLIT_POLICIES, EstimatorConfig, pca_smoothed_entropy
 from .experiments import (
     ACTIVATION_COLUMNS,
     AUC_COLUMNS,
+    REFERENCE_MODES,
     SWEEP_COLUMNS,
     SweepSpec,
     conditional_mi_figures,
@@ -48,16 +51,19 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 
-def _flags(*, estimating: bool, bits: bool = False) -> argparse.ArgumentParser:
+def _flags(*, estimating: bool, grid: bool = False, bits: bool = False) -> argparse.ArgumentParser:
     """The shared flags a subcommand reads: seed and output always, the
-    estimator's settings when it estimates, ``--bits`` when it scales its rows."""
+    estimator's settings when it estimates (less ``--sigma`` and ``--dim``
+    for a ``grid``, which takes lists of its own), ``--bits`` when it
+    scales its rows."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    if estimating:
+    if estimating and not grid:
         flags.add_argument("--sigma", type=float, default=0.1, help="smoothing noise std dev")
         flags.add_argument("--dim", type=int, default=3, help="projection target dimension d")
+    if estimating:
         flags.add_argument("--n-mc", type=int, default=100, help="Monte-Carlo trials per center")
-        flags.add_argument("--split", choices=["half", "reuse"], default="half",
+        flags.add_argument("--split", choices=SPLIT_POLICIES, default="half",
                            help="sample split policy (half = independent fit/eval sets)")
         flags.add_argument("--no-center", action="store_true", help="skip mean subtraction")
     if bits:
@@ -71,14 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     plain = _flags(estimating=False)
     estimating = _flags(estimating=True)
     scaled = _flags(estimating=True, bits=True)
+    swept = _flags(estimating=True, grid=True)
     parser = argparse.ArgumentParser(
         prog="smoothent",
         description="Smoothed entropy and mutual information estimation via "
                     "PCA dimensionality reduction.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a removed flag that prefixes a kept one would mean the kept one
+    add = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                  allow_abbrev=False)
 
-    p = sub.add_parser("gen", parents=[plain], help="generate a synthetic dataset")
+    p = add("gen", parents=[plain], help="generate a synthetic dataset")
     p.add_argument("--dim", type=int, default=3, help="intrinsic dimension (gaussian, pair)")
     p.add_argument("--kind", required=True,
                    choices=["gaussian", *SPIRAL_KINDS, "pair"])
@@ -91,52 +100,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair kinds: break the common signal (null dataset)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("entropy", parents=[scaled], help="smoothed entropy of a sample file")
+    p = add("entropy", parents=[scaled], help="smoothed entropy of a sample file")
     p.add_argument("samples", type=Path, help="sample CSV (one row per sample)")
     p.add_argument("--save-pca", type=Path, default=None, help="write the fitted model CSV")
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("mi-cond", parents=[scaled],
-                       help="conditional-sampling MI from an activation dump")
+    p = add("mi-cond", parents=[scaled],
+            help="conditional-sampling MI from an activation dump")
     p.add_argument("dump", type=Path, help="activation dump CSV (cond,f0,...)")
     p.add_argument("--marginal", type=Path, default=None,
                    help="marginal sample CSV (default: all rows of the dump); "
                         "conditions are weighted by their row counts")
     p.set_defaults(func=cmd_mi_cond)
 
-    p = sub.add_parser("mi-joint", parents=[scaled], help="joint-sampling MI from paired files")
+    p = add("mi-joint", parents=[scaled], help="joint-sampling MI from paired files")
     p.add_argument("x", type=Path, help="sample CSV for X")
     p.add_argument("y", type=Path, help="sample CSV for Y (column-paired)")
     p.add_argument("--joint-dim", type=int, default=None,
                    help="target dimension of the stacked term (default 2d)")
     p.set_defaults(func=cmd_mi_joint)
 
-    p = sub.add_parser("sweep", parents=[estimating], help="parameter-sweep grid, CSV output")
+    p = add("sweep", parents=[swept], help="parameter-sweep grid, CSV output")
     p.add_argument("--kind", default="gaussian", help="comma list of cell kinds")
     p.add_argument("--n", default="100,1000", help="comma list of per-half sample counts")
-    p.add_argument("--d", default=None, help="comma list of target dims (default: --dim)")
-    p.add_argument("--sigmas", default=None, help="comma list of sigmas (default: --sigma)")
+    p.add_argument("--d", default="3", help="comma list of target dims")
+    p.add_argument("--sigmas", default="0.1", help="comma list of smoothing noise std devs")
     p.add_argument("--lambda-res", default="0.01", help="comma list of residual intensities")
     p.add_argument("--repeats", type=int, default=10, help="seeds per cell")
     p.add_argument("--ambient-dim", type=int, default=100)
-    p.add_argument("--reference", choices=["closed-form", "self-consistency", "none"],
-                   default="closed-form")
-    p.add_argument("--full", action="store_true",
-                   help="paper-scale grids (n up to 1e5, n_mc=1e3)")
+    p.add_argument("--reference", choices=REFERENCE_MODES, default="closed-form")
     p.add_argument("--timing", action="store_true",
                    help="add a wall_time_s column (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("indep-auc", parents=[estimating],
-                       help="independence-testing AUC, reduced vs ambient")
+    p = add("indep-auc", parents=[estimating],
+            help="independence-testing AUC, reduced vs ambient")
     p.add_argument("--n-datasets", type=int, default=20, help="balanced total dataset count")
     p.add_argument("--n", type=int, default=500, help="pairs per dataset")
     p.add_argument("--ambient-dim", type=int, default=100)
     p.add_argument("--noise-std", type=float, default=0.01)
     p.set_defaults(func=cmd_indep_auc)
 
-    p = sub.add_parser("activation-mi", parents=[estimating],
-                       help="MI trajectories from per-layer/epoch activation dumps")
+    p = add("activation-mi", parents=[estimating],
+            help="MI trajectories from per-layer/epoch activation dumps")
     p.add_argument("dumps", nargs="*", metavar="LAYER:EPOCH:PATH",
                    help="one entry per dump file")
     p.set_defaults(func=cmd_activation_mi)
@@ -260,13 +266,13 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig("sweep requires --out")
     spec = SweepSpec(
         kinds=tuple(k.strip() for k in args.kind.split(",") if k.strip()),
-        n_values=_int_list(args.n) if not args.full else (1000, 10_000, 100_000),
-        d_values=_int_list(args.d) if args.d else (args.dim,),
-        sigma_values=_float_list(args.sigmas) if args.sigmas else (args.sigma,),
+        n_values=_int_list(args.n),
+        d_values=_int_list(args.d),
+        sigma_values=_float_list(args.sigmas),
         lambda_res_values=_float_list(args.lambda_res),
         repeats=args.repeats,
         ambient_dim=args.ambient_dim,
-        n_mc=args.n_mc if not args.full else 1000,
+        n_mc=args.n_mc,
         seed=args.seed,
         split=args.split,
         center=not args.no_center,

@@ -73,7 +73,7 @@ class EstimatorConfig:
             raise InvalidConfig(f"split must be one of {SPLIT_POLICIES}, got {self.split!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedEntropyResult:
     """Plug-in estimate on the projected samples plus the dimension correction.
 
@@ -100,28 +100,23 @@ class SmoothedEntropyResult:
 class BoundInputs:
     """Quantities consumed by the one-term error bound.
 
-    ``sub_gaussian_k`` is user-supplied (it is never estimated from data);
     ``second_moment`` bounds ``E||X||^2``; ``residual`` and ``eigen_gap`` are
     the spectral diagnostics reported by the fitted projection.
     """
 
-    sub_gaussian_k: float
     second_moment: float
     residual: float
     eigen_gap: float
     ambient_dim: int
-    target_dim: int
     sigma: float
     n: int
 
     def __post_init__(self):
         positives = {
-            "sub_gaussian_k": self.sub_gaussian_k,
             "second_moment": self.second_moment,
             "sigma": self.sigma,
             "n": self.n,
             "ambient_dim": self.ambient_dim,
-            "target_dim": self.target_dim,
         }
         for name, value in positives.items():
             if not value > 0:

@@ -459,13 +459,7 @@ def load_pca_model(path) -> PcaModel:
         raise InvalidData(f"{path}: expected mean, spectrum and at least one basis row")
     if (basis_rows := len(blocks) - 2) > blocks.shape[1]:
         raise InvalidData(f"{path}: expected at most {blocks.shape[1]} basis rows, got {basis_rows}")
-    return PcaModel(
-        basis=blocks[2:].T,
-        spectrum=blocks[1],
-        ambient_dim=blocks.shape[1],
-        target_dim=len(blocks) - 2,
-        mean=blocks[0],
-    )
+    return PcaModel(basis=blocks[2:].T, spectrum=blocks[1], mean=blocks[0])
 
 
 def write_activation_dump(path, conditions, sample_blocks) -> None:

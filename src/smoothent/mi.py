@@ -54,7 +54,7 @@ _TAG_Y = 13
 _TAG_JOINT = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalDataset:
     """Samples of Y drawn separately under each condition X = x_i."""
 
@@ -79,7 +79,7 @@ class ConditionalDataset:
         return self.samples[0].dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDataset:
     """Column-paired samples of (X, Y); column j of x and y form one pair."""
 
@@ -113,7 +113,7 @@ def _total(values) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MiEstimate:
     """A mutual-information value as a weighted sum of entropy terms.
 
@@ -122,7 +122,6 @@ class MiEstimate:
     """
 
     terms: tuple[EntropyTerm, ...]
-    config: EstimatorConfig
 
     @property
     def components(self) -> dict:
@@ -184,7 +183,7 @@ def conditional_mi(
     # bitwise equal to marginal - conditional_entropy(estimate).
     marginal_term = pca_smoothed_entropy(marginal, config_with_seed(config, _TAG_MARGINAL))
     terms.append(EntropyTerm("marginal", 1.0, marginal_term))
-    return MiEstimate(terms=tuple(terms), config=config)
+    return MiEstimate(terms=tuple(terms))
 
 
 def joint_mi(
@@ -211,5 +210,4 @@ def joint_mi(
             EntropyTerm("y", 1.0, y_term),
             EntropyTerm("joint", -1.0, joint_term),
         ),
-        config=config,
     )

@@ -42,6 +42,13 @@ Numerical notes
   bitwise the same for any worker count.  Larger GEMMs stay serial: above
   that size OpenBLAS threads the GEMM itself, and a pool competing with its
   threads ran slower than the serial loop.  Serial and pooled shapes run the same per-block job.
+* The kernel's scratch is bounded by construction, so it needs no size
+  guard.  Each worker holds one float32 ``aug`` of at most
+  ``_DELTA_BUDGET`` values (16 MiB) unless ``d + 1 > 8192``, one float32
+  ``buf`` of at most ``_ROW_TARGET x _COL_TILE`` values (4 MiB), and noise
+  scratch of at most ``_ROW_TARGET * (d + 1)`` values of each kind (float64
+  draws, float32 GEMM operand).  Only the ``(d, n)`` float32 copy of the
+  centers grows with ``n``.
 """
 
 import math
@@ -86,7 +93,7 @@ _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in flo
 _GRID_LIMIT = 50_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotropicMixture:
     """``n`` mixture centers (one per column) smoothed by ``N(0, sigma^2 I)``."""
 

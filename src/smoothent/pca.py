@@ -69,7 +69,7 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleMatrix:
     """``n`` samples of dimension ``D``: ``data`` is ``(D, n)``, one column per sample.
 
@@ -125,11 +125,12 @@ class SampleMatrix:
         return SampleMatrix.adopt(self.gather(indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Top-``d`` eigenbasis of a sample covariance plus spectral diagnostics.
 
-    ``basis`` is ``(D, d)`` with orthonormal columns; ``spectrum`` is the full
+    ``basis`` is ``(D, d)`` with orthonormal columns, ``1 <= d <= D``; its
+    shape gives ``ambient_dim`` and ``target_dim``.  ``spectrum`` is the full
     descending eigenvalue list; ``mean`` is the centering vector subtracted
     before projecting (zeros if uncentered).  The diagnostics are derived from
     the spectrum with negative eigenvalues clamped to zero: ``eigen_gap`` is
@@ -140,19 +141,15 @@ class PcaModel:
 
     basis: np.ndarray
     spectrum: np.ndarray
-    ambient_dim: int
-    target_dim: int
     mean: np.ndarray
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.float64)
         spectrum = np.asarray(self.spectrum, dtype=np.float64)
         mean = np.asarray(self.mean, dtype=np.float64)
-        d_amb, d_tgt = self.ambient_dim, self.target_dim
-        if not (1 <= d_tgt <= d_amb):
-            raise InvalidConfig(f"need 1 <= target_dim <= ambient_dim, got {d_tgt}, {d_amb}")
-        if basis.shape != (d_amb, d_tgt):
-            raise InvalidData(f"basis shape {basis.shape} != ({d_amb}, {d_tgt})")
+        if basis.ndim != 2 or not (1 <= basis.shape[1] <= basis.shape[0]):
+            raise InvalidData(f"basis must be (D, d) with 1 <= d <= D, got shape {basis.shape}")
+        d_amb, d_tgt = basis.shape
         if spectrum.shape != (d_amb,) or mean.shape != (d_amb,):
             raise InvalidData("spectrum and mean must both have length ambient_dim")
         gram = basis.T @ basis
@@ -166,6 +163,14 @@ class PcaModel:
         object.__setattr__(self, "basis", _readonly(basis))
         object.__setattr__(self, "spectrum", _readonly(spectrum))
         object.__setattr__(self, "mean", _readonly(mean))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def target_dim(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def eigen_gap(self) -> float:
@@ -299,13 +304,7 @@ def fit_pca(samples: SampleMatrix, target_dim: int, center: bool = True) -> PcaM
         spectrum, vectors = symmetric_eigendecomposition(cov)
         fitted = spectrum, vectors[:, :target_dim]
     spectrum, basis = fitted
-    return PcaModel(
-        basis=basis,
-        spectrum=spectrum,
-        ambient_dim=d_amb,
-        target_dim=target_dim,
-        mean=np.zeros(d_amb) if mean is None else mean,
-    )
+    return PcaModel(basis, spectrum, np.zeros(d_amb) if mean is None else mean)
 
 
 def project(samples: SampleMatrix, model: PcaModel) -> SampleMatrix:

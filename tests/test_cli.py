@@ -37,13 +37,15 @@ def sample_file(tmp_path):
     return path
 
 
-# (subcommand and a valid argument list, a shared flag it does not read)
+# (subcommand and a valid argument list, a flag it does not read): for sweep,
+# also the single-value and paper-scale flags its list axes replaced
 UNREAD_FLAGS = [
     *[(["gen", "--kind", "gaussian", "--n", "10"], flag)
       for flag in (["--sigma", "0.1"], ["--n-mc", "5"], ["--split", "reuse"],
                    ["--no-center"], ["--bits"])],
-    (["sweep", "--n", "20", "--d", "1", "--repeats", "1", "--ambient-dim", "4",
-      "--n-mc", "5"], ["--bits"]),
+    *[(["sweep", "--n", "20", "--d", "1", "--repeats", "1", "--ambient-dim", "4",
+        "--n-mc", "5"], flag)
+      for flag in (["--bits"], ["--dim", "2"], ["--sigma", "0.2"], ["--full"])],
     (["indep-auc", "--n-datasets", "10", "--n", "30", "--dim", "1", "--ambient-dim", "4",
       "--n-mc", "5"], ["--bits"]),
     (["activation-mi"], ["--bits"]),

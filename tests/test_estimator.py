@@ -279,8 +279,8 @@ class TestSplitMemory:
 class TestPcaErrorBound:
     def bound(self, **kw):
         base = dict(
-            sub_gaussian_k=1.0, second_moment=3.97, residual=0.97, eigen_gap=0.495,
-            ambient_dim=100, target_dim=3, sigma=0.1, n=10**6,
+            second_moment=3.97, residual=0.97, eigen_gap=0.495,
+            ambient_dim=100, sigma=0.1, n=10**6,
         )
         base.update(kw)
         return BoundInputs(**base)

@@ -83,8 +83,6 @@ def extreme_model():
         basis=-np.eye(len(EXTREMES))[:, :3],  # -1.0 and -0.0 entries
         spectrum=np.array([1.7976931348623157e308, 1e10, 0.30000000000000004, 1 / 3 * 1e-9, 1e-300]
                           + [5e-324, 0.0, -0.0, -0.0]),
-        ambient_dim=len(EXTREMES),
-        target_dim=3,
         mean=EXTREMES,
     )
 

@@ -1,9 +1,20 @@
-"""The package's public names."""
+"""The package's public names, and how its types compare."""
 
 import importlib
 import pkgutil
+from dataclasses import replace
 
 import smoothent
+from smoothent import (
+    ConditionalDataset,
+    EstimatorConfig,
+    IsotropicMixture,
+    JointDataset,
+    SampleMatrix,
+    conditional_mi,
+    joint_mi,
+    substream,
+)
 
 
 def test_every_exported_name_resolves():
@@ -18,3 +29,29 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_array_holding_types_compare_by_identity():
+    config = EstimatorConfig(sigma=0.5, target_dim=1, n_mc=5, seed=1)
+    x, y = (SampleMatrix(substream(2, k).standard_normal((3, 40))) for k in range(2))
+    pairs = JointDataset(x=x, y=y)
+    groups = ConditionalDataset(conditions=(0, 1), samples=(x, y))
+    estimate = joint_mi(pairs, config)
+    result = estimate.components["x"]
+    held = [
+        x,
+        result.pca,
+        result,
+        IsotropicMixture(x, 0.5),
+        groups,
+        pairs,
+        estimate,
+        conditional_mi(groups, config),
+    ]
+    for value in held:
+        twin = replace(value)
+        assert value == value and value != twin, type(value)
+        assert len({value, twin, value}) == 2, type(value)
+    # the array-free types still compare by value
+    assert replace(config) == config and hash(replace(config)) == hash(config)
+    assert replace(result.plugin) == result.plugin

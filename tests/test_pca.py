@@ -245,6 +245,20 @@ class TestFitPca:
         np.testing.assert_array_equal(raw.mean, np.zeros(2))
 
 
+class TestPcaModel:
+    def test_dimensions_follow_the_basis(self):
+        model = PcaModel(np.eye(5)[:, :2], np.arange(5, 0, -1, dtype=float), np.zeros(5))
+        assert (model.ambient_dim, model.target_dim) == (5, 2)
+        assert model.eigen_gap == 0.5 and model.residual == 6.0
+
+    @pytest.mark.parametrize(
+        "basis", [np.eye(3)[:, :0], np.eye(3, 4), np.ones(3)], ids=["no-columns", "wide", "1-d"]
+    )
+    def test_rejects_a_basis_that_is_not_tall(self, basis):
+        with pytest.raises(InvalidData, match="basis must be"):
+            PcaModel(basis, np.ones(3), np.zeros(3))
+
+
 class TestProject:
     def test_identity_basis_picks_leading_coordinates(self):
         from smoothent import PcaModel
@@ -254,8 +268,6 @@ class TestProject:
         model = PcaModel(
             basis=np.eye(5)[:, :2],
             spectrum=np.arange(5, 0, -1, dtype=float),
-            ambient_dim=5,
-            target_dim=2,
             mean=np.zeros(5),
         )
         out = project(SampleMatrix(data), model)
@@ -357,7 +369,7 @@ class TestGramRoute:
         np.testing.assert_array_equal(model.spectrum[n:], 0.0)
         sin_theta = np.linalg.norm(basis - model.basis @ (model.basis.T @ basis), 2)
         assert sin_theta < 1e-8
-        dense = PcaModel(basis, w, dim, target_dim, model.mean)
+        dense = PcaModel(basis, w, model.mean)
         assert model.eigen_gap == pytest.approx(dense.eigen_gap, rel=1e-10, abs=1e-12 * scale)
         assert model.residual == pytest.approx(dense.residual, rel=1e-10, abs=1e-12 * scale)
 
