@@ -1,8 +1,11 @@
 """sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
 
-Runs 19 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+Runs 22 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
 gaussian, conical, pair), ``entropy`` (``--save-pca``, ``--bits``, Gram
-route ``half`` and ``reuse``, ``--no-center``, conical), ``mi-joint``
+route ``half`` and ``reuse``, ``--no-center``, conical, the covariance route
+fitted on all rows by ``--split reuse``, the uncentered Gram route with
+``--split reuse --no-center``, and conical with ``--n-mc 2100``, more draws
+per center than one kernel chunk holds), ``mi-joint``
 (``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``),
 ``sweep`` (a 2 x 2 grid, and one on the default ``--d`` and ``--sigmas``),
 ``indep-auc`` and ``activation-mi`` (one dump and one missing path, so one
@@ -66,6 +69,16 @@ INVOCATIONS = [
     ("entropy_conical", ["entropy", "conical.csv", "--sigma", "0.1", "--dim", "3",
                          "--seed", "9", "--save-pca", "conical_pca.csv",
                          "--out", "entropy_conical.csv", *FAST]),
+    ("entropy_reuse", ["entropy", "gaussian.csv", "--sigma", "0.1", "--dim", "3",
+                       "--seed", "17", "--split", "reuse", "--save-pca", "gaussian_reuse_pca.csv",
+                       "--out", "entropy_reuse.csv", *FAST]),
+    ("entropy_gram_no_center", ["entropy", "wide.csv", "--sigma", "0.1", "--dim", "5",
+                                "--seed", "18", "--split", "reuse", "--no-center", "--save-pca",
+                                "wide_no_center_pca.csv", "--out", "entropy_gram_no_center.csv",
+                                *FAST]),
+    ("entropy_draw_chunks", ["entropy", "conical.csv", "--sigma", "0.1", "--dim", "3",
+                             "--seed", "19", "--n-mc", "2100",
+                             "--out", "entropy_draw_chunks.csv"]),
     ("mi_joint_half", ["mi-joint", "pair_x.csv", "pair_y.csv", "--sigma", "0.5", "--dim", "2",
                        "--seed", "10", "--out", "mi_joint_half.csv", *FAST]),
     ("mi_joint_reuse", ["mi-joint", "pair_x.csv", "pair_y.csv", "--sigma", "0.5", "--dim", "2",

@@ -74,6 +74,9 @@ class SweepSpec:
     reference: str = "closed-form"
 
     def __post_init__(self):
+        for axis in ("kinds", "n_values", "d_values", "sigma_values", "lambda_res_values"):
+            if not getattr(self, axis):
+                raise InvalidConfig(f"sweep axis {axis} is empty")
         if self.repeats < 1:
             raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
         if self.reference not in REFERENCE_MODES:
@@ -233,7 +236,7 @@ def rank_auc(positive_scores, negative_scores) -> float:
     return float(u / pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AucReport:
     """Independence-test scores and the AUCs of the two estimator configs."""
 

@@ -28,7 +28,11 @@ core, up to one per ``_PART_MIN_BYTES``.  Each range goes through the same
 result once and receives every part into its rows.  Any failure (a range
 loadtxt rejects or warns on, one holding a quote, a child that dies, widths
 that differ) falls back to the serial parse, so the values, the accepted
-inputs and the messages do not depend on the path.
+inputs and the messages do not depend on the path.  The worker count is the
+cores the process may use, not the idle ones, so a parse on cores that other
+work holds can lose to the serial one: with both cores of a 2-core machine
+busy, a forked read of a 78 MB 2000 x 2000 file took 1.54 s against 1.17 s
+serially (0.86-0.91 s forked on idle cores).
 
 Large blocks of rows are written on worker processes too.  On Linux, when
 the process may run on at least two cores, the output is a regular file

@@ -57,7 +57,6 @@ import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -222,51 +221,18 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _logg_block(free, centers_t, sigma, const, n_mc, seed, block, b0):
-    """All of one block's work, on a scratch set taken from, and returned to, ``free``.
-
-    Centers ``b0:b0 + block`` draw their noise from ``substream(seed, i)``
-    in chunks of at most ``_ROW_TARGET`` draws, and the block's log densities
-    are returned as one array per chunk, in draw order.  Plain sums run
-    first and a chunk is rerun in running-max mode if they overflow.  The
-    result depends on the block's own draws only, not on the thread.
-    """
-    dim, n = centers_t.shape
-    b1 = min(b0 + block, n)
-    rows = b1 - b0
-    rngs = [substream(seed, i) for i in range(b0, b1)]
-    aug, buf, z64, z_aug = free.get()
-    try:
-        logs = []
-        for j0 in range(0, n_mc, _ROW_TARGET):
-            draws = min(_ROW_TARGET, n_mc - j0)
-            # contiguous views of the flat noise scratch, laid out as fresh arrays would be
-            z = z64[: rows * draws * dim].reshape(rows, draws, dim)
-            # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
-            for t, rng in enumerate(rngs):
-                rng.standard_normal(out=z[t])
-            z *= sigma
-            za = z_aug[: rows * draws * (dim + 1)].reshape(rows, draws, dim + 1)
-            np.multiply(z, -1.0 / sigma**2, out=za[:, :, :dim])
-            za[:, :, dim] = 1.0
-            z2 = np.einsum("ijd,ijd->ij", z, z)
-            args = (centers_t, b0, b1, za, z2, sigma, const, aug, buf)
-            logg = _mc_block(*args, running_max=False)
-            logs.append(_mc_block(*args, running_max=True) if logg is None else logg)
-        return logs
-    finally:
-        free.put((aug, buf, z64, z_aug))
-
-
 def _logg_blocks(centers_t, sigma, const, n_mc, seed):
     """Yield the log densities of all (center, draw) queries, one chunk at a time in order.
 
-    Every shape maps ``_logg_block`` over the block starts: on this thread,
-    or, with at least ``_POOL_MIN_CENTERS`` centers whose per-center GEMM is
-    at most ``_POOL_GEMM_LIMIT`` multiply-adds, on a pool of
-    ``_worker_count()`` threads.  Each thread takes a scratch set from
-    ``free``, allocated here once per call, and computes exactly what this
-    one would, so the yielded arrays do not depend on the pool.
+    One job per block of centers ``b0:b1`` does all of that block's work:
+    its centers draw their noise from ``substream(seed, i)`` in chunks of at
+    most ``_ROW_TARGET`` draws, and each chunk runs ``_mc_block`` with plain
+    sums first, rerun in running-max mode if they overflow.  The jobs run on
+    this thread, or, with at least ``_POOL_MIN_CENTERS`` centers whose
+    per-center GEMM is at most ``_POOL_GEMM_LIMIT`` multiply-adds, on a pool
+    of ``_worker_count()`` threads.  Each job takes a scratch set from
+    ``free``, allocated here once per call, and its result depends on its
+    block's own draws only, so the yielded arrays do not depend on the pool.
     """
     dim, n = centers_t.shape
     jc = min(n_mc, _ROW_TARGET)
@@ -287,7 +253,32 @@ def _logg_blocks(centers_t, sigma, const, n_mc, seed):
             )
         )
 
-    job = partial(_logg_block, free, centers_t, sigma, const, n_mc, seed, block)
+    def job(b0):
+        b1 = min(b0 + block, n)
+        rows = b1 - b0
+        rngs = [substream(seed, i) for i in range(b0, b1)]
+        aug, buf, z64, z_aug = free.get()
+        try:
+            logs = []
+            for j0 in range(0, n_mc, _ROW_TARGET):
+                draws = min(_ROW_TARGET, n_mc - j0)
+                # contiguous views of the flat noise scratch, laid out as fresh arrays would be
+                z = z64[: rows * draws * dim].reshape(rows, draws, dim)
+                # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
+                for t, rng in enumerate(rngs):
+                    rng.standard_normal(out=z[t])
+                z *= sigma
+                za = z_aug[: rows * draws * (dim + 1)].reshape(rows, draws, dim + 1)
+                np.multiply(z, -1.0 / sigma**2, out=za[:, :, :dim])
+                za[:, :, dim] = 1.0
+                z2 = np.einsum("ijd,ijd->ij", z, z)
+                args = (centers_t, b0, b1, za, z2, sigma, const, aug, buf)
+                logg = _mc_block(*args, running_max=False)
+                logs.append(_mc_block(*args, running_max=True) if logg is None else logg)
+            return logs
+        finally:
+            free.put((aug, buf, z64, z_aug))
+
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for logs in (map if pool is None else pool.map)(job, range(0, n, block)):
             yield from logs

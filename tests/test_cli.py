@@ -62,6 +62,17 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--n", "20", "--d", "1", "--repeats", "1", "--ambient-dim", "4", "--n-mc", "5"],
+     ["activation-mi"]],
+    ids=lambda v: v[0],
+)
+def test_missing_out_is_config_error(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {argv[0]} requires --out\n"
+
+
 class TestGen:
     def test_gaussian_roundtrip(self, sample_file):
         samples = read_samples(sample_file)
@@ -334,6 +345,21 @@ class TestSweep:
         rows = read_csv_dict(out)
         assert len(rows) == 2 and all(r["reference"] for r in rows)
         assert rows[0]["reference"] == rows[1]["reference"]
+
+    @pytest.mark.parametrize(
+        "axis, name",
+        [("--kind", "kinds"), ("--n", "n_values"), ("--d", "d_values"),
+         ("--sigmas", "sigma_values"), ("--lambda-res", "lambda_res_values")],
+    )
+    def test_empty_axis_is_config_error(self, tmp_path, capsys, axis, name):
+        out = tmp_path / "empty.csv"
+        code = main([
+            "sweep", "--n", "20", "--repeats", "1", "--ambient-dim", "4", "--n-mc", "5",
+            axis, "", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: sweep axis {name} is empty\n"
+        assert not out.exists()
 
     def test_bad_axis_value_is_config_error(self, tmp_path):
         code = main(["sweep", "--n", "abc", "--out", str(tmp_path / "x.csv")])

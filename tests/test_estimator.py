@@ -94,6 +94,11 @@ class TestGaussianOracle:
         with pytest.raises(InvalidData):
             gaussian_smoothed_entropy_oracle(np.diag([1.0, -0.5]), 1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_sigma(self, sigma):
+        with pytest.raises(InvalidConfig, match="sigma must be a positive real"):
+            gaussian_smoothed_entropy_oracle(np.eye(2), sigma)
+
 
 class TestSplitPolicies:
     def test_half_needs_two_samples(self):
@@ -328,3 +333,5 @@ class TestPcaErrorBound:
             self.bound(second_moment=0.0)
         with pytest.raises(InvalidConfig):
             self.bound(residual=-0.1)
+        with pytest.raises(InvalidConfig, match="eigen_gap"):
+            self.bound(eigen_gap=-0.1)

@@ -90,6 +90,22 @@ class TestRunSweep:
         assert reference((60,)) == wide[1:]
         assert reference((40,)) != wide[:1]
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            *[({axis: ()}, f"sweep axis {axis} is empty") for axis in
+              ("kinds", "n_values", "d_values", "sigma_values", "lambda_res_values")],
+            ({"repeats": 0}, "repeats must be >= 1, got 0"),
+            ({"reference": "oracle"}, "reference must be one of"),
+            ({"kinds": ("helix",), "reference": "none"}, "unknown sweep kind 'helix'"),
+        ],
+        ids=["no-kinds", "no-n", "no-d", "no-sigma", "no-lambda-res",
+             "no-repeats", "unknown-reference", "unknown-kind"],
+    )
+    def test_invalid_spec_rejected(self, kw, message):
+        with pytest.raises(InvalidConfig, match=message):
+            tiny_spec(**kw)
+
     def test_closed_form_requires_gaussian(self):
         with pytest.raises(InvalidConfig):
             tiny_spec(kinds=("spiral2d",), reference="closed-form")
@@ -188,7 +204,7 @@ class TestRunIndepAuc:
         config = EstimatorConfig(sigma=1.0, target_dim=2, n_mc=20, seed=1)
         a = run_indep_auc(10, 60, 2, 6, 0.05, config)
         b = run_indep_auc(10, 60, 2, 6, 0.05, config)
-        assert a == b
+        assert asdict(a) == asdict(b)  # reports compare by identity
 
 
 class TestRunActivationMi:

@@ -287,6 +287,21 @@ class TestPcaModelCsv:
         with pytest.raises(InvalidData, match=r"bad_model\.csv" + message):
             load_pca_model(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,0\n1,0.5\n2,0\n", "not orthonormal"),
+            ("0,0\n0.5,1\n1,0\n", "not sorted"),
+            ("0,0\n1,-0.5\n1,0\n", "significantly negative"),
+        ],
+        ids=["not-orthonormal", "unsorted", "negative"],
+    )
+    def test_inconsistent_model_rejected(self, tmp_path, text, message):
+        path = tmp_path / "model.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidData, match=message):
+            load_pca_model(path)
+
     def test_byte_order_mark_accepted(self, tmp_path):
         path = tmp_path / "model.csv"
         path.write_text("\ufeff0,0\n1,0.5\n1,0\n", encoding="utf-8")
@@ -318,8 +333,9 @@ class TestActivationDumpCsv:
             ([4, -2], [3, 2], r"share one dimension, got \[2, 3\]"),
             ([4, 1.7], [3, 3], r"must be integers, got 1\.7"),
             ([4, 4], [3, 3], r"must be distinct, got \[4, 4\]"),
+            ([], [], r"at least one condition block"),
         ],
-        ids=["short-conditions", "mixed-dims", "non-integer-id", "duplicate-id"],
+        ids=["short-conditions", "mixed-dims", "non-integer-id", "duplicate-id", "no-blocks"],
     )
     def test_unreadable_dump_rejected_before_writing(self, tmp_path, conditions, dims, message):
         blocks = [SampleMatrix(substream(15, k).standard_normal((dim, 4))) for k, dim in enumerate(dims)]
@@ -341,6 +357,7 @@ class TestActivationDumpCsv:
             ("cond,f0,f1\n0,1,2\n1,3\n", r":3: expected 3 fields, got 2"),
             ("cond,f0,f1\n0,1\n1,3\n", r":2: expected 3 fields, got 2"),  # header wider than every row
             ("cond,f0\n", r": no data rows"),
+            ("cond\n1\n", r": no feature columns"),
         ],
     )
     def test_bad_rows_name_their_line(self, tmp_path, text, message):

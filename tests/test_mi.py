@@ -58,6 +58,11 @@ class TestDatasets:
                 samples=(SampleMatrix(np.ones((2, 3))), SampleMatrix(np.ones((3, 3)))),
             )
 
+    @pytest.mark.parametrize("conditions, count", [((), 0), ((0, 1), 1)], ids=["empty", "mismatched"])
+    def test_conditional_requires_one_matrix_per_condition(self, conditions, count):
+        with pytest.raises(InvalidData, match="one sample matrix per condition"):
+            ConditionalDataset(conditions=conditions, samples=(SampleMatrix(np.ones((2, 3))),) * count)
+
     def test_joint_requires_pairing(self):
         with pytest.raises(InvalidData):
             JointDataset(x=SampleMatrix(np.ones((2, 4))), y=SampleMatrix(np.ones((2, 5))))

@@ -105,6 +105,9 @@ class TestMixtureLogDensity:
             mixture_log_density(mix, [0.0, 0.0])
         with pytest.raises(InvalidData):
             mixture_log_density(mix, [np.nan])
+        for sigma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidConfig, match="sigma must be a positive real"):
+                mixture_of([[0.0, 1.0]], sigma)
 
 
 class TestPluginEntropyMc:
@@ -213,6 +216,9 @@ class TestPluginEntropyMc:
         est = plugin_entropy_mc(mixture_of([[0.0, 1.0]], 0.5), 25, seed=17)
         assert est == EntropyEstimate(est.value, est.mc_std_error, 2, 25, 17)
         assert est.mc_std_error > 0
+        # one log term: no spread to estimate
+        one = plugin_entropy_mc(mixture_of([[0.0]], 0.5), 1, seed=17)
+        assert one == EntropyEstimate(one.value, 0.0, 1, 1, 17)
 
 
 class TestMcKernels:
@@ -530,6 +536,15 @@ class TestPluginEntropyQuadrature:
         mix = IsotropicMixture(SampleMatrix(np.zeros((3, 1))), 1.0)
         with pytest.raises(Unsupported):
             plugin_entropy_quadrature(mix)
+
+    def test_grid_cap(self, monkeypatch):
+        # one center: 32 panels of 16 nodes
+        mix = mixture_of([[0.0]], 1.0)
+        monkeypatch.setattr(mixture, "_GRID_LIMIT", 511)
+        with pytest.raises(Unsupported, match="quadrature grid of 512 points"):
+            plugin_entropy_quadrature(mix)
+        monkeypatch.setattr(mixture, "_GRID_LIMIT", 512)
+        assert plugin_entropy_quadrature(mix) == pytest.approx(HALF_LN_2PI_E, abs=1e-5)
 
     def test_center_count_cap(self):
         mix = IsotropicMixture(SampleMatrix(np.zeros((1, 201))), 1.0)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import smoothent
 from smoothent import (
+    AucReport,
     ConditionalDataset,
     EstimatorConfig,
     IsotropicMixture,
@@ -47,6 +48,7 @@ def test_array_holding_types_compare_by_identity():
         pairs,
         estimate,
         conditional_mi(groups, config),
+        AucReport(0.5, 0.5, ({"a": 1},)),
     ]
     for value in held:
         twin = replace(value)

@@ -148,6 +148,11 @@ class TestEigendecomposition:
             (v * w[None, :]) @ v.T, a, atol=1e-8 * np.linalg.norm(a)
         )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(InvalidData, match="non-finite"):
+            symmetric_eigendecomposition(np.array([[1.0, 0.0], [0.0, value]]))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidData):
             symmetric_eigendecomposition(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -237,6 +242,13 @@ class TestFitPca:
         with pytest.raises(InvalidConfig):
             fit_pca(sm, 0)
 
+    @pytest.mark.parametrize("dim", [1, 4], ids=["covariance", "gram"])
+    def test_centering_overflow_is_invalid_data(self, dim):
+        # the mean is finite, but x - mean overflows to -inf in the middle sample
+        sm = SampleMatrix(np.tile([1.5e308, -1.5e308, 1.5e308], (dim, 1)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidData):
+            fit_pca(sm, 1)
+
     def test_mean_recorded_only_when_centering(self):
         sm = SampleMatrix(np.array([[1.0, 3.0], [2.0, 4.0]]))
         centered = fit_pca(sm, 1, center=True)
@@ -257,6 +269,21 @@ class TestPcaModel:
     def test_rejects_a_basis_that_is_not_tall(self, basis):
         with pytest.raises(InvalidData, match="basis must be"):
             PcaModel(basis, np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "basis, spectrum, mean, message",
+        [
+            (np.eye(3)[:, :1], np.ones(2), np.zeros(3), "must both have length"),
+            (np.eye(3)[:, :1], np.ones(3), np.zeros(4), "must both have length"),
+            (2.0 * np.eye(3)[:, :1], np.ones(3), np.zeros(3), "not orthonormal"),
+            (np.eye(3)[:, :1], np.array([1.0, 2.0, 0.0]), np.zeros(3), "not sorted"),
+            (np.eye(3)[:, :1], np.array([1.0, 0.0, -1e-6]), np.zeros(3), "significantly negative"),
+        ],
+        ids=["short-spectrum", "long-mean", "not-orthonormal", "unsorted", "negative"],
+    )
+    def test_rejects_an_inconsistent_model(self, basis, spectrum, mean, message):
+        with pytest.raises(InvalidData, match=message):
+            PcaModel(basis, spectrum, mean)
 
 
 class TestProject:

@@ -107,6 +107,9 @@ class TestSpirals:
             gen_spiral("cylindrical", 0.01, 2, 10, seed=0)
         with pytest.raises(InvalidConfig):
             gen_spiral("nope", 0.01, 10, 10, seed=0)
+        for lambda_res in (0.0, -0.1):
+            with pytest.raises(InvalidConfig, match="lambda_res must be positive"):
+                gen_spiral("spiral2d", lambda_res, 4, 10, seed=0)
 
     def test_seed_determinism(self):
         a = gen_spiral("conical", 0.05, 6, 40, seed=11)
