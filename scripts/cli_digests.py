@@ -1,7 +1,8 @@
 """sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
 
-Runs 22 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
-gaussian, conical, pair), ``entropy`` (``--save-pca``, ``--bits``, Gram
+Runs 23 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+gaussian, conical, pair, and a 300-dimensional pair whose rows are filled in
+two blocks of dimensions), ``entropy`` (``--save-pca``, ``--bits``, Gram
 route ``half`` and ``reuse``, ``--no-center``, conical, the covariance route
 fitted on all rows by ``--split reuse``, the uncentered Gram route with
 ``--split reuse --no-center``, and conical with ``--n-mc 2100``, more draws
@@ -52,6 +53,8 @@ INVOCATIONS = [
                      "--lambda-res", "0.05", "--seed", "3", "--out", "conical.csv"]),
     ("gen_pair", ["gen", "--kind", "pair", "--n", "300", "--dim", "2", "--ambient-dim", "30",
                   "--noise-std", "0.05", "--seed", "4", "--out", "pair"]),
+    ("gen_pair_wide", ["gen", "--kind", "pair", "--n", "700", "--dim", "2", "--ambient-dim", "300",
+                       "--noise-std", "0.05", "--seed", "20", "--out", "pair_wide"]),
     ("entropy_save_pca", ["entropy", "gaussian.csv", "--sigma", "0.1", "--dim", "3",
                           "--seed", "5", "--save-pca", "gaussian_pca.csv",
                           "--out", "entropy.csv", *FAST]),

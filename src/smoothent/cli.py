@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except (InvalidConfig, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SmoothentError, OSError) as exc:
+    except (SmoothentError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -155,8 +155,9 @@ def _fit_gathered(samples: SampleMatrix, indices, config: EstimatorConfig) -> Pc
     x = samples.gather(indices)
     if not config.center:
         return fit_pca(SampleMatrix.adopt(x), config.target_dim, center=False)
-    mean = x.mean(axis=0)
-    x -= mean
+    with np.errstate(over="ignore", invalid="ignore"):  # adopt rejects non-finite
+        mean = x.mean(axis=0)
+        x -= mean
     model = fit_pca(SampleMatrix.adopt(x), config.target_dim, center=False)
     return replace(model, mean=mean)
 

@@ -193,7 +193,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
                     "eigen_gap": result.pca.eigen_gap,
                     "residual": result.pca.residual,
                 }
-            except (SmoothentError, ValueError) as exc:
+            except (SmoothentError, ValueError, MemoryError) as exc:
                 figures = {"error": f"{type(exc).__name__}: {exc}"}
             records.append(
                 SweepRecord(

@@ -21,12 +21,17 @@ Numerical notes
   matrix product per column tile, ``[-Z/sigma^2 | 1]`` times
   ``[delta^T ; -|delta|^2/(2 sigma^2)]``, whose center differences are
   written straight into that GEMM layout.  Terms are summed over centers by
-  ``np.einsum`` in a fixed order that no BLAS thread count changes.  At
-  every ``d`` plain sums run first and a chunk is rerun with a running
-  maximum (an online log-sum-exp) only if its float32 exponents overflow.
-  This arithmetic re-baselined the bits once (moves of ~1e-8 relative).
-  ``1/sigma^2`` and every center coordinate must be finite in float32,
-  else ``Unsupported``.
+  ``np.einsum`` in a fixed order that no BLAS thread count changes.  The
+  kernel has one mode: exponents are relative to the query's own center,
+  whose term is exactly 1, so each sum is at least 1 and needs no running
+  maximum.  It overflows only for a draw more than 13.3 sigma out: with
+  ``s = |x_i - x_k|/sigma`` and ``u ~ N(0, 1)`` the noise along
+  ``x_i - x_k`` in sigma units, the exponent ``-(2us + s^2)/2`` passes
+  float32's exp limit (~88.7) only if ``u < -sqrt(177.4) = -13.3``, about
+  1e-40 per pair term; such a sum raises ``Unsupported``.  This arithmetic
+  re-baselined the bits once (moves of ~1e-8 relative).  ``1/sigma^2`` and
+  every center coordinate must be finite in float32, and ``2 sigma^2`` in
+  float64, else ``Unsupported``.
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
@@ -36,19 +41,19 @@ Numerical notes
   center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
   ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
   ``n_mc <= 128`` at ``d = 3``, ``d <= 50`` at ``n_mc = 10``.  Each block
-  draws its own centers' substreams on whichever thread runs it, its
-  fallback depends on its own values only, and the calling thread folds
+  draws its own centers' substreams on whichever thread runs it and its
+  result depends on its own values only, and the calling thread folds
   ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error`` are
   bitwise the same for any worker count.  Larger GEMMs stay serial: above
   that size OpenBLAS threads the GEMM itself, and a pool competing with its
   threads ran slower than the serial loop.  Serial and pooled shapes run the same per-block job.
 * The kernel's scratch is bounded by construction, so it needs no size
   guard.  Each worker holds one float32 ``aug`` of at most
-  ``_DELTA_BUDGET`` values (16 MiB) unless ``d + 1 > 8192``, one float32
-  ``buf`` of at most ``_ROW_TARGET x _COL_TILE`` values (4 MiB), and noise
-  scratch of at most ``_ROW_TARGET * (d + 1)`` values of each kind (float64
-  draws, float32 GEMM operand).  Only the ``(d, n)`` float32 copy of the
-  centers grows with ``n``.
+  ``_DELTA_BUDGET`` values (16 MiB) unless ``d + 1 > 8192`` and one float32
+  ``buf`` of at most ``_ROW_TARGET x _COL_TILE`` values (4 MiB).  Each chunk
+  in flight draws its noise into fresh arrays of at most
+  ``_ROW_TARGET * (d + 1)`` values of each kind (float64 draws, float32 GEMM
+  operand).  Only the ``(d, n)`` float32 copy of the centers grows with ``n``.
 """
 
 import math
@@ -158,38 +163,28 @@ def _log_density_rows(centers_rows: np.ndarray, sigma: float, queries: np.ndarra
     return out
 
 
-def _mc_block(centers_t, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max):
-    """Log density of all (center, draw) queries in one block.
+def _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf):
+    """Log-sums ``log sum_k exp(E_ik)`` of all (center, draw) queries in one block.
 
     Exponents come from a single augmented matrix product per column tile of
-    ``_COL_TILE`` centers, ``z_aug = [-Z/sigma^2 | 1]`` against
+    ``_COL_TILE`` centers, ``z_lhs = [-Z/sigma^2 | 1]`` against
     ``[delta^T ; -|delta|^2/(2 sigma^2)]`` with ``delta[i, k] = x_{b0+i} - x_k``
     written straight into ``aug`` from the ``(d, n)`` float32 centers
     ``centers_t``.  They are taken relative to the row shift
     ``-|Z|^2/(2 sigma^2)``, in which the self term's exponent is exactly 0,
-    and each tile's terms are summed by ``np.einsum`` in a fixed order.
-
-    * Plain-sum mode: the sum over centers is always >= 1 and needs no
-      maximum.  Its float32 exponents overflow only when some center is
-      nearer a query than the query's own center by ~87 in exponent units;
-      the sum is then not finite and ``None`` is returned.
-    * Running-max mode (an online log-sum-exp): each query keeps a float32
-      shift, starting at 0 because the self term bounds its maximum from
-      below.  Each tile raises the shift to the tile maximum, rescales the
-      float64 sums by ``exp(old - new)`` and adds its terms relative to the
-      new shift, so every exponent range float32 holds works.
+    so each sum is at least 1; each tile's terms are summed by ``np.einsum``
+    in a fixed order.  A sum that is not finite (a float32 exponent beyond
+    ~88.7, or center differences beyond float32) raises ``Unsupported``.
 
     ``aug`` and ``buf`` are float32 scratch, at least ``(b1 - b0, dim + 1, w)``
     and ``(b1 - b0, n_draws, w)`` for ``w = min(n, _COL_TILE)``.
     """
     dim, n = centers_t.shape
-    rows, draws = z_aug.shape[:2]
+    rows, draws = z_lhs.shape[:2]
     inv_2s2 = np.float32(-0.5 / sigma**2)
     cb = centers_t[:, b0:b1].T[:, :, None]
     sums = np.zeros((rows, draws))
-    shift = np.zeros((rows, draws), dtype=np.float32)
-    # Overflow is detected from the sums, and inputs beyond float32 from the
-    # estimate, so numpy's own warnings for them are silenced.
+    # Overflow is detected from the sums, so numpy's own warnings for it are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, _COL_TILE):
             width = min(_COL_TILE, n - k0)
@@ -197,21 +192,13 @@ def _mc_block(centers_t, b0, b1, z_aug, z2, sigma, const, aug, buf, running_max)
             delta_t = np.subtract(cb, centers_t[None, :, k0 : k0 + width], out=a[:, :dim])
             np.einsum("idk,idk->ik", delta_t, delta_t, out=a[:, dim])
             a[:, dim] *= inv_2s2
-            args = np.matmul(z_aug, a, out=buf[:rows, :draws, :width])
-            if running_max:
-                new = np.maximum(shift, args.max(axis=2))
-                sums *= np.exp((shift - new).astype(np.float64))
-                args -= new[:, :, None]
-                shift = new
+            args = np.matmul(z_lhs, a, out=buf[:rows, :draws, :width])
             np.maximum(args, _EXP_FLOOR, out=args)
             np.exp(args, out=args)
             sums += np.einsum("ijk->ij", args)
-    if not (running_max or np.all(np.isfinite(sums))):
-        return None
-    logs = np.log(sums)
-    if running_max:
-        logs += shift
-    return logs - z2 / (2.0 * sigma**2) - const
+    if not np.all(np.isfinite(sums)):
+        raise Unsupported("Monte-Carlo kernel sum is not finite: a term exceeds float32")
+    return np.log(sums)
 
 
 def _worker_count() -> int:
@@ -221,18 +208,18 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _logg_blocks(centers_t, sigma, const, n_mc, seed):
-    """Yield the log densities of all (center, draw) queries, one chunk at a time in order.
+def _logg_blocks(centers_t, sigma, n_mc, seed):
+    """Yield ``(log-sum, |z|^2)`` of all (center, draw) queries, one chunk at a time in order.
 
     One job per block of centers ``b0:b1`` does all of that block's work:
     its centers draw their noise from ``substream(seed, i)`` in chunks of at
-    most ``_ROW_TARGET`` draws, and each chunk runs ``_mc_block`` with plain
-    sums first, rerun in running-max mode if they overflow.  The jobs run on
-    this thread, or, with at least ``_POOL_MIN_CENTERS`` centers whose
-    per-center GEMM is at most ``_POOL_GEMM_LIMIT`` multiply-adds, on a pool
-    of ``_worker_count()`` threads.  Each job takes a scratch set from
-    ``free``, allocated here once per call, and its result depends on its
-    block's own draws only, so the yielded arrays do not depend on the pool.
+    most ``_ROW_TARGET`` draws, each into fresh arrays, and each chunk runs
+    ``_mc_block`` once.  The jobs run on this thread, or, with at least
+    ``_POOL_MIN_CENTERS`` centers whose per-center GEMM is at most
+    ``_POOL_GEMM_LIMIT`` multiply-adds, on a pool of ``_worker_count()``
+    threads.  Each job takes an ``(aug, buf)`` scratch pair from ``free``,
+    allocated here once per call, and its result depends on its block's own
+    draws only, so the yielded arrays do not depend on the pool.
     """
     dim, n = centers_t.shape
     jc = min(n_mc, _ROW_TARGET)
@@ -244,44 +231,33 @@ def _logg_blocks(centers_t, sigma, const, n_mc, seed):
     tile = min(n, _COL_TILE)
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put(
-            (
-                np.empty((block, dim + 1, tile), dtype=np.float32),
-                np.empty((block, jc, tile), dtype=np.float32),
-                np.empty(block * jc * dim),
-                np.empty(block * jc * (dim + 1), dtype=np.float32),
-            )
-        )
+        free.put((np.empty((block, dim + 1, tile), dtype=np.float32),
+                  np.empty((block, jc, tile), dtype=np.float32)))
 
     def job(b0):
         b1 = min(b0 + block, n)
-        rows = b1 - b0
         rngs = [substream(seed, i) for i in range(b0, b1)]
-        aug, buf, z64, z_aug = free.get()
+        aug, buf = free.get()
         try:
-            logs = []
+            chunks = []
             for j0 in range(0, n_mc, _ROW_TARGET):
-                draws = min(_ROW_TARGET, n_mc - j0)
-                # contiguous views of the flat noise scratch, laid out as fresh arrays would be
-                z = z64[: rows * draws * dim].reshape(rows, draws, dim)
+                z = np.empty((b1 - b0, min(_ROW_TARGET, n_mc - j0), dim))
                 # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
                 for t, rng in enumerate(rngs):
                     rng.standard_normal(out=z[t])
                 z *= sigma
-                za = z_aug[: rows * draws * (dim + 1)].reshape(rows, draws, dim + 1)
-                np.multiply(z, -1.0 / sigma**2, out=za[:, :, :dim])
-                za[:, :, dim] = 1.0
-                z2 = np.einsum("ijd,ijd->ij", z, z)
-                args = (centers_t, b0, b1, za, z2, sigma, const, aug, buf)
-                logg = _mc_block(*args, running_max=False)
-                logs.append(_mc_block(*args, running_max=True) if logg is None else logg)
-            return logs
+                z_lhs = np.empty(z.shape[:2] + (dim + 1,), dtype=np.float32)
+                np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
+                z_lhs[:, :, dim] = 1.0
+                logsum = _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf)
+                chunks.append((logsum, np.einsum("ijd,ijd->ij", z, z)))
+            return chunks
         finally:
-            free.put((aug, buf, z64, z_aug))
+            free.put((aug, buf))
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for logs in (map if pool is None else pool.map)(job, range(0, n, block)):
-            yield from logs
+        for chunks in (map if pool is None else pool.map)(job, range(0, n, block)):
+            yield from chunks
 
 
 def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEstimate:
@@ -295,23 +271,26 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
     if n_mc < 1:
         raise InvalidConfig(f"n_mc must be >= 1, got {n_mc}")
 
+    sigma = mix.sigma
     with np.errstate(over="ignore", divide="ignore"):
         centers_t = mix.centers.data.astype(np.float32, order="C")
-        precision32 = np.float32(1.0 / np.float64(mix.sigma) ** 2)
-    if not (np.isfinite(precision32) and np.all(np.isfinite(centers_t))):
+        precision32 = np.float32(1.0 / np.float64(sigma) ** 2)
+        two_var = 2.0 * np.float64(sigma) ** 2  # the fold's divisor of |z|^2
+    if not (np.isfinite(two_var) and np.isfinite(precision32) and np.all(np.isfinite(centers_t))):
         raise Unsupported(
-            f"sigma = {mix.sigma:g} or a center coordinate is beyond the float32 range of "
-            "the Monte-Carlo kernel: 1/sigma^2 and every coordinate must stay below 3.4e38"
+            f"sigma = {sigma:g} or a center coordinate is beyond the float32 range of "
+            "the Monte-Carlo kernel: 1/sigma^2 and every coordinate must stay below 3.4e38, "
+            "and 2 sigma^2 below 1.8e308"
         )
     dim, n = centers_t.shape
-    const = _log_norm_const(n, dim, mix.sigma)
+    const = _log_norm_const(n, dim, sigma)
 
     pivot = None
     t1 = 0.0
     t2 = 0.0
     total = 0
-    for logg in _logg_blocks(centers_t, mix.sigma, const, n_mc, seed):
-        flat = logg.ravel()
+    for logsum, z2 in _logg_blocks(centers_t, sigma, n_mc, seed):
+        flat = (logsum - z2 / (2.0 * sigma**2) - const).ravel()
         if pivot is None:
             pivot = float(flat[0])
         dev = flat - pivot
@@ -320,7 +299,10 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
         total += flat.size
     mean = pivot + t1 / total
     if not math.isfinite(mean):
-        raise Unsupported("Monte-Carlo estimate is not finite: center differences exceed float32")
+        raise Unsupported(
+            f"Monte-Carlo estimate is not finite: the noise's |z|^2 overflows float64 "
+            f"at sigma = {sigma:g}"
+        )
     if total > 1:
         var = max(0.0, (t2 - t1 * t1 / total) / (total - 1))
     else:

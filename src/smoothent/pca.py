@@ -204,10 +204,11 @@ def compute_covariance(samples: SampleMatrix, center: bool = True) -> np.ndarray
     """
     _check_workspace("covariance", samples.dim, samples)
     x = samples.data.T
-    if center:
-        x = x - x.mean(axis=0)
-    cov = x.T @ x
-    cov /= samples.count
+    with np.errstate(over="ignore", invalid="ignore"):  # the eigensolver rejects non-finite
+        if center:
+            x = x - x.mean(axis=0)
+        cov = x.T @ x
+        cov /= samples.count
     return cov
 
 
@@ -285,10 +286,11 @@ def fit_pca(samples: SampleMatrix, target_dim: int, center: bool = True) -> PcaM
     if not (1 <= target_dim <= d_amb):
         raise InvalidConfig(f"target_dim must be in [1, {d_amb}], got {target_dim}")
     x = samples.data.T
-    mean = x.mean(axis=0) if center else np.zeros(d_amb)
     fitted = None
-    if target_dim <= samples.count < d_amb:
-        fitted = _gram_route(x - mean if center else x, target_dim, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # the eigensolver rejects non-finite
+        mean = x.mean(axis=0) if center else np.zeros(d_amb)
+        if target_dim <= samples.count < d_amb:
+            fitted = _gram_route(x - mean if center else x, target_dim, samples)
     if fitted is None:
         # held to the return: freed before the basis copy, it raised indep-auc's peak RSS 0.3 MiB
         cov = compute_covariance(samples, center)
@@ -309,5 +311,6 @@ def project(samples: SampleMatrix, model: PcaModel) -> SampleMatrix:
         raise InvalidData(
             f"sample dim {samples.dim} != model ambient dim {model.ambient_dim}"
         )
-    shifted = np.subtract(samples.data, model.mean[:, None], order="C")
-    return SampleMatrix(model.basis.T @ shifted)
+    with np.errstate(over="ignore", invalid="ignore"):  # SampleMatrix rejects non-finite
+        shifted = np.subtract(samples.data, model.mean[:, None], order="C")
+        return SampleMatrix(model.basis.T @ shifted)

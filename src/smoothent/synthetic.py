@@ -159,9 +159,11 @@ def gen_common_signal_pair(
     p_x = rng.standard_normal((ambient_dim, intrinsic_dim))
     p_y = rng.standard_normal((ambient_dim, intrinsic_dim))
     w = rng.standard_normal((intrinsic_dim, n))
-    n_x = rng.standard_normal((ambient_dim, n)) * noise_std
-    n_y = rng.standard_normal((ambient_dim, n)) * noise_std
+    x, y = np.empty((n, ambient_dim)), np.empty((n, ambient_dim))
+    for rows in (x, y):
+        _draw_normal_rows(rng, rows)
+        rows *= noise_std
     w_y = w if dependent else rng.standard_normal((intrinsic_dim, n))
-    x = SampleMatrix(p_x @ w + n_x)
-    y = SampleMatrix(p_y @ w_y + n_y)
-    return JointDataset(x=x, y=y), dependent
+    x += (p_x @ w).T
+    y += (p_y @ w_y).T
+    return JointDataset(x=SampleMatrix.adopt(x), y=SampleMatrix.adopt(y)), dependent

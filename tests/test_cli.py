@@ -135,6 +135,16 @@ class TestGen:
         report = f"wrote /dev/stdout ({n} samples x 100 dims)\n".encode()
         assert run.stdout == (tmp_path / "serial.csv").read_bytes() + report
 
+    def test_allocation_beyond_memory_is_data_error(self, tmp_path, capsys):
+        # 10^15 x 100 doubles (711 PiB) exceed any address space, so numpy
+        # fails before anything is mapped
+        out = tmp_path / "huge.csv"
+        argv = ["gen", "--kind", "gaussian", "--n", str(10**15), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_out_is_config_error(self):
         assert main(["gen", "--kind", "gaussian", "--n", "5"]) == EXIT_CONFIG
 
@@ -203,6 +213,34 @@ class TestEntropy:
         assert capsys.readouterr().err.startswith("error: sigma = 1e-20 or a center")
         assert main(base + ["--sigma", "1e-15"]) == EXIT_OK
         assert math.isfinite(float(capsys.readouterr().out.split()[2]))
+
+    def test_sigma_whose_square_overflows_is_data_error(self, sample_file, capsys):
+        # 2 sigma^2 beyond float64; sigma = 1e20 still runs
+        base = ["entropy", str(sample_file), "--dim", "2", "--n-mc", "20", "--seed", "2"]
+        assert main(base + ["--sigma", "1e160"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma = 1e+160 or a center") and err.count("\n") == 1
+        assert main(base + ["--sigma", "1e20"]) == EXIT_OK
+        assert math.isfinite(float(capsys.readouterr().out.split()[2]))
+
+    @pytest.mark.parametrize("split", ["half", "reuse"])
+    @pytest.mark.parametrize(
+        "rows",
+        ["1.5e308\n-1.5e308\n1.5e308\n",
+         "1e308,1e308\n1e308,-1e308\n-1e308,1e308\n1,2\n3,4\n5,6\n"],
+        ids=["one-column", "two-columns"],
+    )
+    def test_overflowing_samples_are_data_error(self, tmp_path, capsys, rows, split):
+        # the mean, the centering or the covariance product exceeds float64:
+        # one error line, no numpy warning
+        path = tmp_path / "huge.csv"
+        path.write_text(rows, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = ["entropy", str(path), "--sigma", "0.1", "--dim", "1", "--split", split,
+                "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == "error: matrix contains non-finite entries\n"
+        assert not out.exists()
 
     def test_dim_exceeding_ambient_is_config_error(self, sample_file):
         assert main(["entropy", str(sample_file), "--dim", "99"]) == EXIT_CONFIG
@@ -360,6 +398,23 @@ class TestSweep:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: sweep axis {name} is empty\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, error",
+        # 2 x 10^15 x 100 doubles (1.4 EiB) exceed any address space, so
+        # numpy fails before anything is mapped
+        [(["--n", str(10**15)], "MemoryError: Unable to allocate"),
+         (["--n", "20", "--sigmas", "1e160"], "Unsupported: sigma = 1e+160 or a center")],
+        ids=["n", "sigma"],
+    )
+    def test_failing_cell_is_error_row(self, tmp_path, capsys, axis, error):
+        out = tmp_path / "failed.csv"
+        assert main([
+            "sweep", "--d", "1", "--repeats", "1", "--n-mc", "5", *axis, "--out", str(out),
+        ]) == EXIT_OK
+        rows = read_csv_dict(out)
+        assert len(rows) == 1 and rows[0]["error"].startswith(error)
+        assert "(1 failed cells)" in capsys.readouterr().out
 
     def test_bad_axis_value_is_config_error(self, tmp_path):
         code = main(["sweep", "--n", "abc", "--out", str(tmp_path / "x.csv")])

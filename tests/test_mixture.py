@@ -203,6 +203,15 @@ class TestPluginEntropyMc:
         with pytest.raises(Unsupported, match="float32"):
             plugin_entropy_mc(mixture_of([[-3e38, 3e38]], 1.0), 20, seed=1)
 
+    def test_sigma_whose_square_overflows_is_unsupported(self):
+        # 2 sigma^2 beyond float64 is refused before any draw; just below
+        # that, the draws' |z|^2 overflow and the fold refuses the estimate
+        with pytest.raises(Unsupported, match="2 sigma\\^2 below"):
+            plugin_entropy_mc(mixture_of([[0.0, 1.0]], 1e160), 20, seed=1)
+        with pytest.raises(Unsupported, match="overflows float64"):
+            plugin_entropy_mc(mixture_of([[0.0, 1.0]], 9e153), 20, seed=1)
+        assert math.isfinite(plugin_entropy_mc(mixture_of([[0.0, 1.0]], 1e20), 20, seed=1).value)
+
     def test_tiny_sigma_within_float32(self):
         # sigma = 1e-15 (1/sigma^2 = 1e30) still fits: the centers are
         # separated by 1e15 sigma, so h = ln n + h(N(0, sigma^2 I_3))
@@ -225,14 +234,21 @@ class TestMcKernels:
     @staticmethod
     def block_args(centers_t, b0, b1, z64, sigma):
         """``_mc_block``'s arguments for rows ``b0:b1`` with noise ``z64``, scratch included."""
-        dim, n = centers_t.shape
+        dim = centers_t.shape[0]
         rows, n_mc = z64.shape[:2]
-        z_aug = np.ones((rows, n_mc, dim + 1), dtype=np.float32)
-        z_aug[:, :, :dim] = -z64 / sigma**2
-        z2 = np.einsum("ijd,ijd->ij", z64, z64)
+        z_lhs = np.ones((rows, n_mc, dim + 1), dtype=np.float32)
+        z_lhs[:, :, :dim] = -z64 / sigma**2
         aug = np.empty((rows, dim + 1, _COL_TILE), dtype=np.float32)
         buf = np.empty((rows, n_mc, _COL_TILE), dtype=np.float32)
-        return centers_t, b0, b1, z_aug, z2, sigma, _log_norm_const(n, dim, sigma), aug, buf
+        return centers_t, b0, b1, z_lhs, sigma, aug, buf
+
+    @staticmethod
+    def log_density(centers_t, b0, b1, z64, sigma):
+        """``_mc_block``'s log-sums turned into log densities as ``plugin_entropy_mc`` does."""
+        dim, n = centers_t.shape
+        logsum = _mc_block(*TestMcKernels.block_args(centers_t, b0, b1, z64, sigma))
+        z2 = np.einsum("ijd,ijd->ij", z64, z64)
+        return logsum - z2 / (2.0 * sigma**2) - _log_norm_const(n, dim, sigma)
 
     @staticmethod
     def exact(centers_t, b0, b1, z64, sigma):
@@ -257,38 +273,26 @@ class TestMcKernels:
 
     @pytest.mark.parametrize("dim", [1, 3, 10, 40, 100])
     def test_fast_and_safe_agree_with_double_precision(self, dim):
-        # plain-sum and running-max modes on one block (b0:b1 spans two
-        # column tiles of centers) against the float64 evaluator
+        # one block (b0:b1 spans two column tiles of centers) against the
+        # float64 evaluator
         rng = np.random.default_rng(200 + dim)
         n, n_mc, sigma = 700, 7, 0.5
         centers_t = rng.standard_normal((dim, n)).astype(np.float32)
         b0, b1 = 40, 52
         z64 = rng.normal(0.0, sigma, size=(b1 - b0, n_mc, dim))
-        args = self.block_args(centers_t, b0, b1, z64, sigma)
-        plain = _mc_block(*args, running_max=False)
-        running = _mc_block(*args, running_max=True)
+        got = self.log_density(centers_t, b0, b1, z64, sigma)
         exact = self.exact(centers_t, b0, b1, z64, sigma)
-        assert plain is not None
-        np.testing.assert_allclose(plain, exact, rtol=0, atol=1e-4)
-        np.testing.assert_allclose(running, exact, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-4)
 
     def test_overflowing_exponent(self):
         centers_t, z64 = self.overflow_case(3)
-        args = self.block_args(centers_t, 0, 2, z64, 0.1)
-        assert _mc_block(*args, running_max=False) is None
-        running = _mc_block(*args, running_max=True)
-        np.testing.assert_allclose(
-            running, self.exact(centers_t, 0, 2, z64, 0.1), rtol=0, atol=1e-4
-        )
+        with pytest.raises(Unsupported, match="kernel sum is not finite: a term exceeds float32"):
+            _mc_block(*self.block_args(centers_t, 0, 2, z64, 0.1))
 
-    def test_high_dim_overflow_is_rerun_in_running_max_mode(self, monkeypatch):
-        # plain sums run first at every d: a d = 40 block whose plain sums
-        # overflow is rerun in running-max mode by the block job
+    def test_high_dim_overflow_is_unsupported(self, monkeypatch):
+        # a d = 40 estimate whose draws put an exponent beyond float32 ends
+        # in the kernel's typed error, not in a non-finite value
         centers_t, z64 = self.overflow_case(40)
-        args = self.block_args(centers_t, 0, 2, z64, 0.1)
-        assert _mc_block(*args, running_max=False) is None
-        exact = self.exact(centers_t, 0, 2, z64, 0.1)
-        np.testing.assert_allclose(_mc_block(*args, running_max=True), exact, rtol=0, atol=1e-4)
 
         class Draws:
             def __init__(self, seed, i):
@@ -297,17 +301,10 @@ class TestMcKernels:
             def standard_normal(self, out):
                 out[...] = z64[self.i] / 0.1
 
-        modes = []
-
-        def kernel(*rest, running_max):
-            modes.append(running_max)
-            return _mc_block(*rest, running_max=running_max)
-
         monkeypatch.setattr(mixture, "substream", Draws)
-        monkeypatch.setattr(mixture, "_mc_block", kernel)
-        est = plugin_entropy_mc(IsotropicMixture(SampleMatrix(centers_t), 0.1), 1, seed=0)
-        assert modes == [False, True]
-        assert est.value == pytest.approx(-exact.mean(), abs=1e-4)
+        mix = IsotropicMixture(SampleMatrix(centers_t), 0.1)
+        with pytest.raises(Unsupported, match="kernel sum is not finite"):
+            plugin_entropy_mc(mix, 1, seed=0)
 
 
 def serial_reference(mix, n_mc, seed):
@@ -339,16 +336,13 @@ def serial_reference(mix, n_mc, seed):
             for t, rng in enumerate(rngs):
                 z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
             z2 = np.einsum("ijd,ijd->ij", z64, z64)
-            z_aug = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
-            z_aug[:, :, :dim] = z64 * (-1.0 / sigma**2)
-            z_aug[:, :, dim] = 1.0
+            z_lhs = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
+            z_lhs[:, :, :dim] = z64 * (-1.0 / sigma**2)
+            z_lhs[:, :, dim] = 1.0
             aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
             buf = np.empty((b1 - b0, j1 - j0, _COL_TILE), dtype=np.float32)
-            args = (centers_t, b0, b1, z_aug, z2, sigma, const, aug, buf)
-            logg = mixture._mc_block(*args, running_max=False)
-            if logg is None:
-                logg = mixture._mc_block(*args, running_max=True)
-            flat = logg.ravel()
+            logsum = mixture._mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf)
+            flat = (logsum - z2 / (2.0 * sigma**2) - const).ravel()
             if pivot is None:
                 pivot = float(flat[0])
             dev = flat - pivot
@@ -372,18 +366,16 @@ class TestPooledKernel:
         return IsotropicMixture(SampleMatrix(rng.standard_normal((dim, TestPooledKernel.N))), 0.3)
 
     @staticmethod
-    def record_threads(monkeypatch, fail_block=None, error_block=None):
-        """Wrap ``_mc_block``: log the calling thread, raise at one block or fail its plain sums."""
+    def record_threads(monkeypatch, error_block=None):
+        """Wrap ``_mc_block``: log the calling thread, raise at one block."""
         real = mixture._mc_block
         threads = []
 
-        def kernel(centers_t, b0, *rest, running_max):
+        def kernel(centers_t, b0, *rest):
             threads.append(threading.current_thread())
             if b0 == error_block:
                 raise RuntimeError("kernel failure in block")
-            if b0 == fail_block and not running_max:
-                return None
-            return real(centers_t, b0, *rest, running_max=running_max)
+            return real(centers_t, b0, *rest)
 
         monkeypatch.setattr(mixture, "_mc_block", kernel)
         return threads
@@ -411,25 +403,6 @@ class TestPooledKernel:
         got = self.pooled(monkeypatch, mix, workers, n_mc=10)
         assert any(t is not threading.main_thread() for t in threads)
         assert got == serial_reference(mix, 10, self.SEED)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_safe_fallback_of_one_block(self, monkeypatch, workers):
-        # the block whose plain sums fail is rerun in running-max mode
-        mix = self.mix(3)
-        self.record_threads(monkeypatch, fail_block=40)
-        failing = mixture._mc_block
-        reruns = []
-
-        def kernel(centers_t, b0, *rest, running_max):
-            if running_max:
-                reruns.append(b0)
-            return failing(centers_t, b0, *rest, running_max=running_max)
-
-        monkeypatch.setattr(mixture, "_mc_block", kernel)
-        got = self.pooled(monkeypatch, mix, workers)
-        assert reruns == [40]
-        assert got == serial_reference(mix, self.N_MC, self.SEED)
-        assert reruns == [40, 40]
 
     def test_short_switch_interval(self, monkeypatch):
         mix = self.mix(3)

@@ -246,7 +246,7 @@ class TestFitPca:
     def test_centering_overflow_is_invalid_data(self, dim):
         # the mean is finite, but x - mean overflows to -inf in the middle sample
         sm = SampleMatrix(np.tile([1.5e308, -1.5e308, 1.5e308], (dim, 1)))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidData):
+        with pytest.raises(InvalidData):
             fit_pca(sm, 1)
 
     def test_mean_recorded_only_when_centering(self):
@@ -326,6 +326,13 @@ class TestProject:
         model = fit_pca(SampleMatrix(rng.standard_normal((4, 10))), 2)
         with pytest.raises(InvalidData):
             project(SampleMatrix(rng.standard_normal((5, 10))), model)
+
+    @pytest.mark.parametrize("mean", [0.0, -1e308], ids=["product", "shift"])
+    def test_overflow_is_invalid_data(self, mean):
+        # finite samples whose shifted coordinates or projection exceed float64
+        model = PcaModel(np.full((2, 1), np.sqrt(0.5)), np.array([2.0, 0.0]), np.full(2, mean))
+        with pytest.raises(InvalidData, match="non-finite"):
+            project(SampleMatrix(np.full((2, 3), 1.5e308)), model)
 
 
 class TestInvariants:

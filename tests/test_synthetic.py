@@ -72,6 +72,16 @@ def test_draws_keep_their_dimension_order(monkeypatch, block_dims):
     expected = np.vstack([r * np.cos(theta), r * np.sin(theta), z, tail])
     np.testing.assert_array_equal(gen_spiral("cylindrical", 0.2, 7, n, seed=6).data, expected)
 
+    for dependent in (True, False):
+        rng = substream(7)
+        p_x, p_y = rng.standard_normal((7, 2)), rng.standard_normal((7, 2))
+        w = rng.standard_normal((2, n))
+        n_x, n_y = rng.standard_normal((7, n)) * 0.05, rng.standard_normal((7, n)) * 0.05
+        w_y = w if dependent else rng.standard_normal((2, n))
+        pair, _ = gen_common_signal_pair(2, 7, n, 0.05, seed=7, dependent=dependent)
+        np.testing.assert_array_equal(pair.x.data, p_x @ w + n_x)
+        np.testing.assert_array_equal(pair.y.data, p_y @ w_y + n_y)
+
 
 class TestSpirals:
     def test_intrinsic_dims(self):
