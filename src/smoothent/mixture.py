@@ -41,7 +41,7 @@ Numerical notes
   center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
   ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
   ``n_mc <= 128`` at ``d = 3``, ``d <= 50`` at ``n_mc = 10``.  Each block
-  draws its own centers' substreams on whichever thread runs it and its
+  draws its own centers' substreams on whichever thread runs it, its
   result depends on its own values only, and the calling thread folds
   ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error`` are
   bitwise the same for any worker count.  Larger GEMMs stay serial: above
