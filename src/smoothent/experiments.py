@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidConfig, SmoothentError
 from .estimator import (
+    SPLIT_POLICIES,
     EstimatorConfig,
     dimension_correction,
     gaussian_smoothed_entropy_oracle,
@@ -77,8 +78,11 @@ class SweepSpec:
         for axis in ("kinds", "n_values", "d_values", "sigma_values", "lambda_res_values"):
             if not getattr(self, axis):
                 raise InvalidConfig(f"sweep axis {axis} is empty")
-        if self.repeats < 1:
-            raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
+        for name in ("repeats", "ambient_dim", "n_mc"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.split not in SPLIT_POLICIES:
+            raise InvalidConfig(f"split must be one of {SPLIT_POLICIES}, got {self.split!r}")
         if self.reference not in REFERENCE_MODES:
             raise InvalidConfig(f"reference must be one of {REFERENCE_MODES}")
         for kind in self.kinds:

@@ -20,33 +20,21 @@ messages are those of that loop alone.  Float rows are written as
 comma-joined ``repr`` of ``tolist()`` values, byte for byte what
 ``csv.writer`` over ``fmt`` gives.
 
-Large files are parsed on worker processes.  On Linux, when the process may
-run on at least two cores and the data bytes give at least two parts of
-``_PART_MIN_BYTES``, they are split at line starts into one byte range per
-core, up to one per ``_PART_MIN_BYTES``.  Each range goes through the same
-``np.loadtxt`` call in a child forked from the reader, which allocates the
-result once and receives every part into its rows.  Any failure (a range
-loadtxt rejects or warns on, one holding a quote, a child that dies, widths
-that differ) falls back to the serial parse, so the values, the accepted
-inputs and the messages do not depend on the path.  The worker count is the
-cores the process may use, not the idle ones, so a parse on cores that other
-work holds can lose to the serial one: with both cores of a 2-core machine
-busy, a forked read of a 78 MB 2000 x 2000 file took 1.54 s against 1.17 s
-serially (0.86-0.91 s forked on idle cores).
-
-Large blocks of rows are written on worker processes too.  On Linux, when
-the process may run on at least two cores, the output is a regular file
-and the block gives at least two ranges of ``_WRITE_MIN_VALUES`` values, it
-is split into one range of rows per core.  The writer streams the first
-range into the file as the serial writer does, while a forked child formats
-each other range into bytes; once the writer knows where each range starts,
-it sends the child that offset and the child writes its bytes there with
-``os.pwrite``.  After a child fails (it errs, dies or writes too little),
-the file is cut at the start of that range and the rest is written
-serially.  Either way the bytes are those of the serial writer, and a pipe,
-FIFO or terminal is always written serially.  Known limit: from Python
-3.12, ``os.fork`` warns when the process has other threads, such as
-OpenBLAS's; this module does not filter that warning, on reads or writes.
+Large files are read and written on worker processes, by one protocol.
+When ``_part_count`` splits the work (Linux, at least two cores and two
+parts of a minimum size), a child forked from this process takes each part,
+a byte range to parse or a range of rows to format, and sends a header and
+its bytes down a one-way pipe; this process takes the parts in order.  Both
+are all or nothing: after any failure the file is read or the block written
+serially, so the values, the accepted inputs, the messages and the bytes do
+not depend on the path.  A pipe, FIFO or terminal is always written
+serially.  The worker count is the cores the process may use, not the idle
+ones, so a split on cores that other work holds can lose to the serial
+path: with both cores of a 2-core machine busy, a forked read of a 78 MB
+2000 x 2000 file took 1.54 s against 1.17 s serially (0.86-0.91 s forked on
+idle cores).  Known limit: from Python 3.12, ``os.fork`` warns when the
+process has other threads, such as OpenBLAS's; this module does not filter
+that warning, on reads or writes.
 
 Byte-identical reruns assume a fixed BLAS thread count: the spectrum and
 basis of a fitted model can move by a few ulp between, e.g.,
@@ -163,13 +151,20 @@ def _loadtxt(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
 
 
+def _send_part(conn, header, buffer) -> None:
+    """Worker process: send ``header``, then ``buffer``'s bytes in pieces of ``_SEND_BYTES``."""
+    conn.send(header)
+    raw = memoryview(buffer).cast("B")
+    for k in range(0, len(raw), _SEND_BYTES):
+        conn.send_bytes(raw[k : k + _SEND_BYTES])
+
+
 def _parse_part(path, begin, end, conn) -> None:
-    """Worker process: parse bytes ``begin:end`` of ``path``, send the shape, then the rows.
+    """Worker process: parse bytes ``begin:end`` of ``path`` and send the rows' shape and bytes.
 
     The range is decoded and split into lines by the text layer the serial
-    parse reads through.  Rows go out in pieces of at most ``_SEND_BYTES``.
-    On any failure nothing more is sent, and the parent, which then reads an
-    end of file, parses the whole file serially.
+    parse reads through.  On any failure nothing more is sent, and the
+    parent, which then reads an end of file, parses the whole file serially.
     """
     try:
         with open(path, "rb") as fb:
@@ -179,24 +174,31 @@ def _parse_part(path, begin, end, conn) -> None:
         if b'"' not in data:
             warnings.simplefilter("error")  # a part that warns (no rows) is left to the serial parse
             rows = _loadtxt(TextIOWrapper(BytesIO(data), encoding="utf-8", newline=""))
-            conn.send(rows.shape)
-            raw = memoryview(rows).cast("B")
-            for k in range(0, len(raw), _SEND_BYTES):
-                conn.send_bytes(raw[k : k + _SEND_BYTES])
+            _send_part(conn, rows.shape, rows)
     except Exception:  # the parent parses serially and reports the error, if there is one
         pass
     finally:
         conn.close()
 
 
-def _byte_ranges(path, header, workers) -> list[tuple[int, int]]:
-    """Split the data bytes of ``path`` at line starts into one range per worker.
+def _part_count(size, least) -> int:
+    """Parts to split ``size`` units of work into on forked workers, or 0 to keep it serial.
+
+    One part per core the process may run on, each of at least ``least``
+    units; the work is split only on Linux and into at least two parts.
+    """
+    parts = min(mixture._worker_count(), size // least) if sys.platform == "linux" else 0
+    return parts if parts > 1 else 0
+
+
+def _byte_ranges(path, header) -> list[tuple[int, int]]:
+    """Split the data bytes of ``path`` at line starts into ``_part_count`` ranges.
 
     Data starts after a UTF-8 BOM and, when there is a ``header``, after its
     line, which must be its comma-joined fields and a ``\\n`` or ``\\r\\n``.
-    There are ``min(workers, data bytes // _PART_MIN_BYTES)`` ranges, each of
-    whole lines, or none at all when fewer than two would remain or the
-    header line is not plain (it holds a quote or ends at a bare ``\\r``).
+    Each range holds whole lines of at least ``_PART_MIN_BYTES`` of data, and
+    there are none at all when fewer than two would remain or the header
+    line is not plain (it holds a quote or ends at a bare ``\\r``).
     """
     with open(path, "rb") as fb:
         start = len(BOM_UTF8) if fb.read(len(BOM_UTF8)) == BOM_UTF8 else 0
@@ -211,7 +213,7 @@ def _byte_ranges(path, header, workers) -> list[tuple[int, int]]:
             else:
                 return []
         size = fb.seek(0, SEEK_END)
-        parts = min(workers, (size - start) // _PART_MIN_BYTES)
+        parts = _part_count(size - start, _PART_MIN_BYTES)
         bounds = [start]
         for k in range(1, parts):
             fb.seek(start + (size - start) * k // parts - 1)
@@ -226,13 +228,14 @@ def _byte_ranges(path, header, workers) -> list[tuple[int, int]]:
 
 
 @contextmanager
-def _forked(target, jobs, duplex=False):
+def _forked(target, jobs):
     """Run ``target(*job, conn)`` for each of the ``jobs`` in a child forked from this process.
 
-    Yields this side's connection to each child, in job order, or ``None``
-    when not every child could start: a daemonic process may not start
-    any, and one out of processes or descriptors starts too few.  Only the
-    child holds its end of a pipe, so its exit reads here as an end of file.
+    Yields this side's receiving end of each child's one-way pipe, in job
+    order, or ``None`` when not every child could start: a daemonic process
+    may not start any, and one out of processes or descriptors starts too
+    few.  Only the child holds its sending end, so its exit reads here as an
+    end of file.
     On exit every connection is closed and every child killed and joined.
     """
     import multiprocessing  # only reads and writes that split pay for the import
@@ -243,7 +246,7 @@ def _forked(target, jobs, duplex=False):
         if not multiprocessing.current_process().daemon:
             with suppress(OSError):
                 for job in jobs:
-                    mine, theirs = context.Pipe(duplex=duplex)
+                    mine, theirs = context.Pipe(duplex=False)
                     conns.append(mine)
                     with theirs:
                         proc = context.Process(target=target, args=(*job, theirs))
@@ -269,10 +272,7 @@ def _forked_rows(path, header) -> np.ndarray | None:
     part with no rows, or widths that differ between parts or from the
     header's.  Every child is killed and joined before this returns.
     """
-    workers = mixture._worker_count()
-    if sys.platform != "linux" or workers < 2:
-        return None
-    ranges = _byte_ranges(path, header, workers)
+    ranges = _byte_ranges(path, header)
     if not ranges:
         return None
     with _forked(_parse_part, [(path, begin, end) for begin, end in ranges]) as conns:
@@ -280,9 +280,7 @@ def _forked_rows(path, header) -> np.ndarray | None:
             return None
         try:
             counts, widths = zip(*(conn.recv() for conn in conns))
-            if min(counts) < 1 or len(set(widths)) > 1:
-                return None
-            if header is not None and widths[0] != len(header):
+            if min(counts) < 1 or set(widths) != {len(header) if header else widths[0]}:
                 return None
             rows = np.empty((sum(counts), widths[0]))
             raw = memoryview(rows).cast("B")
@@ -336,72 +334,61 @@ def _format_rows(rows, lead):
         yield lead + ",".join(map(repr, row.tolist())) + "\n"
 
 
-def _format_part(rows, lead, fd, conn) -> None:
-    """Worker process: format ``rows``, send the byte count, then write them at the offset received.
+def _format_part(rows, lead, conn) -> None:
+    """Worker process: format ``rows`` as ``_format_rows`` does and send the byte count and bytes.
 
-    The bytes go to ``fd``, the writer's file, with ``os.pwrite``, which
-    leaves the file position alone; the count written is sent last.  On any
-    failure nothing more is sent, and the parent, which then reads an end of
-    file, writes this part and the ones after it itself.
+    On any failure nothing more is sent, and the parent, which then reads
+    an end of file, writes the whole block serially.
     """
     try:
         data = bytearray()  # held once: a joined str and its encoding would be twice the bytes
         for line in _format_rows(rows, lead):
             data += line.encode()
-        conn.send(len(data))
-        offset = conn.recv()
-        written = 0
-        while written < len(data):
-            written += os.pwrite(fd, memoryview(data)[written:], offset + written)
-        conn.send(written)
-    except Exception:  # the parent writes the part serially and reports the error, if there is one
+        _send_part(conn, len(data), data)
+    except Exception:  # the parent writes serially and reports the error, if there is one
         pass
     finally:
         conn.close()
 
 
-def _forked_write(fh, rows, lead) -> int:
-    """Write leading rows of the 2-D ``rows`` on forked worker processes; return how many.
+def _forked_write(fh, rows, lead) -> bool:
+    """Write the 2-D ``rows`` into ``fh`` on forked worker processes; return whether it did.
 
-    The rows are split into one range per core, each of at least
-    ``_WRITE_MIN_VALUES`` values, or into none (and 0 is returned) unless
-    this is Linux, there are two such ranges and ``fh`` is a regular file.
-    This process streams the first range into ``fh`` while a child formats
-    each other range into bytes; with the count of each it tells the child
-    where its bytes start, and the child writes them there.  After a child
-    fails, the file is cut at the start of its range and fewer rows are
-    returned, so the caller writes the rest serially and the bytes are those
-    of the serial writer.  Every child is killed and joined before this
-    returns, and ``fh`` is left at the end of what was written.
+    The rows are split into ``_part_count`` ranges of at least
+    ``_WRITE_MIN_VALUES`` values, or nothing is written unless there are two
+    and ``fh`` is a regular file.  This process streams the first range into
+    ``fh`` while a child formats each other range, then copies each child's
+    bytes into the file in range order through one reused piece of
+    ``_SEND_BYTES``.  After a child fails, the file is cut back to where the
+    block began and ``False`` is returned, so the caller writes the block
+    serially and the bytes are those of the serial writer.  Every child is
+    killed and joined before this returns.
     """
-    workers = mixture._worker_count()
-    if sys.platform != "linux" or workers < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        return 0
     count, width = rows.shape
-    parts = min(workers, count // -(-_WRITE_MIN_VALUES // max(width, 1)))
-    if parts < 2:
-        return 0
+    parts = _part_count(count, -(-_WRITE_MIN_VALUES // max(width, 1)))
+    if not parts or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return False
     bounds = [count * k // parts for k in range(parts + 1)]
-    fh.flush()  # a child must not inherit bytes buffered for the file
-    jobs = [(rows[b:e], lead, fh.fileno()) for b, e in zip(bounds[1:-1], bounds[2:])]
-    with _forked(_format_part, jobs, duplex=True) as conns:
+    jobs = [(rows[b:e], lead) for b, e in zip(bounds[1:-1], bounds[2:])]
+    begin = fh.tell()  # tell flushes: a child must not inherit bytes buffered for the file
+    with _forked(_format_part, jobs) as conns:
         if conns is None:
-            return 0
+            return False
         fh.writelines(_format_rows(rows[: bounds[1]], lead))
-        ends = [fh.tell()]  # the file offset where each range ends; tell flushes
-        done = 1  # ranges whose bytes are in the file
-        with suppress(EOFError, OSError):
+        fh.flush()  # the children's bytes go to the binary layer, after these
+        piece = memoryview(bytearray(_SEND_BYTES))
+        try:
             for conn in conns:
-                conn.send(ends[-1])
-                ends.append(ends[-1] + conn.recv())
-        with suppress(EOFError, OSError):  # the children told where to write
-            for conn, begin, end in zip(conns, ends, ends[1:]):
-                if conn.recv() != end - begin:
-                    break
-                done += 1
-    fh.seek(ends[done - 1])  # every child has exited: nothing else writes to the file
-    fh.truncate()
-    return bounds[done]
+                left = conn.recv()
+                while left > 0:
+                    size = conn.recv_bytes_into(piece)
+                    fh.buffer.write(piece[:size])
+                    left -= size
+            return True
+        except (EOFError, OSError):
+            fh.seek(begin)  # cut back to where the block began
+            fh.truncate()
+    return False
 
 
 def _write_float_rows(fh, rows, lead: str = "") -> None:
@@ -411,10 +398,10 @@ def _write_float_rows(fh, rows, lead: str = "") -> None:
     character ``csv.writer`` would quote, so the bytes are those of
     ``csv.writer`` over ``fmt`` at the speed of ``str.join``.  A large block
     of a regular file is written on worker processes by ``_forked_write``,
-    with the same bytes; the rows it leaves are written here.
+    with the same bytes.
     """
-    done = _forked_write(fh, rows, lead)
-    fh.writelines(_format_rows(rows[done:], lead))
+    if not _forked_write(fh, rows, lead):
+        fh.writelines(_format_rows(rows, lead))
 
 
 def read_samples(path) -> SampleMatrix:
@@ -435,15 +422,14 @@ def read_samples(path) -> SampleMatrix:
     return SampleMatrix.adopt(rows)
 
 
-def write_samples(path, samples: SampleMatrix, header: bool = True) -> None:
+def write_samples(path, samples: SampleMatrix) -> None:
     """Write a sample CSV (one row per sample, ``f0..f{D-1}`` header).
 
     A large matrix written to a regular file is formatted and written in
     ranges of rows on worker processes, with the bytes of the serial writer.
     """
     with _open_write(path) as fh:
-        if header:
-            fh.write(",".join(f"f{k}" for k in range(samples.dim)) + "\n")
+        fh.write(",".join(f"f{k}" for k in range(samples.dim)) + "\n")
         _write_float_rows(fh, samples.data.T)
 
 

@@ -69,8 +69,8 @@ def gen_embedded_gaussian(
         raise InvalidConfig(
             f"need 1 <= intrinsic_dim <= ambient_dim, got {intrinsic_dim}, {ambient_dim}"
         )
-    if lambda_res <= 0:
-        raise InvalidConfig(f"lambda_res must be positive, got {lambda_res}")
+    if not (math.isfinite(lambda_res) and lambda_res > 0):
+        raise InvalidConfig(f"lambda_res must be positive and finite, got {lambda_res}")
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
     variances = np.concatenate(
@@ -107,8 +107,8 @@ def gen_spiral(
     intrinsic = spiral_intrinsic_dim(kind)
     if ambient_dim < intrinsic:
         raise InvalidConfig(f"{kind} needs ambient_dim >= {intrinsic}, got {ambient_dim}")
-    if lambda_res <= 0:
-        raise InvalidConfig(f"lambda_res must be positive, got {lambda_res}")
+    if not (math.isfinite(lambda_res) and lambda_res > 0):
+        raise InvalidConfig(f"lambda_res must be positive and finite, got {lambda_res}")
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
     rng = substream(seed)
@@ -151,8 +151,8 @@ def gen_common_signal_pair(
         raise InvalidConfig(
             f"need 1 <= intrinsic_dim <= ambient_dim, got {intrinsic_dim}, {ambient_dim}"
         )
-    if noise_std <= 0:
-        raise InvalidConfig(f"noise_std must be positive, got {noise_std}")
+    if not (math.isfinite(noise_std) and noise_std > 0):
+        raise InvalidConfig(f"noise_std must be positive and finite, got {noise_std}")
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
     rng = substream(seed)

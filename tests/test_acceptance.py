@@ -90,6 +90,7 @@ def test_criterion_2_quadrature_agreement(announce):
     assert not failures, failures
 
 
+@pytest.mark.slow
 def test_criterion_3_embedded_gaussian_convergence(announce):
     started = time.perf_counter()
     spec = SweepSpec(
@@ -119,6 +120,7 @@ def test_criterion_3_embedded_gaussian_convergence(announce):
     assert ok, (medians, elapsed)
 
 
+@pytest.mark.slow
 def test_criterion_4_parameter_sweep_trends(announce):
     base = dict(
         kinds=("gaussian",), n_values=(1000,), repeats=10, ambient_dim=100,
@@ -158,6 +160,7 @@ def test_criterion_4_parameter_sweep_trends(announce):
     assert ok, (med_d, med_s, med_l)
 
 
+@pytest.mark.slow
 def test_criterion_5_independence_testing(announce):
     started = time.perf_counter()
     config = EstimatorConfig(sigma=1.0, target_dim=3, n_mc=100, seed=501)

@@ -114,11 +114,11 @@ class TestGen:
             monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
             assert main(args + [str(tmp_path / f"{workers}.csv")]) == EXIT_OK
             digests.append(hashlib.sha256((tmp_path / f"{workers}.csv").read_bytes()).hexdigest())
-        assert split == [0, n]
+        assert split == [False, True]
         assert digests[0] == digests[1]
 
     def test_stdout_pipe_is_written_serially(self, tmp_path, monkeypatch):
-        # a file that would split on two cores; a pipe takes no positioned writes
+        # a file that would split on two cores; a pipe cannot be cut back
         n = 2 * -(-sio._WRITE_MIN_VALUES // 100)
         args = ["gen", "--kind", "gaussian", "--n", str(n), "--ambient-dim", "100",
                 "--seed", "6", "--out"]
@@ -154,6 +154,18 @@ class TestGen:
         code = main(["gen", "--kind", kind, "--n", n, "--out", str(tmp_path / "g")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: n must be >= 1, got {n}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "kind, flag", [("gaussian", "--lambda-res"), ("spiral2d", "--lambda-res"), ("pair", "--noise-std")]
+    )
+    def test_non_finite_noise_scale_is_config_error(self, tmp_path, capsys, kind, flag, value):
+        code = main(["gen", "--kind", kind, "--n", "10", "--ambient-dim", "5", flag, value,
+                     "--out", str(tmp_path / "g")])
+        assert code == EXIT_CONFIG
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be positive and finite, got {value}\n"
         assert list(tmp_path.iterdir()) == []
 
 

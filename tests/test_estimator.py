@@ -224,6 +224,7 @@ class TestPcaSmoothedEntropy:
         assert result.pca.residual > 0
         assert result.pca.spectrum.shape == (5,)
 
+    @pytest.mark.slow
     def test_rank_d_losslessness_trend(self):
         # exact rank-3 Gaussian data: the ambient-population oracle equals the
         # projected oracle plus the correction, and the median estimation

@@ -96,11 +96,14 @@ class TestRunSweep:
             *[({axis: ()}, f"sweep axis {axis} is empty") for axis in
               ("kinds", "n_values", "d_values", "sigma_values", "lambda_res_values")],
             ({"repeats": 0}, "repeats must be >= 1, got 0"),
+            ({"ambient_dim": 0}, "ambient_dim must be >= 1, got 0"),
+            ({"n_mc": 0}, "n_mc must be >= 1, got 0"),
+            ({"split": "thirds"}, "split must be one of .*, got 'thirds'"),
             ({"reference": "oracle"}, "reference must be one of"),
             ({"kinds": ("helix",), "reference": "none"}, "unknown sweep kind 'helix'"),
         ],
-        ids=["no-kinds", "no-n", "no-d", "no-sigma", "no-lambda-res",
-             "no-repeats", "unknown-reference", "unknown-kind"],
+        ids=["no-kinds", "no-n", "no-d", "no-sigma", "no-lambda-res", "no-repeats",
+             "no-ambient-dim", "no-n-mc", "unknown-split", "unknown-reference", "unknown-kind"],
     )
     def test_invalid_spec_rejected(self, kw, message):
         with pytest.raises(InvalidConfig, match=message):

@@ -6,6 +6,7 @@ import os
 import threading
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -171,10 +172,10 @@ class TestSampleCsv:
 
     def test_extreme_doubles_round_trip_bitwise(self, tmp_path):
         rows = random_and_extreme(5, 6)
-        for header in (True, False):
-            path = tmp_path / f"extreme_{header}.csv"
-            write_samples(path, SampleMatrix(rows.T), header=header)
-            assert_bits_equal(read_samples(path).data.T, rows)
+        write_samples(tmp_path / "extreme.csv", SampleMatrix(rows.T))
+        reference_write_samples(tmp_path / "headerless.csv", SampleMatrix(rows.T), header=False)
+        for name in ("extreme.csv", "headerless.csv"):
+            assert_bits_equal(read_samples(tmp_path / name).data.T, rows)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -403,12 +404,11 @@ def reference_write_activation_dump(path, conditions, blocks):
 
 
 class TestWritersMatchCsvWriter:
-    @pytest.mark.parametrize("header", [True, False])
-    def test_samples(self, tmp_path, header):
+    def test_samples(self, tmp_path):
         for seed, sm in [(0, SampleMatrix(substream(8).standard_normal((7, 30)))),
                          (1, SampleMatrix(random_and_extreme(9, 12).T))]:
-            write_samples(tmp_path / f"new{seed}.csv", sm, header=header)
-            reference_write_samples(tmp_path / f"ref{seed}.csv", sm, header=header)
+            write_samples(tmp_path / f"new{seed}.csv", sm)
+            reference_write_samples(tmp_path / f"ref{seed}.csv", sm)
             assert (tmp_path / f"new{seed}.csv").read_bytes() == (tmp_path / f"ref{seed}.csv").read_bytes()
 
     def test_pca_model(self, tmp_path):
@@ -653,7 +653,8 @@ class TestSplitParse:
     @pytest.mark.parametrize("header", [True, False])
     def test_extreme_doubles_bitwise(self, tmp_path, split_reads, header):
         rows = random_and_extreme(27, 9)
-        write_samples(tmp_path / "extreme.csv", SampleMatrix(rows.T), header=header)
+        writer = write_samples if header else partial(reference_write_samples, header=False)
+        writer(tmp_path / "extreme.csv", SampleMatrix(rows.T))
         assert_bits_equal(read_samples(tmp_path / "extreme.csv").data.T, rows)
         assert split_reads == [True]
 
@@ -677,8 +678,8 @@ class TestSplitParse:
 def split_writes(monkeypatch):
     """Split every block of rows written into ranges for up to three worker processes.
 
-    Returns the log of block writes: ``(rows the workers wrote, rows)``; the
-    writer writes the rest serially.
+    Returns the log of block writes: ``True`` for one the workers wrote,
+    ``False`` for one written serially.
     """
     monkeypatch.setattr(sio, "_WRITE_MIN_VALUES", 1)
     monkeypatch.setattr(mixture, "_worker_count", lambda: 3)
@@ -686,9 +687,8 @@ def split_writes(monkeypatch):
     log = []
 
     def logged(fh, rows, lead):
-        done = forked_write(fh, rows, lead)
-        log.append((done, len(rows)))
-        return done
+        log.append(forked_write(fh, rows, lead))
+        return log[-1]
 
     monkeypatch.setattr(sio, "_forked_write", logged)
     return log
@@ -715,9 +715,9 @@ def write_case(case, directory, reference=False):
     """
     directory.mkdir()
     blocks = [special_block(31, 7), special_block(32, 5)]
-    if case in ("samples", "headerless"):
+    if case == "samples":
         writer = reference_write_samples if reference else write_samples
-        writer(directory / "s.csv", blocks[0], header=case == "samples")
+        writer(directory / "s.csv", blocks[0])
     elif case == "dump":
         writer = reference_write_activation_dump if reference else write_activation_dump
         writer(directory / "d.csv", [4, -2], blocks)
@@ -729,7 +729,7 @@ def write_case(case, directory, reference=False):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-WRITE_CASES = ["samples", "headerless", "dump", "joint"]
+WRITE_CASES = ["samples", "dump", "joint"]
 
 
 class TestSplitWrite:
@@ -738,7 +738,7 @@ class TestSplitWrite:
     @pytest.mark.parametrize("case", WRITE_CASES)
     def test_equal_to_csv_writer_and_the_serial_write(self, tmp_path, monkeypatch, split_writes, case):
         split = write_case(case, tmp_path / "split")
-        assert split_writes and all(done == rows for done, rows in split_writes)
+        assert split_writes and all(split_writes)
         reference = write_case(case, tmp_path / "reference", reference=True)
         assert {name: split[name] for name in reference} == reference
         monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
@@ -748,15 +748,25 @@ class TestSplitWrite:
         ranges = []
         forked = sio._forked
 
-        def logged(target, jobs, duplex=False):
-            ranges.append([len(rows) for rows, _, _ in jobs])
-            return forked(target, jobs, duplex)
+        def logged(target, jobs):
+            ranges.append([len(rows) for rows, _ in jobs])
+            return forked(target, jobs)
 
         monkeypatch.setattr(sio, "_forked", logged)
         write_case("dump", tmp_path / "split")
         # 7 and 5 rows in three ranges each: this process writes the first
         assert ranges == [[2, 3], [2, 2]]
-        assert split_writes == [(7, 7), (5, 5)]
+        assert split_writes == [True, True]
+
+    def test_a_split_write_streams(self, tmp_path, traced_peak, split_writes):
+        # Each child's bytes pass through one reused piece of _SEND_BYTES,
+        # so the writer never holds a whole part.
+        sm = SampleMatrix(substream(36).standard_normal((300, 300)))
+        _, peak = traced_peak(write_samples, tmp_path / "square.csv", sm)
+        assert split_writes == [True]
+        part = len("".join(sio._format_rows(sm.data.T[200:], "")).encode())  # the last of 3 ranges
+        assert part > 4 * sio._SEND_BYTES
+        assert peak < part, (peak, part)
 
     @pytest.mark.parametrize("doomed", [0, 1], ids=["middle", "last"])
     @pytest.mark.parametrize("when", ["at_start", "after_half_its_bytes"])
@@ -767,18 +777,18 @@ class TestSplitWrite:
         format_part = sio._format_part
         doomed_row = sm.data.T[[3, 6][doomed]]  # in ranges [2, 4) and [4, 7)
 
-        def dies(rows, lead, fd, conn):
+        def dies(rows, lead, conn):
             if not np.shares_memory(rows, doomed_row):
-                return format_part(rows, lead, fd, conn)
+                return format_part(rows, lead, conn)
             if when != "at_start":
                 data = "".join(sio._format_rows(rows, lead)).encode()
                 conn.send(len(data))
-                os.pwrite(fd, data[: len(data) // 2], conn.recv())
+                conn.send_bytes(data[: len(data) // 2])
             os._exit(1)
 
         monkeypatch.setattr(sio, "_format_part", dies)
         write_samples(tmp_path / "split.csv", sm)
-        assert split_writes == [([2, 4][doomed], 7)]
+        assert split_writes == [False]
         assert not multiprocessing.active_children()
         monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
         write_samples(tmp_path / "serial.csv", sm)
@@ -796,7 +806,7 @@ class TestSplitWrite:
         finally:
             drain.join(timeout=60)
         assert not drain.is_alive()
-        assert split_writes == [(0, 7)]
+        assert split_writes == [False]
         monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
         write_samples(tmp_path / "serial.csv", sm)
         assert received == [(tmp_path / "serial.csv").read_bytes()]

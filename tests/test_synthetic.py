@@ -49,8 +49,9 @@ class TestEmbeddedGaussian:
     def test_validation(self):
         with pytest.raises(InvalidConfig):
             gen_embedded_gaussian(5, 3, 0.1, 10, seed=0)
-        with pytest.raises(InvalidConfig):
-            gen_embedded_gaussian(2, 3, -0.1, 10, seed=0)
+        for lambda_res in (-0.1, np.nan, np.inf):
+            with pytest.raises(InvalidConfig, match="lambda_res must be positive"):
+                gen_embedded_gaussian(2, 3, lambda_res, 10, seed=0)
 
 
 @pytest.mark.parametrize("block_dims", [2, None], ids=["blocks-of-2", "default"])
@@ -117,7 +118,7 @@ class TestSpirals:
             gen_spiral("cylindrical", 0.01, 2, 10, seed=0)
         with pytest.raises(InvalidConfig):
             gen_spiral("nope", 0.01, 10, 10, seed=0)
-        for lambda_res in (0.0, -0.1):
+        for lambda_res in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(InvalidConfig, match="lambda_res must be positive"):
                 gen_spiral("spiral2d", lambda_res, 4, 10, seed=0)
 
@@ -165,5 +166,6 @@ class TestCommonSignalPair:
     def test_validation(self):
         with pytest.raises(InvalidConfig):
             gen_common_signal_pair(5, 3, 10, 0.1, seed=0)
-        with pytest.raises(InvalidConfig):
-            gen_common_signal_pair(2, 3, 10, 0.0, seed=0)
+        for noise_std in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidConfig, match="noise_std must be positive"):
+                gen_common_signal_pair(2, 3, 10, noise_std, seed=0)
