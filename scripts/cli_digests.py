@@ -1,6 +1,6 @@
 """sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
 
-Runs 23 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+Runs 24 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
 gaussian, conical, pair, and a 300-dimensional pair whose rows are filled in
 two blocks of dimensions), ``entropy`` (``--save-pca``, ``--bits``, Gram
 route ``half`` and ``reuse``, ``--no-center``, conical, the covariance route
@@ -8,7 +8,8 @@ fitted on all rows by ``--split reuse``, the uncentered Gram route with
 ``--split reuse --no-center``, and conical with ``--n-mc 2100``, more draws
 per center than one kernel chunk holds), ``mi-joint``
 (``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``),
-``sweep`` (a 2 x 2 grid, and one on the default ``--d`` and ``--sigmas``),
+``sweep`` (a 2 x 2 grid, one on the default ``--d`` and ``--sigmas``, and
+a gaussian and spiral2d grid, whose spiral rows have no reference),
 ``indep-auc`` and ``activation-mi`` (one dump and one missing path, so one
 error row).  ``mi-cond`` and ``activation-mi`` read a
 3-condition activation dump written by ``io.write_activation_dump`` from
@@ -100,6 +101,9 @@ INVOCATIONS = [
                *FAST]),
     ("sweep_defaults", ["sweep", "--n", "60", "--repeats", "2", "--ambient-dim", "12",
                         "--seed", "16", "--out", "sweep_defaults.csv", *FAST]),
+    ("sweep_mixed", ["sweep", "--kind", "gaussian,spiral2d", "--n", "80", "--d", "2",
+                     "--repeats", "2", "--ambient-dim", "10", "--seed", "21",
+                     "--out", "sweep_mixed.csv", *FAST]),
     ("indep_auc", ["indep-auc", "--n-datasets", "10", "--n", "150", "--dim", "2",
                    "--ambient-dim", "30", "--sigma", "1.0", "--seed", "13", "--out", "auc.csv",
                    *FAST]),

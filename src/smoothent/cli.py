@@ -24,7 +24,6 @@ from .estimator import SPLIT_POLICIES, EstimatorConfig, pca_smoothed_entropy
 from .experiments import (
     ACTIVATION_COLUMNS,
     AUC_COLUMNS,
-    REFERENCE_MODES,
     SWEEP_COLUMNS,
     SweepSpec,
     conditional_mi_figures,
@@ -128,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-res", default="0.01", help="comma list of residual intensities")
     p.add_argument("--repeats", type=int, default=10, help="seeds per cell")
     p.add_argument("--ambient-dim", type=int, default=100)
-    p.add_argument("--reference", choices=REFERENCE_MODES, default="closed-form")
     p.add_argument("--timing", action="store_true",
                    help="add a wall_time_s column (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
@@ -276,7 +274,6 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         split=args.split,
         center=not args.no_center,
-        reference=args.reference,
     )
     records = run_sweep(spec)
     columns = SWEEP_COLUMNS + (["wall_time_s"] if args.timing else [])

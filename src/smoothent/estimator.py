@@ -149,14 +149,12 @@ def _half_split_indices(n: int, config: EstimatorConfig):
 def _fit_gathered(samples: SampleMatrix, indices, config: EstimatorConfig) -> PcaModel:
     """``fit_pca(samples.take(indices), ...)`` bit for bit, without a centered copy.
 
-    The one gathered copy of the rows is centered in place; its mean and
-    ``x - mean`` are those ``fit_pca`` would compute.
+    The one gathered copy of the rows is centered in place; its mean (zeros
+    without ``center``) and ``x - mean`` are those ``fit_pca`` would compute.
     """
     x = samples.gather(indices)
-    if not config.center:
-        return fit_pca(SampleMatrix.adopt(x), config.target_dim, center=False)
     with np.errstate(over="ignore", invalid="ignore"):  # adopt rejects non-finite
-        mean = x.mean(axis=0)
+        mean = x.mean(axis=0) if config.center else np.zeros(samples.dim)
         x -= mean
     model = fit_pca(SampleMatrix.adopt(x), config.target_dim, center=False)
     return replace(model, mean=mean)

@@ -2,8 +2,10 @@
 and activation-dump MI trajectories, all emitted as CSV.
 
 Sweeps run one estimate per (cell, repeat) over the product of the requested
-axes.  Every seed is derived from the master seed plus the *content* of the
-cell, so results are independent of execution order and stable when axes are
+axes.  A gaussian cell's reference is the closed form of its population; a
+spiral cell has none, so its ``reference`` and ``abs_error`` stay empty.
+Every seed is derived from the master seed plus the *content* of the cell,
+so results are independent of execution order and stable when axes are
 extended.  Rows are emitted in canonical order (lexicographic in the cell
 parameters, then repeat), so identical invocations produce byte-identical
 files.  Wall-clock timing is recorded but only written when explicitly
@@ -46,8 +48,6 @@ __all__ = [
     "run_activation_mi",
 ]
 
-REFERENCE_MODES = ("closed-form", "self-consistency", "none")
-
 _AXIS_NAMES = ("kind", "n", "d", "sigma", "lambda_res")
 
 
@@ -58,7 +58,8 @@ class SweepSpec:
     ``n`` counts samples per split half (each cell draws ``2n``).  For
     Gaussian cells ``d`` is both the generator's intrinsic dimension and the
     projection target; for spiral cells the intrinsic dimension is fixed by
-    the kind and ``d`` is the projection target only.
+    the kind and ``d`` is the projection target only.  Each axis lists
+    distinct values: a repeated one would run its cells twice.
     """
 
     kinds: tuple[str, ...] = ("gaussian",)
@@ -72,24 +73,22 @@ class SweepSpec:
     seed: int = 0
     split: str = "half"
     center: bool = True
-    reference: str = "closed-form"
 
     def __post_init__(self):
         for axis in ("kinds", "n_values", "d_values", "sigma_values", "lambda_res_values"):
-            if not getattr(self, axis):
+            values = getattr(self, axis)
+            if not values:
                 raise InvalidConfig(f"sweep axis {axis} is empty")
+            if len(set(values)) < len(values):
+                raise InvalidConfig(f"sweep axis {axis} repeats a value: {values}")
         for name in ("repeats", "ambient_dim", "n_mc"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.split not in SPLIT_POLICIES:
             raise InvalidConfig(f"split must be one of {SPLIT_POLICIES}, got {self.split!r}")
-        if self.reference not in REFERENCE_MODES:
-            raise InvalidConfig(f"reference must be one of {REFERENCE_MODES}")
         for kind in self.kinds:
             if kind != "gaussian" and kind not in SPIRAL_KINDS:
                 raise InvalidConfig(f"unknown sweep kind {kind!r}")
-            if kind != "gaussian" and self.reference == "closed-form":
-                raise InvalidConfig("closed-form references exist only for gaussian cells")
 
     def cells(self) -> list[dict]:
         """All cells in canonical (lexicographic) order."""
@@ -148,11 +147,11 @@ def _generate_cell(cell: dict, ambient_dim: int, n_total: int, seed: int):
     return samples, None
 
 
-def _closed_form_reference(cell: dict, ambient_dim: int, population_cov) -> float:
+def _closed_form_reference(cell: dict, spec: SweepSpec, population_cov) -> float:
     eigenvalues = np.sort(np.diag(population_cov))[::-1]
     top = np.diag(eigenvalues[: cell["d"]])
     return gaussian_smoothed_entropy_oracle(top, cell["sigma"]) + dimension_correction(
-        ambient_dim, cell["d"], cell["sigma"]
+        spec.ambient_dim, cell["d"], cell["sigma"]
     )
 
 
@@ -170,25 +169,15 @@ def _cell_config(spec: SweepSpec, cell: dict, seed: int) -> EstimatorConfig:
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Execute the grid; one record per (cell, repeat), canonical order."""
     records: list[SweepRecord] = []
-    reference_cache: dict[tuple, float] = {}
     for cell in spec.cells():
         for repeat in range(spec.repeats):
             data_seed = _cell_seed(spec.seed, cell, repeat, 0)
             est_seed = _cell_seed(spec.seed, cell, repeat, 1)
             started = time.perf_counter()
             try:
-                samples, population_cov = _generate_cell(
-                    cell, spec.ambient_dim, 2 * cell["n"], data_seed
-                )
+                samples, cov = _generate_cell(cell, spec.ambient_dim, 2 * cell["n"], data_seed)
                 result = pca_smoothed_entropy(samples, _cell_config(spec, cell, est_seed))
-                reference = None
-                if spec.reference == "closed-form":
-                    reference = _closed_form_reference(cell, spec.ambient_dim, population_cov)
-                elif spec.reference == "self-consistency":
-                    key = (cell["kind"], cell["d"], cell["sigma"], cell["lambda_res"])
-                    if key not in reference_cache:
-                        reference_cache[key] = _self_consistency_reference(spec, cell)
-                    reference = reference_cache[key]
+                reference = None if cov is None else _closed_form_reference(cell, spec, cov)
                 figures = {
                     "estimate": result.value,
                     "reference": reference,
@@ -209,16 +198,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
                 )
             )
     return records
-
-
-def _self_consistency_reference(spec: SweepSpec, cell: dict) -> float:
-    """Reference run on fresh data at the grid's largest ``n`` and its ``n_mc``."""
-    ref_cell = dict(cell)
-    ref_cell["n"] = max(spec.n_values)
-    data_seed = _cell_seed(spec.seed, ref_cell, 2)
-    est_seed = _cell_seed(spec.seed, ref_cell, 3)
-    samples, _ = _generate_cell(ref_cell, spec.ambient_dim, 2 * ref_cell["n"], data_seed)
-    return pca_smoothed_entropy(samples, _cell_config(spec, ref_cell, est_seed)).value
 
 
 def rank_auc(positive_scores, negative_scores) -> float:

@@ -290,7 +290,7 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
     t2 = 0.0
     total = 0
     for logsum, z2 in _logg_blocks(centers_t, sigma, n_mc, seed):
-        flat = (logsum - z2 / (2.0 * sigma**2) - const).ravel()
+        flat = (logsum - z2 / two_var - const).ravel()
         if pivot is None:
             pivot = float(flat[0])
         dev = flat - pivot

@@ -38,14 +38,16 @@ def sample_file(tmp_path):
 
 
 # (subcommand and a valid argument list, a flag it does not read): for sweep,
-# also the single-value and paper-scale flags its list axes replaced
+# also the single-value and paper-scale flags its list axes replaced, and the
+# reference mode (a cell's kind decides its reference)
 UNREAD_FLAGS = [
     *[(["gen", "--kind", "gaussian", "--n", "10"], flag)
       for flag in (["--sigma", "0.1"], ["--n-mc", "5"], ["--split", "reuse"],
                    ["--no-center"], ["--bits"])],
     *[(["sweep", "--n", "20", "--d", "1", "--repeats", "1", "--ambient-dim", "4",
         "--n-mc", "5"], flag)
-      for flag in (["--bits"], ["--dim", "2"], ["--sigma", "0.2"], ["--full"])],
+      for flag in (["--bits"], ["--dim", "2"], ["--sigma", "0.2"], ["--full"],
+                   ["--reference", "none"])],
     (["indep-auc", "--n-datasets", "10", "--n", "30", "--dim", "1", "--ambient-dim", "4",
       "--n-mc", "5"], ["--bits"]),
     (["activation-mi"], ["--bits"]),
@@ -385,16 +387,16 @@ class TestSweep:
         ]) == EXIT_OK
         assert "wall_time_s" in read_csv_dict(out)[0]
 
-    def test_self_consistency_reference_follows_the_grid(self, tmp_path):
-        out = tmp_path / "ref.csv"
+    def test_mixed_kinds(self, tmp_path):
+        out = tmp_path / "mixed.csv"
         assert main([
-            "sweep", "--n", "40,80", "--d", "2", "--repeats", "1",
-            "--ambient-dim", "6", "--n-mc", "10", "--reference", "self-consistency",
-            "--out", str(out),
+            "sweep", "--kind", "gaussian,spiral2d", "--n", "40", "--d", "2", "--repeats", "1",
+            "--ambient-dim", "6", "--n-mc", "10", "--out", str(out),
         ]) == EXIT_OK
         rows = read_csv_dict(out)
-        assert len(rows) == 2 and all(r["reference"] for r in rows)
-        assert rows[0]["reference"] == rows[1]["reference"]
+        assert [(r["kind"], bool(r["reference"])) for r in rows] == [
+            ("gaussian", True), ("spiral2d", False)
+        ]
 
     @pytest.mark.parametrize(
         "axis, name",

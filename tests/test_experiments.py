@@ -70,25 +70,15 @@ class TestRunSweep:
         assert "InvalidConfig" in failed[0].error
         assert failed[0].estimate is None
 
-    def test_spiral_cells_with_self_consistency(self):
-        spec = tiny_spec(
-            kinds=("spiral2d",), d_values=(2,), reference="self-consistency",
-            repeats=2,
-        )
-        records = run_sweep(spec)
-        assert all(r.reference is not None for r in records)
-        # all repeats of a cell share one reference run
-        assert len({r.reference for r in records}) == 1
-
-    def test_self_consistency_reference_at_largest_n(self):
-        def reference(n_values):
-            spec = tiny_spec(n_values=n_values, reference="self-consistency", repeats=1)
-            return [r.reference for r in run_sweep(spec)]
-
-        wide = reference((40, 60))
-        assert wide[0] == wide[1]
-        assert reference((60,)) == wide[1:]
-        assert reference((40,)) != wide[:1]
+    def test_mixed_grid_references_by_kind(self):
+        records = run_sweep(tiny_spec(kinds=("gaussian", "spiral2d")))
+        gaussian = [r for r in records if r.kind == "gaussian"]
+        spiral = [r for r in records if r.kind == "spiral2d"]
+        # gaussian rows carry the closed form, as in a gaussian-only grid
+        assert gaussian == run_sweep(tiny_spec())
+        assert all(r.reference is not None for r in gaussian)
+        assert len(spiral) == 2 and all(r.error == "" for r in spiral)
+        assert all(r.reference is None and r.abs_error is None for r in spiral)
 
     @pytest.mark.parametrize(
         "kw, message",
@@ -99,23 +89,15 @@ class TestRunSweep:
             ({"ambient_dim": 0}, "ambient_dim must be >= 1, got 0"),
             ({"n_mc": 0}, "n_mc must be >= 1, got 0"),
             ({"split": "thirds"}, "split must be one of .*, got 'thirds'"),
-            ({"reference": "oracle"}, "reference must be one of"),
-            ({"kinds": ("helix",), "reference": "none"}, "unknown sweep kind 'helix'"),
+            ({"kinds": ("helix",)}, "unknown sweep kind 'helix'"),
+            ({"n_values": (40, 40)}, "sweep axis n_values repeats a value"),
         ],
         ids=["no-kinds", "no-n", "no-d", "no-sigma", "no-lambda-res", "no-repeats",
-             "no-ambient-dim", "no-n-mc", "unknown-split", "unknown-reference", "unknown-kind"],
+             "no-ambient-dim", "no-n-mc", "unknown-split", "unknown-kind", "repeated-n"],
     )
     def test_invalid_spec_rejected(self, kw, message):
         with pytest.raises(InvalidConfig, match=message):
             tiny_spec(**kw)
-
-    def test_closed_form_requires_gaussian(self):
-        with pytest.raises(InvalidConfig):
-            tiny_spec(kinds=("spiral2d",), reference="closed-form")
-
-    def test_reference_none(self):
-        records = run_sweep(tiny_spec(reference="none"))
-        assert all(r.reference is None and r.abs_error is None for r in records)
 
     def test_error_decreases_in_n_for_each_d(self):
         spec = SweepSpec(
