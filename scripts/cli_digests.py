@@ -1,6 +1,6 @@
 """sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
 
-Runs 24 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+Runs 25 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
 gaussian, conical, pair, and a 300-dimensional pair whose rows are filled in
 two blocks of dimensions), ``entropy`` (``--save-pca``, ``--bits``, Gram
 route ``half`` and ``reuse``, ``--no-center``, conical, the covariance route
@@ -10,7 +10,8 @@ per center than one kernel chunk holds), ``mi-joint``
 (``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``),
 ``sweep`` (a 2 x 2 grid, one on the default ``--d`` and ``--sigmas``, and
 a gaussian and spiral2d grid, whose spiral rows have no reference),
-``indep-auc`` and ``activation-mi`` (one dump and one missing path, so one
+``indep-auc`` and ``activation-mi`` (the dump next to a missing path, and
+next to a dump whose header cell exceeds ``csv``'s field limit, each one
 error row).  ``mi-cond`` and ``activation-mi`` read a
 3-condition activation dump written by ``io.write_activation_dump`` from
 seeded draws.  Prints ``sha256  file`` for every file written, each
@@ -96,6 +97,9 @@ INVOCATIONS = [
                       "--bits", "--out", "mi_cond_bits.csv", *FAST]),
     ("activation_mi", ["activation-mi", "h1:0:dump.csv", "h2:1:missing.csv", "--sigma", "0.2",
                        "--dim", "2", "--seed", "15", "--out", "activation_mi.csv", *FAST]),
+    ("activation_mi_wide_header", ["activation-mi", "h1:0:dump.csv", "h2:1:wide_header.csv",
+                                   "--sigma", "0.2", "--dim", "2", "--seed", "15",
+                                   "--out", "activation_mi_wide_header.csv", *FAST]),
     ("sweep", ["sweep", "--kind", "gaussian", "--n", "100,200", "--d", "2,3", "--sigmas", "0.2",
                "--repeats", "2", "--ambient-dim", "20", "--seed", "12", "--out", "sweep.csv",
                *FAST]),
@@ -119,6 +123,11 @@ def write_dump(path) -> None:
     write_activation_dump(path, [0, 1, 2], blocks)
 
 
+def write_wide_header_dump(path) -> None:
+    """A dump whose one feature column is named by 200,000 characters, beyond ``csv``'s limit."""
+    Path(path).write_text("cond," + "f" * 200_000 + "\n0,1.5\n", encoding="utf-8")
+
+
 def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,6 +135,7 @@ def main() -> int:
         os.chdir(work)
         try:
             write_dump("dump.csv")
+            write_wide_header_dump("wide_header.csv")
             for name, argv in INVOCATIONS:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):

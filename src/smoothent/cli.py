@@ -6,20 +6,22 @@ Subcommands: ``gen`` (synthetic datasets), ``entropy`` (single estimate),
 from activation dumps).  All outputs are CSV; entropies are in nats unless
 ``--bits`` (``entropy``, ``mi-cond``, ``mi-joint``) converts them for display.
 Each subcommand takes only the flags it reads, spelled out in full; any
-other, an abbreviation included, is a usage error.
+other, an abbreviation included, is a usage error.  ``gen``, ``sweep`` and
+``activation-mi`` require ``--out``.  Every subcommand leaves through ``_emit``.
 
-Exit codes: 0 success, 2 invalid configuration, 3 data errors.
+Exit codes: 0 success, 2 invalid configuration (``InvalidConfig``,
+``ValueError``), 3 data errors (other ``SmoothentError``, ``OSError``,
+``MemoryError``), an unreadable input file included.
 """
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
-from .errors import InvalidConfig, SmoothentError
+from .errors import REPORTED_ERRORS, InvalidConfig
 from .estimator import SPLIT_POLICIES, EstimatorConfig, pca_smoothed_entropy
 from .experiments import (
     ACTIVATION_COLUMNS,
@@ -49,12 +51,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
+# The subcommands whose output is the --out file itself
+_OUT_REQUIRED = ("gen", "sweep", "activation-mi")
+# Row columns that hold entropies in nats, which --bits converts
+_NATS_COLUMNS = {"estimate", "mc_std_error", "correction", "mi", "std_error",
+                 "marginal_entropy", "conditional_entropy_mean", "h_x", "h_y", "h_joint"}
 
-def _flags(*, estimating: bool, grid: bool = False, bits: bool = False) -> argparse.ArgumentParser:
+
+def _flags(*, estimating: bool, grid: bool = False, bits: bool = False,
+           out: str = "output CSV path") -> argparse.ArgumentParser:
     """The shared flags a subcommand reads: seed and output always, the
     estimator's settings when it estimates (less ``--sigma`` and ``--dim``
     for a ``grid``, which takes lists of its own), ``--bits`` when it
-    scales its rows."""
+    scales its rows; ``out`` is the help of ``--out``."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     if estimating and not grid:
@@ -68,12 +77,12 @@ def _flags(*, estimating: bool, grid: bool = False, bits: bool = False) -> argpa
     if bits:
         flags.add_argument("--bits", action="store_true",
                            help="display entropies/MI in bits instead of nats")
-    flags.add_argument("--out", type=Path, default=None, help="output CSV path")
+    flags.add_argument("--out", type=Path, default=None, help=out)
     return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
-    plain = _flags(estimating=False)
+    plain = _flags(estimating=False, out="output CSV path (a file prefix for --kind pair)")
     estimating = _flags(estimating=True)
     scaled = _flags(estimating=True, bits=True)
     swept = _flags(estimating=True, grid=True)
@@ -115,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mi-joint", parents=[scaled], help="joint-sampling MI from paired files")
     p.add_argument("x", type=Path, help="sample CSV for X")
     p.add_argument("y", type=Path, help="sample CSV for Y (column-paired)")
-    p.add_argument("--joint-dim", type=int, default=None,
-                   help="target dimension of the stacked term (default 2d)")
     p.set_defaults(func=cmd_mi_joint)
 
     p = add("sweep", parents=[swept], help="parameter-sweep grid, CSV output")
@@ -158,21 +165,31 @@ def _config(args) -> EstimatorConfig:
     )
 
 
-def _scale(args) -> tuple[float, str]:
-    return (1.0 / LN2, "bits") if args.bits else (1.0, "nats")
+def _in_units(args, row: dict) -> dict:
+    """``row``, built in nats, with its ``_NATS_COLUMNS`` and ``units`` in bits under ``--bits``."""
+    if args.bits:
+        row = {k: v * (1.0 / LN2) if k in _NATS_COLUMNS else v for k, v in row.items()}
+        row["units"] = "bits"
+    return row
+
+
+def _emit(args, lines: list[str], rows: list[dict] | None = None, columns=None) -> int:
+    """Every subcommand's exit: write ``rows`` under ``columns`` to ``--out``
+    when both are given (``gen`` writes its own files), then print ``lines``."""
+    if rows is not None and args.out is not None:
+        write_rows_csv(args.out, rows, columns)
+    print(*lines, sep="\n")
+    return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    if args.out is None:
-        raise InvalidConfig("gen requires --out (a file prefix for --kind pair)")
     if args.kind == "pair":
         data, dependent = gen_common_signal_pair(
             args.dim, args.ambient_dim, args.n, args.noise_std, args.seed,
             dependent=not args.independent,
         )
         paths = write_joint_dataset(args.out, data, dependent, args.seed)
-        print(f"wrote {paths['x']}, {paths['y']}, {paths['manifest']}")
-        return EXIT_OK
+        return _emit(args, [f"wrote {paths['x']}, {paths['y']}, {paths['manifest']}"])
     if args.kind == "gaussian":
         samples, _ = gen_embedded_gaussian(
             args.dim, args.ambient_dim, args.lambda_res, args.n, args.seed
@@ -180,8 +197,7 @@ def cmd_gen(args) -> int:
     else:
         samples = gen_spiral(args.kind, args.lambda_res, args.ambient_dim, args.n, args.seed)
     write_samples(args.out, samples)
-    print(f"wrote {args.out} ({samples.count} samples x {samples.dim} dims)")
-    return EXIT_OK
+    return _emit(args, [f"wrote {args.out} ({samples.count} samples x {samples.dim} dims)"])
 
 
 def cmd_entropy(args) -> int:
@@ -189,11 +205,10 @@ def cmd_entropy(args) -> int:
     result = pca_smoothed_entropy(samples, _config(args))
     if args.save_pca is not None:
         save_pca_model(args.save_pca, result.pca)
-    scale, units = _scale(args)
-    row = {
-        "estimate": result.value * scale,
-        "mc_std_error": result.mc_std_error * scale,
-        "units": units,
+    row = _in_units(args, {
+        "estimate": result.value,
+        "mc_std_error": result.mc_std_error,
+        "units": "nats",
         "ambient_dim": samples.dim,
         "target_dim": args.dim,
         "sigma": args.sigma,
@@ -201,73 +216,52 @@ def cmd_entropy(args) -> int:
         "seed": args.seed,
         "eigen_gap": result.pca.eigen_gap,
         "residual": result.pca.residual,
-        "correction": result.correction * scale,
-    }
-    if args.out is not None:
-        write_rows_csv(args.out, [row], list(row))
-    print(f"h = {fmt(row['estimate'])} {units} (mc_std_error {fmt(row['mc_std_error'])})")
-    return EXIT_OK
+        "correction": result.correction,
+    })
+    line = f"h = {fmt(row['estimate'])} {row['units']} (mc_std_error {fmt(row['mc_std_error'])})"
+    return _emit(args, [line], [row], list(row))
 
 
-def _print_mi(estimate, args, extra: dict) -> None:
-    scale, units = _scale(args)
-    row = {
-        "mi": estimate.value * scale,
-        "std_error": estimate.std_error * scale,
-        "units": units,
-        **extra,
+def _emit_mi(args, estimate, figures: dict) -> int:
+    """``mi-cond`` and ``mi-joint``'s one row: the MI ``estimate`` and its ``figures``."""
+    row = _in_units(args, {
+        "mi": estimate.value,
+        "std_error": estimate.std_error,
+        "units": "nats",
+        **figures,
         "sigma": args.sigma,
         "target_dim": args.dim,
         "n_mc": args.n_mc,
         "seed": args.seed,
-    }
-    if args.out is not None:
-        write_rows_csv(args.out, [row], list(row))
-    print(f"I = {fmt(row['mi'])} {units} (std_error {fmt(row['std_error'])})")
+    })
+    line = f"I = {fmt(row['mi'])} {row['units']} (std_error {fmt(row['std_error'])})"
+    return _emit(args, [line], [row], list(row))
 
 
 def cmd_mi_cond(args) -> int:
     dataset = ingest_activation_dump(args.dump)
     marginal = read_samples(args.marginal) if args.marginal is not None else None
     estimate = conditional_mi(dataset, _config(args), marginal=marginal)
-    scale, _ = _scale(args)
-    extra = conditional_mi_figures(estimate)
-    for key in ("marginal_entropy", "conditional_entropy_mean"):
-        extra[key] *= scale
-    _print_mi(estimate, args, extra)
-    return EXIT_OK
+    return _emit_mi(args, estimate, conditional_mi_figures(estimate))
 
 
 def cmd_mi_joint(args) -> int:
     data = JointDataset(x=read_samples(args.x), y=read_samples(args.y))
-    estimate = joint_mi(data, _config(args), target_dim_joint=args.joint_dim)
-    scale, _ = _scale(args)
-    extra = {
-        "h_x": estimate.components["x"].value * scale,
-        "h_y": estimate.components["y"].value * scale,
-        "h_joint": estimate.components["joint"].value * scale,
-    }
-    _print_mi(estimate, args, extra)
-    return EXIT_OK
+    estimate = joint_mi(data, _config(args))
+    return _emit_mi(args, estimate, {f"h_{k}": v.value for k, v in estimate.components.items()})
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v)
+def _list(text: str, kind) -> tuple:
+    return tuple(kind(v) for v in text.split(",") if v)
 
 
 def cmd_sweep(args) -> int:
-    if args.out is None:
-        raise InvalidConfig("sweep requires --out")
     spec = SweepSpec(
         kinds=tuple(k.strip() for k in args.kind.split(",") if k.strip()),
-        n_values=_int_list(args.n),
-        d_values=_int_list(args.d),
-        sigma_values=_float_list(args.sigmas),
-        lambda_res_values=_float_list(args.lambda_res),
+        n_values=_list(args.n, int),
+        d_values=_list(args.d, int),
+        sigma_values=_list(args.sigmas, float),
+        lambda_res_values=_list(args.lambda_res, float),
         repeats=args.repeats,
         ambient_dim=args.ambient_dim,
         n_mc=args.n_mc,
@@ -277,26 +271,20 @@ def cmd_sweep(args) -> int:
     )
     records = run_sweep(spec)
     columns = SWEEP_COLUMNS + (["wall_time_s"] if args.timing else [])
-    write_rows_csv(args.out, [asdict(r) for r in records], columns)
     failed = sum(1 for r in records if r.error)
-    print(f"wrote {args.out}: {len(records)} rows ({failed} failed cells)")
-    return EXIT_OK
+    line = f"wrote {args.out}: {len(records)} rows ({failed} failed cells)"
+    return _emit(args, [line], [asdict(r) for r in records], columns)
 
 
 def cmd_indep_auc(args) -> int:
     report = run_indep_auc(
         args.n_datasets, args.n, args.dim, args.ambient_dim, args.noise_std, _config(args)
     )
-    if args.out is not None:
-        write_rows_csv(args.out, list(report.rows), AUC_COLUMNS)
-    print(f"auc_reduced = {fmt(report.auc_reduced)}")
-    print(f"auc_ambient = {fmt(report.auc_ambient)}")
-    return EXIT_OK
+    lines = [f"auc_reduced = {fmt(report.auc_reduced)}", f"auc_ambient = {fmt(report.auc_ambient)}"]
+    return _emit(args, lines, list(report.rows), AUC_COLUMNS)
 
 
 def cmd_activation_mi(args) -> int:
-    if args.out is None:
-        raise InvalidConfig("activation-mi requires --out")
     entries = []
     for spec in args.dumps:
         parts = spec.split(":", 2)
@@ -308,26 +296,20 @@ def cmd_activation_mi(args) -> int:
             raise InvalidConfig(f"epoch must be an integer in {spec!r}") from None
         entries.append((parts[0], epoch, Path(parts[2])))
     rows = run_activation_mi(entries, _config(args))
-    write_rows_csv(args.out, rows, ACTIVATION_COLUMNS)
     failed = sum(1 for r in rows if r["error"])
-    print(f"wrote {args.out}: {len(rows)} rows ({failed} failed dumps)")
-    return EXIT_OK
+    line = f"wrote {args.out}: {len(rows)} rows ({failed} failed dumps)"
+    return _emit(args, [line], rows, ACTIVATION_COLUMNS)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.out is None and args.command in _OUT_REQUIRED:
+            raise InvalidConfig(f"{args.command} requires --out")
         return args.func(args)
-    except (UnicodeDecodeError, csv.Error) as exc:  # input bytes or cells no reader takes
+    except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (InvalidConfig, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SmoothentError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_CONFIG if isinstance(exc, (InvalidConfig, ValueError)) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -27,3 +27,7 @@ class DegenerateGap(SmoothentError):
 
 class Unsupported(SmoothentError):
     """The operation is not available for the given inputs (by design)."""
+
+
+# What a run reports (CLI exit 2 or 3, a harness's error row) rather than lets through
+REPORTED_ERRORS = (SmoothentError, ValueError, OSError, MemoryError)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, SmoothentError
+from .errors import REPORTED_ERRORS, InvalidConfig
 from .estimator import (
     SPLIT_POLICIES,
     EstimatorConfig,
@@ -186,7 +186,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
                     "eigen_gap": result.pca.eigen_gap,
                     "residual": result.pca.residual,
                 }
-            except (SmoothentError, ValueError, MemoryError) as exc:
+            except REPORTED_ERRORS as exc:
                 figures = {"error": f"{type(exc).__name__}: {exc}"}
             records.append(
                 SweepRecord(
@@ -322,7 +322,7 @@ def run_activation_mi(entries, config: EstimatorConfig) -> list[dict]:
             estimate = conditional_mi(dataset, config)
             row.update(mi=estimate.value, std_error=estimate.std_error)
             row.update(conditional_mi_figures(estimate))
-        except (SmoothentError, OSError, ValueError) as exc:
+        except REPORTED_ERRORS as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     rows.sort(key=lambda r: (str(r["layer"]), r["epoch"]))

@@ -2,6 +2,8 @@
 
 All files are UTF-8, comma-delimited, ``.`` decimal, LF line endings.  A
 byte order mark at the start of an input file is skipped; none is written.
+Input that is not UTF-8, or a cell beyond ``csv``'s field limit, raises
+``InvalidData`` naming the file.
 Floats are written with ``repr``: the shortest string that parses back to
 the identical double, so every emitted file re-reads into exactly the values
 that produced it and repeated runs are byte-identical.
@@ -103,6 +105,16 @@ def fmt(value) -> str:
 
 def _open_write(path):
     return Path(path).open("w", newline="\n", encoding="utf-8")
+
+
+@contextmanager
+def _open_read(path):
+    """Open ``path`` as CSV text; non-UTF-8 bytes or an oversized cell raise ``InvalidData``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidData(f"{path}: {exc}") from None
 
 
 def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:
@@ -412,7 +424,7 @@ def read_samples(path) -> SampleMatrix:
     transposed, read-only view.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _open_read(path) as fh:
         first = next(csv.reader(fh), [])
         if _is_numeric_row(first):
             fh.seek(0)
@@ -443,7 +455,7 @@ def save_pca_model(path, model: PcaModel) -> None:
 def load_pca_model(path) -> PcaModel:
     """Inverse of :func:`save_pca_model`; gap and residual derive from the spectrum."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _open_read(path) as fh:
         blocks = _float_rows(path, fh)
     if len(blocks) < 3:
         raise InvalidData(f"{path}: expected mean, spectrum and at least one basis row")
@@ -455,9 +467,10 @@ def load_pca_model(path) -> PcaModel:
 def write_activation_dump(path, conditions, sample_blocks) -> None:
     """Write a ``cond,f0,...`` dump: one block of rows per condition id.
 
-    Unless there is one distinct integer id per block and one dimension for
-    all blocks, which ``ingest_activation_dump`` needs to read the blocks
-    back, ``InvalidData`` is raised before the file is opened.
+    Unless there is one distinct integer id per block, within ``+-2**53``
+    (ids are read back as doubles), and one dimension for all blocks, which
+    ``ingest_activation_dump`` needs to read the blocks back, ``InvalidData``
+    is raised before the file is opened.
     """
     blocks, ids = list(sample_blocks), list(conditions)
     if not blocks:
@@ -467,6 +480,8 @@ def write_activation_dump(path, conditions, sample_blocks) -> None:
     if bad := [cond for cond in ids if not isinstance(cond, numbers.Integral)]:
         raise InvalidData(f"condition ids must be integers, got {bad[0]!r}")
     ids = [int(cond) for cond in ids]
+    if bad := [cond for cond in ids if abs(cond) > 2**53]:
+        raise InvalidData(f"condition ids must lie within +-2**53, got {bad[0]}")
     if len(set(ids)) != len(ids):
         raise InvalidData(f"condition ids must be distinct, got {ids}")
     dims = sorted({block.dim for block in blocks})
@@ -488,7 +503,7 @@ def ingest_activation_dump(path) -> ConditionalDataset:
     Each group is held as its own fresh rows, as ``read_samples`` holds a file.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _open_read(path) as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise InvalidData(f"{path}: empty file")

@@ -186,23 +186,18 @@ def conditional_mi(
     return MiEstimate(terms=tuple(terms))
 
 
-def joint_mi(
-    data: JointDataset,
-    config: EstimatorConfig,
-    target_dim_joint: int | None = None,
-) -> MiEstimate:
+def joint_mi(data: JointDataset, config: EstimatorConfig) -> MiEstimate:
     """Estimate ``I(X+Z1; Y+Z2)`` from paired samples.
 
     The x and y terms reduce to ``config.target_dim``.  The joint term
     stacks x on top of y (always in that order, so results are
-    reproducible) and defaults to target dimension ``2 * config.target_dim``.
+    reproducible) and reduces to target dimension ``2 * config.target_dim``.
     """
     x_term = pca_smoothed_entropy(data.x, config_with_seed(config, _TAG_X))
     y_term = pca_smoothed_entropy(data.y, config_with_seed(config, _TAG_Y))
-    d_joint = 2 * config.target_dim if target_dim_joint is None else target_dim_joint
     stacked = SampleMatrix.adopt(np.concatenate([data.x.data.T, data.y.data.T], axis=1))
     joint_term = pca_smoothed_entropy(
-        stacked, replace(config_with_seed(config, _TAG_JOINT), target_dim=d_joint)
+        stacked, replace(config_with_seed(config, _TAG_JOINT), target_dim=2 * config.target_dim)
     )
     return MiEstimate(
         terms=(

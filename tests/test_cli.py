@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from smoothent import io as sio
-from smoothent import mixture, pca
+from smoothent import experiments, mixture, pca
 from smoothent.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from smoothent.io import read_samples
 from smoothent.pca import SampleMatrix
@@ -39,7 +39,8 @@ def sample_file(tmp_path):
 
 # (subcommand and a valid argument list, a flag it does not read): for sweep,
 # also the single-value and paper-scale flags its list axes replaced, and the
-# reference mode (a cell's kind decides its reference)
+# reference mode (a cell's kind decides its reference); for mi-joint, the
+# stacked term's dimension (always twice --dim)
 UNREAD_FLAGS = [
     *[(["gen", "--kind", "gaussian", "--n", "10"], flag)
       for flag in (["--sigma", "0.1"], ["--n-mc", "5"], ["--split", "reuse"],
@@ -51,6 +52,7 @@ UNREAD_FLAGS = [
     (["indep-auc", "--n-datasets", "10", "--n", "30", "--dim", "1", "--ambient-dim", "4",
       "--n-mc", "5"], ["--bits"]),
     (["activation-mi"], ["--bits"]),
+    (["mi-joint", "x.csv", "y.csv"], ["--joint-dim", "3"]),
 ]
 
 
@@ -66,7 +68,8 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize(
     "argv",
-    [["sweep", "--n", "20", "--d", "1", "--repeats", "1", "--ambient-dim", "4", "--n-mc", "5"],
+    [["gen", "--kind", "gaussian", "--n", "5"],
+     ["sweep", "--n", "20", "--d", "1", "--repeats", "1", "--ambient-dim", "4", "--n-mc", "5"],
      ["activation-mi"]],
     ids=lambda v: v[0],
 )
@@ -209,13 +212,13 @@ class TestEntropy:
         path = tmp_path / "wide_cell.csv"
         path.write_text("1" * 140_003 + ",2\n3,4\n", encoding="utf-8")
         assert main(["entropy", str(path), "--dim", "1"]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith("error: field larger than field limit")
+        assert capsys.readouterr().err.startswith(f"error: {path}: field larger than field limit")
 
     def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"1,2\n3,\xe94\n")
         assert main(["entropy", str(path), "--dim", "1"]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
     def test_bad_dim_is_config_error(self, sample_file):
         assert main(["entropy", str(sample_file), "--dim", "0"]) == EXIT_CONFIG
@@ -468,6 +471,47 @@ class TestActivationMi:
         rows = read_csv_dict(out)
         assert rows[0]["layer"] == "h1" and rows[0]["error"] == ""
         assert rows[1]["layer"] == "h2" and rows[1]["error"] != ""
+
+    def test_oversized_header_cell_is_error_row(self, tmp_path):
+        # one cell beyond the csv module's 131072-character field limit
+        good, wide = tmp_path / "good.csv", tmp_path / "wide_header.csv"
+        rng = substream(16)
+        write_activation_dump(good, [0, 1], [SampleMatrix(rng.standard_normal((2, 20)) + mu)
+                                             for mu in (-1.0, 1.0)])
+        wide.write_text("cond," + "f" * 200_000 + "\n0,1.5\n1,2.5\n", encoding="utf-8")
+        out = tmp_path / "traj.csv"
+        assert main([
+            "activation-mi", f"h1:0:{good}", f"h2:0:{wide}", "--sigma", "0.5", "--dim", "2",
+            "--n-mc", "20", "--seed", "14", "--out", str(out),
+        ]) == EXIT_OK
+        rows = read_csv_dict(out)
+        assert [row["layer"] for row in rows] == ["h1", "h2"]
+        assert rows[0]["error"] == "" and rows[1]["mi"] == ""
+        assert rows[1]["error"].startswith(f"InvalidData: {wide}: field larger than field limit")
+
+    def test_memory_error_is_error_row(self, tmp_path, monkeypatch):
+        rng = substream(17)
+        blocks = [SampleMatrix(rng.standard_normal((2, 20)) + mu) for mu in (-1.0, 1.0)]
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        for path in (small, large):
+            write_activation_dump(path, [0, 1], blocks)
+        ingest = experiments.ingest_activation_dump
+
+        def exhausted(path):
+            if path == large:
+                raise MemoryError("Unable to allocate 8.00 EiB")
+            return ingest(path)
+
+        monkeypatch.setattr(experiments, "ingest_activation_dump", exhausted)
+        out = tmp_path / "traj.csv"
+        assert main([
+            "activation-mi", f"h1:0:{small}", f"h1:1:{large}", "--sigma", "0.5", "--dim", "2",
+            "--n-mc", "20", "--seed", "14", "--out", str(out),
+        ]) == EXIT_OK
+        rows = read_csv_dict(out)
+        assert [row["epoch"] for row in rows] == ["0", "1"]
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == "MemoryError: Unable to allocate 8.00 EiB"
 
     def test_empty_dump_list_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

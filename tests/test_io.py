@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import re
 import threading
 import warnings
 from dataclasses import replace
@@ -335,8 +336,11 @@ class TestActivationDumpCsv:
             ([4, 1.7], [3, 3], r"must be integers, got 1\.7"),
             ([4, 4], [3, 3], r"must be distinct, got \[4, 4\]"),
             ([], [], r"at least one condition block"),
+            # both read back as the double 2**53
+            ([2**53, 2**53 + 1], [3, 3], r"within \+-2\*\*53, got 9007199254740993"),
         ],
-        ids=["short-conditions", "mixed-dims", "non-integer-id", "duplicate-id", "no-blocks"],
+        ids=["short-conditions", "mixed-dims", "non-integer-id", "duplicate-id", "no-blocks",
+             "id-beyond-2**53"],
     )
     def test_unreadable_dump_rejected_before_writing(self, tmp_path, conditions, dims, message):
         blocks = [SampleMatrix(substream(15, k).standard_normal((dim, 4))) for k, dim in enumerate(dims)]
@@ -368,6 +372,27 @@ class TestActivationDumpCsv:
             warnings.simplefilter("error")
             with pytest.raises(InvalidData, match=r"bad_dump\.csv" + message):
                 ingest_activation_dump(path)
+
+    def test_ids_at_the_limit_round_trip(self, tmp_path):
+        blocks = [SampleMatrix(substream(18, k).standard_normal((2, 3))) for k in range(2)]
+        path = tmp_path / "dump.csv"
+        write_activation_dump(path, [2**53, -(2**53)], blocks)
+        assert ingest_activation_dump(path).conditions == (2**53, -(2**53))
+
+
+@pytest.mark.parametrize("reader", [read_samples, load_pca_model, ingest_activation_dump])
+@pytest.mark.parametrize(
+    "data, message",
+    [(b"0,1\n\xe9,2\n", "'utf-8' codec can't decode"),
+     # a cell beyond the csv module's 131072-character field limit
+     (b"cond," + b"f" * 200_000 + b"\n0,1\n", "field larger than field limit")],
+    ids=["non-utf8", "oversized-cell"],
+)
+def test_unreadable_bytes_name_the_file(tmp_path, reader, data, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(InvalidData, match="^" + re.escape(f"{path}: {message}")):
+        reader(path)
 
 
 def _reference_writer(path):

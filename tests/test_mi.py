@@ -223,8 +223,6 @@ class TestJointMi:
         estimate = joint_mi(data, config)
         assert estimate.components["joint"].pca.ambient_dim == 10
         assert estimate.components["joint"].pca.target_dim == 4
-        custom = joint_mi(data, config, target_dim_joint=3)
-        assert custom.components["joint"].pca.target_dim == 3
 
 
 class TestActivationDump:
