@@ -467,10 +467,10 @@ def load_pca_model(path) -> PcaModel:
 def write_activation_dump(path, conditions, sample_blocks) -> None:
     """Write a ``cond,f0,...`` dump: one block of rows per condition id.
 
-    Unless there is one distinct integer id per block, within ``+-2**53``
-    (ids are read back as doubles), and one dimension for all blocks, which
-    ``ingest_activation_dump`` needs to read the blocks back, ``InvalidData``
-    is raised before the file is opened.
+    Unless there is one distinct integer id per block, below ``2**53`` in
+    magnitude (ids are read back as doubles), and one dimension for all
+    blocks, which ``ingest_activation_dump`` needs to read the blocks back,
+    ``InvalidData`` is raised before the file is opened.
     """
     blocks, ids = list(sample_blocks), list(conditions)
     if not blocks:
@@ -480,8 +480,8 @@ def write_activation_dump(path, conditions, sample_blocks) -> None:
     if bad := [cond for cond in ids if not isinstance(cond, numbers.Integral)]:
         raise InvalidData(f"condition ids must be integers, got {bad[0]!r}")
     ids = [int(cond) for cond in ids]
-    if bad := [cond for cond in ids if abs(cond) > 2**53]:
-        raise InvalidData(f"condition ids must lie within +-2**53, got {bad[0]}")
+    if bad := [cond for cond in ids if abs(cond) >= 2**53]:
+        raise InvalidData(f"condition ids must lie below 2**53 in magnitude, got {bad[0]}")
     if len(set(ids)) != len(ids):
         raise InvalidData(f"condition ids must be distinct, got {ids}")
     dims = sorted({block.dim for block in blocks})
@@ -497,6 +497,7 @@ def ingest_activation_dump(path) -> ConditionalDataset:
     """Parse an activation-dump CSV into per-condition sample sets.
 
     The format is ``cond,f0,f1,...,f{D-1}``: an integer condition id
+    below ``2**53`` in magnitude, where every integer is exactly a double,
     followed by the D-dimensional sample, one row per sample.  Conditions
     keep the order of their first row and each group its file order.
     Group sizes may be ragged; an unparseable file raises ``InvalidData``.
@@ -517,6 +518,9 @@ def ingest_activation_dump(path) -> ConditionalDataset:
     if not integral.all():
         bad = float(conds[~integral][0])
         raise InvalidData(f"{path}: condition ids must be integers, got {bad!r}")
+    if (big := np.abs(conds) >= 2**53).any():
+        bad = int(conds[big][0])
+        raise InvalidData(f"{path}: condition ids must lie below 2**53 in magnitude, got {bad}")
     _, first = np.unique(conds, return_index=True)
     order = conds[np.sort(first)]
     return ConditionalDataset(

@@ -48,12 +48,17 @@ Numerical notes
   that size OpenBLAS threads the GEMM itself, and a pool competing with its
   threads ran slower than the serial loop.  Serial and pooled shapes run the same per-block job.
 * The kernel's scratch is bounded by construction, so it needs no size
-  guard.  Each worker holds one float32 ``aug`` of at most
-  ``_DELTA_BUDGET`` values (16 MiB) unless ``d + 1 > 8192`` and one float32
-  ``buf`` of at most ``_ROW_TARGET x _COL_TILE`` values (4 MiB).  Each chunk
-  in flight draws its noise into fresh arrays of at most
-  ``_ROW_TARGET * (d + 1)`` values of each kind (float64 draws, float32 GEMM
-  operand).  Only the ``(d, n)`` float32 copy of the centers grows with ``n``.
+  guard.  A block's centers run in groups of at most ``_GROUP_BYTES``
+  (2 MiB) of per-center deltas, draws and GEMM operand,
+  ``4 (d + 1) w + 8 j d + 4 j (d + 1)`` bytes for ``w = min(n, _COL_TILE)``
+  and ``j = min(n_mc, _ROW_TARGET)``; a group holds at least one center, so
+  at very large ``d`` one center's deltas alone can pass the budget.  Each
+  worker reuses one group-sized float32 ``aug`` of deltas and ``buf`` of
+  exponents (``buf`` is not counted; it holds at most
+  ``_ROW_TARGET x _COL_TILE`` values).  Each chunk of draws allocates one
+  group-sized pair of draw arrays, which its groups reuse.  Only the
+  ``(d, n)`` float32 copy of the centers grows with ``n``.  The group size
+  changes no bit: each query's row depends on its own center's draws.
 """
 
 import math
@@ -93,6 +98,12 @@ _POOL_GEMM_LIMIT = 1 << 18
 # (2 cores, 30 calls per size).
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
+# Most bytes of per-center scratch (float32 deltas, float64 draws, float32
+# GEMM operand) that one group of a block's centers holds.  Blocks of 20
+# centers at d <= 10, n_mc = 100 (682 KiB at d = 10) run whole.  At 1 MiB,
+# d = 256, n = 1000 ran in groups of 1 and 6-11% slower than whole blocks
+# (2 cores); at 2 MiB, d = 200, n = 250 traces 2.4 MiB.
+_GROUP_BYTES = 1 << 21
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
 _GRID_LIMIT = 50_000_000
 
@@ -176,8 +187,10 @@ def _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf):
     in a fixed order.  A sum that is not finite (a float32 exponent beyond
     ~88.7, or center differences beyond float32) raises ``Unsupported``.
 
-    ``aug`` and ``buf`` are float32 scratch, at least ``(b1 - b0, dim + 1, w)``
-    and ``(b1 - b0, n_draws, w)`` for ``w = min(n, _COL_TILE)``.
+    ``b0:b1`` is one group of a block's centers; each row depends on its
+    own center and draws only.  ``aug`` and ``buf`` are float32 scratch, at
+    least ``(b1 - b0, dim + 1, w)`` and ``(b1 - b0, n_draws, w)`` for
+    ``w = min(n, _COL_TILE)``.
     """
     dim, n = centers_t.shape
     rows, draws = z_lhs.shape[:2]
@@ -213,13 +226,16 @@ def _logg_blocks(centers_t, sigma, n_mc, seed):
 
     One job per block of centers ``b0:b1`` does all of that block's work:
     its centers draw their noise from ``substream(seed, i)`` in chunks of at
-    most ``_ROW_TARGET`` draws, each into fresh arrays, and each chunk runs
-    ``_mc_block`` once.  The jobs run on this thread, or, with at least
+    most ``_ROW_TARGET`` draws, and each chunk yields one block-sized pair of
+    arrays.  Within a chunk each group of centers (see ``_GROUP_BYTES``)
+    draws into the chunk's group-sized arrays, runs ``_mc_block`` once and
+    writes its rows.  The jobs run on this thread, or, with at least
     ``_POOL_MIN_CENTERS`` centers whose per-center GEMM is at most
     ``_POOL_GEMM_LIMIT`` multiply-adds, on a pool of ``_worker_count()``
     threads.  Each job takes an ``(aug, buf)`` scratch pair from ``free``,
     allocated here once per call, and its result depends on its block's own
-    draws only, so the yielded arrays do not depend on the pool.
+    draws only, so the yielded arrays do not depend on the pool or the
+    group size.
     """
     dim, n = centers_t.shape
     jc = min(n_mc, _ROW_TARGET)
@@ -229,10 +245,13 @@ def _logg_blocks(centers_t, sigma, n_mc, seed):
         workers = _worker_count()
 
     tile = min(n, _COL_TILE)
+    # one center's float32 deltas, float64 draws and float32 GEMM operand
+    per_center = 4 * (dim + 1) * tile + 8 * jc * dim + 4 * jc * (dim + 1)
+    group = max(1, min(block, _GROUP_BYTES // per_center))
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((np.empty((block, dim + 1, tile), dtype=np.float32),
-                  np.empty((block, jc, tile), dtype=np.float32)))
+        free.put((np.empty((group, dim + 1, tile), dtype=np.float32),
+                  np.empty((group, jc, tile), dtype=np.float32)))
 
     def job(b0):
         b1 = min(b0 + block, n)
@@ -241,16 +260,25 @@ def _logg_blocks(centers_t, sigma, n_mc, seed):
         try:
             chunks = []
             for j0 in range(0, n_mc, _ROW_TARGET):
-                z = np.empty((b1 - b0, min(_ROW_TARGET, n_mc - j0), dim))
-                # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
-                for t, rng in enumerate(rngs):
-                    rng.standard_normal(out=z[t])
-                z *= sigma
-                z_lhs = np.empty(z.shape[:2] + (dim + 1,), dtype=np.float32)
-                np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
-                z_lhs[:, :, dim] = 1.0
-                logsum = _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf)
-                chunks.append((logsum, np.einsum("ijd,ijd->ij", z, z)))
+                draws = min(_ROW_TARGET, n_mc - j0)
+                # one group's draws, reused by the chunk's groups: fresh
+                # arrays per group page-faulted ~5x as often at d = 200
+                z_group = np.empty((min(group, b1 - b0), draws, dim))
+                lhs_group = np.empty(z_group.shape[:2] + (dim + 1,), dtype=np.float32)
+                logsum = np.empty((b1 - b0, draws))
+                z2 = np.empty((b1 - b0, draws))
+                for r0 in range(0, b1 - b0, group):
+                    r1 = min(r0 + group, b1 - b0)
+                    z, z_lhs = z_group[: r1 - r0], lhs_group[: r1 - r0]
+                    # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
+                    for t, rng in enumerate(rngs[r0:r1]):
+                        rng.standard_normal(out=z[t])
+                    z *= sigma
+                    np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
+                    z_lhs[:, :, dim] = 1.0
+                    logsum[r0:r1] = _mc_block(centers_t, b0 + r0, b0 + r1, z_lhs, sigma, aug, buf)
+                    np.einsum("ijd,ijd->ij", z, z, out=z2[r0:r1])
+                chunks.append((logsum, z2))
             return chunks
         finally:
             free.put((aug, buf))

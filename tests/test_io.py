@@ -336,8 +336,8 @@ class TestActivationDumpCsv:
             ([4, 1.7], [3, 3], r"must be integers, got 1\.7"),
             ([4, 4], [3, 3], r"must be distinct, got \[4, 4\]"),
             ([], [], r"at least one condition block"),
-            # both read back as the double 2**53
-            ([2**53, 2**53 + 1], [3, 3], r"within \+-2\*\*53, got 9007199254740993"),
+            # both would read back as the double 2**53
+            ([2**53, 2**53 + 1], [3, 3], r"below 2\*\*53 in magnitude, got 9007199254740992"),
         ],
         ids=["short-conditions", "mixed-dims", "non-integer-id", "duplicate-id", "no-blocks",
              "id-beyond-2**53"],
@@ -363,6 +363,10 @@ class TestActivationDumpCsv:
             ("cond,f0,f1\n0,1\n1,3\n", r":2: expected 3 fields, got 2"),  # header wider than every row
             ("cond,f0\n", r": no data rows"),
             ("cond\n1\n", r": no feature columns"),
+            # 2**53 + 1 parses to the double 2**53: the two ids would be one condition
+            ("cond,f0\n9007199254740992,1\n9007199254740993,2\n9007199254740992,3\n"
+             "9007199254740993,4\n", r": condition ids must lie below 2\*\*53 in magnitude, "
+             r"got 9007199254740992"),
         ],
     )
     def test_bad_rows_name_their_line(self, tmp_path, text, message):
@@ -376,8 +380,8 @@ class TestActivationDumpCsv:
     def test_ids_at_the_limit_round_trip(self, tmp_path):
         blocks = [SampleMatrix(substream(18, k).standard_normal((2, 3))) for k in range(2)]
         path = tmp_path / "dump.csv"
-        write_activation_dump(path, [2**53, -(2**53)], blocks)
-        assert ingest_activation_dump(path).conditions == (2**53, -(2**53))
+        write_activation_dump(path, [2**53 - 1, -(2**53 - 1)], blocks)
+        assert ingest_activation_dump(path).conditions == (2**53 - 1, -(2**53 - 1))
 
 
 @pytest.mark.parametrize("reader", [read_samples, load_pca_model, ingest_activation_dump])

@@ -186,7 +186,7 @@ class TestPluginEntropyMc:
             ref = plugin_entropy_quadrature(mix)
             assert abs(est.value - ref) <= 4 * est.mc_std_error + 1e-4
 
-    def test_high_dim_uses_safe_path(self):
+    def test_high_dim_estimate_is_finite_and_above_noise_entropy(self):
         rng = np.random.default_rng(47)
         mix = IsotropicMixture(SampleMatrix(rng.standard_normal((40, 30)) * 5), 0.5)
         est = plugin_entropy_mc(mix, 100, seed=4)
@@ -272,7 +272,7 @@ class TestMcKernels:
         return centers_t, z64
 
     @pytest.mark.parametrize("dim", [1, 3, 10, 40, 100])
-    def test_fast_and_safe_agree_with_double_precision(self, dim):
+    def test_block_agrees_with_double_precision(self, dim):
         # one block (b0:b1 spans two column tiles of centers) against the
         # float64 evaluator
         rng = np.random.default_rng(200 + dim)
@@ -446,6 +446,80 @@ class TestPooledKernel:
             self.pooled(monkeypatch, mix, 2)
         assert any(t is not threading.main_thread() for t in threads)
         assert threading.active_count() == start
+
+
+class TestCenterGroups:
+    """A block's centers run in groups of at most ``_GROUP_BYTES`` of scratch; no bit moves."""
+
+    SEED = 29
+
+    @staticmethod
+    def split(monkeypatch, dim, n, n_mc, group):
+        """Set ``_GROUP_BYTES`` to ``group`` centers' scratch; log each ``_mc_block`` call's rows."""
+        tile = min(n, _COL_TILE)
+        jc = min(n_mc, mixture._ROW_TARGET)
+        per_center = 4 * (dim + 1) * tile + 8 * jc * dim + 4 * jc * (dim + 1)
+        monkeypatch.setattr(mixture, "_GROUP_BYTES", group * per_center)
+        real = mixture._mc_block
+        rows = []
+
+        def kernel(centers_t, b0, b1, *rest):
+            rows.append(b1 - b0)
+            return real(centers_t, b0, b1, *rest)
+
+        monkeypatch.setattr(mixture, "_mc_block", kernel)
+        return rows
+
+    @staticmethod
+    def estimate(mix, n_mc):
+        est = plugin_entropy_mc(mix, n_mc, TestCenterGroups.SEED)
+        return est.value, est.mc_std_error
+
+    def test_serial_high_dim_block_split_unevenly(self, monkeypatch):
+        # d = 200, n = 250, n_mc = 100: blocks of 20 centers in groups of 3,
+        # 3, 3, 3, 3, 3 and 2; the centers sit within sigma of each other
+        rng = np.random.default_rng(310)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((200, 250)) * 0.05), 1.0)
+        rows = self.split(monkeypatch, 200, 250, 100, 3)
+        got = self.estimate(mix, 100)
+        assert rows[:7] == [3, 3, 3, 3, 3, 3, 2] and sum(rows) == 250
+        assert got == serial_reference(mix, 100, self.SEED)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_wide_shape(self, monkeypatch, workers):
+        # d = 40, n_mc = 10, n = 407: two blocks of 199 centers and one of 9,
+        # each in groups of 7 on a pool
+        monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
+        mix = TestPooledKernel.mix(40)
+        rows = self.split(monkeypatch, 40, TestPooledKernel.N, 10, 7)
+        got = self.estimate(mix, 10)
+        assert max(rows) == 7 and sorted(set(rows)) == [2, 3, 7] and sum(rows) == TestPooledKernel.N
+        assert got == serial_reference(mix, 10, self.SEED)
+
+    def test_two_draw_chunks(self, monkeypatch):
+        # n_mc = 2100 draws in chunks of 2048 and 52, one center a block;
+        # each chunk's rows land in that chunk's own arrays
+        rng = np.random.default_rng(311)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((5, 30))), 0.3)
+        rows = self.split(monkeypatch, 5, 30, 2100, 1)
+        got = self.estimate(mix, 2100)
+        assert rows == [1] * 60
+        assert got == serial_reference(mix, 2100, self.SEED)
+
+    def test_high_dim_scratch_stays_within_the_group_budget(self, traced_peak):
+        # d = 200, n = 250, n_mc = 100: one center's scratch is
+        # 4 * 201 * 250 (deltas) + 8 * 100 * 200 (draws) + 4 * 100 * 201
+        # (GEMM operand) = 441,400 bytes, and its exponents 4 * 100 * 250 =
+        # 100,000 more.  A whole block of 20 centers held 20 * 541,400 bytes
+        # = 10.3 MiB (10.7 MiB traced).  A 2 MiB budget runs groups of 4:
+        # 4 * 541,400 bytes = 2.07 MiB, plus the 0.19 MiB float32 centers
+        # and a block's (log-sum, |z|^2) arrays of 2 * 8 * 2000 bytes: 2.4 MiB
+        # traced.
+        rng = np.random.default_rng(312)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((200, 250))), 1.0)
+        est, peak = traced_peak(plugin_entropy_mc, mix, 100, 3)
+        assert math.isfinite(est.value)
+        assert peak < 4 * 2**20, peak / 2**20
 
 
 _BLAS_THREADS_SCRIPT = """
