@@ -7,8 +7,8 @@ route ``half`` and ``reuse``, ``--no-center``, conical, the covariance route
 fitted on all rows by ``--split reuse``, the uncentered Gram route with
 ``--split reuse --no-center``, conical with ``--n-mc 2100``, more draws
 per center than one kernel chunk holds, and the 300-dimensional pair's x
-at ``--dim 300``, whose kernel runs each block's centers in several
-groups), ``mi-joint``
+at ``--dim 300``, whose kernel's scratch budget cuts its blocks to 4
+centers), ``mi-joint``
 (``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``),
 ``sweep`` (a 2 x 2 grid, one on the default ``--d`` and ``--sigmas``, and
 a gaussian and spiral2d grid, whose spiral rows have no reference),

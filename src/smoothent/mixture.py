@@ -35,30 +35,31 @@ Numerical notes
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
-  centers.  Block and tile sizes are fixed functions of ``(n, d, n_mc)``.
+  centers.  Each center's log terms are reduced to its own mean and summed
+  squared deviation, pivoted on its first term and summed over draw chunks
+  of ``_ROW_TARGET``; the estimate is minus the mean of the ``n`` means, and
+  ``mc_std_error`` pools the centers' moments.  A center's moments depend
+  on its own draws only, so no block size or worker count moves a bit.
 * Blocks run on a thread pool, one thread per core the process may use,
   when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and one
   center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
   ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
   ``n_mc <= 128`` at ``d = 3``, ``d <= 50`` at ``n_mc = 10``.  Each block
-  draws its own centers' substreams on whichever thread runs it, its
-  result depends on its own values only, and the calling thread folds
-  ``(pivot, t1, t2)`` in block order, so value and ``mc_std_error`` are
-  bitwise the same for any worker count.  Larger GEMMs stay serial: above
-  that size OpenBLAS threads the GEMM itself, and a pool competing with its
-  threads ran slower than the serial loop.  Serial and pooled shapes run the same per-block job.
+  draws its own centers' substreams on whichever thread runs it and writes
+  its centers' moments.  Larger GEMMs stay serial: above that size OpenBLAS
+  threads the GEMM itself, and a pool competing with its threads ran slower
+  than the serial loop.  Serial and pooled shapes run the same per-block job.
 * The kernel's scratch is bounded by construction, so it needs no size
-  guard.  A block's centers run in groups of at most ``_GROUP_BYTES``
-  (2 MiB) of per-center deltas, draws and GEMM operand,
+  guard.  A block holds at most ``_ROW_TARGET`` queries a draw chunk and
+  ``_GROUP_BYTES`` (2 MiB) of per-center deltas, draws and GEMM operand,
   ``4 (d + 1) w + 8 j d + 4 j (d + 1)`` bytes for ``w = min(n, _COL_TILE)``
-  and ``j = min(n_mc, _ROW_TARGET)``; a group holds at least one center, so
+  and ``j = min(n_mc, _ROW_TARGET)``; a block holds at least one center, so
   at very large ``d`` one center's deltas alone can pass the budget.  Each
-  worker reuses one group-sized float32 ``aug`` of deltas and ``buf`` of
-  exponents (``buf`` is not counted; it holds at most
-  ``_ROW_TARGET x _COL_TILE`` values).  Each chunk of draws allocates one
-  group-sized pair of draw arrays, which its groups reuse.  Only the
-  ``(d, n)`` float32 copy of the centers grows with ``n``.  The group size
-  changes no bit: each query's row depends on its own center's draws.
+  worker allocates its block-sized float32 ``aug`` of deltas, ``buf`` of
+  exponents (not counted; at most ``_ROW_TARGET x _COL_TILE`` values) and
+  draw arrays once per call and reuses them for every block it runs.  Only
+  the ``(d, n)`` float32 copy of the centers and the ``n`` per-center
+  moments grow with ``n``.
 """
 
 import math
@@ -99,10 +100,10 @@ _POOL_GEMM_LIMIT = 1 << 18
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
 # Most bytes of per-center scratch (float32 deltas, float64 draws, float32
-# GEMM operand) that one group of a block's centers holds.  Blocks of 20
-# centers at d <= 10, n_mc = 100 (682 KiB at d = 10) run whole.  At 1 MiB,
-# d = 256, n = 1000 ran in groups of 1 and 6-11% slower than whole blocks
-# (2 cores); at 2 MiB, d = 200, n = 250 traces 2.4 MiB.
+# GEMM operand) that one block of centers holds.  Blocks of 20 centers at
+# d <= 10, n_mc = 100 (682 KiB at d = 10) fit it.  At 1 MiB, d = 256,
+# n = 1000 ran one center at a time and 6-11% slower than 20 at a time
+# (2 cores); at 2 MiB, d = 200, n = 250 runs blocks of 4 and traces 2.3 MiB.
 _GROUP_BYTES = 1 << 21
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
 _GRID_LIMIT = 50_000_000
@@ -187,8 +188,8 @@ def _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf):
     in a fixed order.  A sum that is not finite (a float32 exponent beyond
     ~88.7, or center differences beyond float32) raises ``Unsupported``.
 
-    ``b0:b1`` is one group of a block's centers; each row depends on its
-    own center and draws only.  ``aug`` and ``buf`` are float32 scratch, at
+    ``b0:b1`` is one block of centers; each row depends on its own center
+    and draws only.  ``aug`` and ``buf`` are float32 scratch, at
     least ``(b1 - b0, dim + 1, w)`` and ``(b1 - b0, n_draws, w)`` for
     ``w = min(n, _COL_TILE)``.
     """
@@ -221,71 +222,66 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _logg_blocks(centers_t, sigma, n_mc, seed):
-    """Yield ``(log-sum, |z|^2)`` of all (center, draw) queries, one chunk at a time in order.
+def _center_moments(centers_t, sigma, n_mc, seed):
+    """Mean and summed squared deviation of each center's ``n_mc`` log terms.
 
-    One job per block of centers ``b0:b1`` does all of that block's work:
-    its centers draw their noise from ``substream(seed, i)`` in chunks of at
-    most ``_ROW_TARGET`` draws, and each chunk yields one block-sized pair of
-    arrays.  Within a chunk each group of centers (see ``_GROUP_BYTES``)
-    draws into the chunk's group-sized arrays, runs ``_mc_block`` once and
-    writes its rows.  The jobs run on this thread, or, with at least
-    ``_POOL_MIN_CENTERS`` centers whose per-center GEMM is at most
-    ``_POOL_GEMM_LIMIT`` multiply-adds, on a pool of ``_worker_count()``
-    threads.  Each job takes an ``(aug, buf)`` scratch pair from ``free``,
-    allocated here once per call, and its result depends on its block's own
-    draws only, so the yielded arrays do not depend on the pool or the
-    group size.
+    A term is ``_mc_block``'s log-sum less ``|z|^2/(2 sigma^2)`` and the
+    norming constant.  One job per block of centers draws, evaluates and
+    reduces that block's terms, one draw chunk at a time, on this thread or
+    on a pool (see the module notes); each takes a worker's scratch from
+    ``free``.  Non-finite terms pass through to the moments.
     """
     dim, n = centers_t.shape
+    const = _log_norm_const(n, dim, sigma)
+    two_var = 2.0 * sigma**2
     jc = min(n_mc, _ROW_TARGET)
-    block = min(n, max(1, _ROW_TARGET // jc), max(1, _DELTA_BUDGET // (_COL_TILE * (dim + 1))))
-    workers = 1
-    if jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT and n >= _POOL_MIN_CENTERS:
-        workers = _worker_count()
-
     tile = min(n, _COL_TILE)
     # one center's float32 deltas, float64 draws and float32 GEMM operand
     per_center = 4 * (dim + 1) * tile + 8 * jc * dim + 4 * jc * (dim + 1)
-    group = max(1, min(block, _GROUP_BYTES // per_center))
+    block = min(n, _ROW_TARGET // jc, max(1, _GROUP_BYTES // per_center))
+    workers = 1
+    if jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT and n >= _POOL_MIN_CENTERS:
+        workers = _worker_count()
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((np.empty((group, dim + 1, tile), dtype=np.float32),
-                  np.empty((group, jc, tile), dtype=np.float32)))
+        free.put((np.empty((block, jc, dim)), np.empty((block, jc, dim + 1), dtype=np.float32),
+                  np.empty((block, dim + 1, tile), dtype=np.float32),
+                  np.empty((block, jc, tile), dtype=np.float32)))
+    mean = np.empty(n)
+    m2 = np.empty(n)
 
     def job(b0):
         b1 = min(b0 + block, n)
         rngs = [substream(seed, i) for i in range(b0, b1)]
-        aug, buf = free.get()
+        z_all, lhs_all, aug, buf = free.get()
         try:
-            chunks = []
-            for j0 in range(0, n_mc, _ROW_TARGET):
-                draws = min(_ROW_TARGET, n_mc - j0)
-                # one group's draws, reused by the chunk's groups: fresh
-                # arrays per group page-faulted ~5x as often at d = 200
-                z_group = np.empty((min(group, b1 - b0), draws, dim))
-                lhs_group = np.empty(z_group.shape[:2] + (dim + 1,), dtype=np.float32)
-                logsum = np.empty((b1 - b0, draws))
-                z2 = np.empty((b1 - b0, draws))
-                for r0 in range(0, b1 - b0, group):
-                    r1 = min(r0 + group, b1 - b0)
-                    z, z_lhs = z_group[: r1 - r0], lhs_group[: r1 - r0]
+            t1 = t2 = 0.0
+            # |z|^2 past float64 gives terms of -inf and nan, which the caller refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j0 in range(0, n_mc, _ROW_TARGET):
+                    # contiguous: a chunk below jc needs jc = _ROW_TARGET, one center a block
+                    draws = min(_ROW_TARGET, n_mc - j0)
+                    z, z_lhs = z_all[: b1 - b0, :draws], lhs_all[: b1 - b0, :draws]
                     # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
-                    for t, rng in enumerate(rngs[r0:r1]):
+                    for t, rng in enumerate(rngs):
                         rng.standard_normal(out=z[t])
                     z *= sigma
                     np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
                     z_lhs[:, :, dim] = 1.0
-                    logsum[r0:r1] = _mc_block(centers_t, b0 + r0, b0 + r1, z_lhs, sigma, aug, buf)
-                    np.einsum("ijd,ijd->ij", z, z, out=z2[r0:r1])
-                chunks.append((logsum, z2))
-            return chunks
+                    logsum = _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf)
+                    terms = logsum - np.einsum("ijd,ijd->ij", z, z) / two_var - const
+                    pivot = terms[:, 0] if j0 == 0 else pivot  # each center's first term
+                    dev = terms - pivot[:, None]
+                    t1 += dev.sum(axis=1)
+                    t2 += (dev * dev).sum(axis=1)
+                mean[b0:b1] = pivot + t1 / n_mc
+                m2[b0:b1] = t2 - t1 * t1 / n_mc
         finally:
-            free.put((aug, buf))
+            free.put((z_all, lhs_all, aug, buf))
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for chunks in (map if pool is None else pool.map)(job, range(0, n, block)):
-            yield from chunks
+        list((map if pool is None else pool.map)(job, range(0, n, block)))
+    return mean, m2
 
 
 def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEstimate:
@@ -293,8 +289,9 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
 
     For each center ``x_i``, ``n_mc`` noise vectors ``Z ~ N(0, sigma^2 I)``
     are drawn from ``substream(seed, i)`` and the estimate is
-    ``-(1/(n*n_mc)) sum_{i,j} ln g(x_i + Z_j)``.  ``mc_std_error`` is the
-    sample standard deviation of the log terms divided by ``sqrt(n*n_mc)``.
+    ``-(1/(n*n_mc)) sum_{i,j} ln g(x_i + Z_j)``, taken as minus the mean of
+    the ``n`` per-center means.  ``mc_std_error`` is the sample standard
+    deviation of the log terms divided by ``sqrt(n*n_mc)``.
     """
     if n_mc < 1:
         raise InvalidConfig(f"n_mc must be >= 1, got {n_mc}")
@@ -303,38 +300,24 @@ def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEst
     with np.errstate(over="ignore", divide="ignore"):
         centers_t = mix.centers.data.astype(np.float32, order="C")
         precision32 = np.float32(1.0 / np.float64(sigma) ** 2)
-        two_var = 2.0 * np.float64(sigma) ** 2  # the fold's divisor of |z|^2
+        two_var = 2.0 * np.float64(sigma) ** 2  # the log terms' divisor of |z|^2
     if not (np.isfinite(two_var) and np.isfinite(precision32) and np.all(np.isfinite(centers_t))):
         raise Unsupported(
             f"sigma = {sigma:g} or a center coordinate is beyond the float32 range of "
             "the Monte-Carlo kernel: 1/sigma^2 and every coordinate must stay below 3.4e38, "
             "and 2 sigma^2 below 1.8e308"
         )
-    dim, n = centers_t.shape
-    const = _log_norm_const(n, dim, sigma)
-
-    pivot = None
-    t1 = 0.0
-    t2 = 0.0
-    total = 0
-    for logsum, z2 in _logg_blocks(centers_t, sigma, n_mc, seed):
-        flat = (logsum - z2 / two_var - const).ravel()
-        if pivot is None:
-            pivot = float(flat[0])
-        dev = flat - pivot
-        t1 += float(dev.sum())
-        t2 += float(dev @ dev)
-        total += flat.size
-    mean = pivot + t1 / total
-    if not math.isfinite(mean):
+    n = centers_t.shape[1]
+    means, m2 = _center_moments(centers_t, sigma, n_mc, seed)
+    if not np.all(np.isfinite(means)):
         raise Unsupported(
             f"Monte-Carlo estimate is not finite: the noise's |z|^2 overflows float64 "
             f"at sigma = {sigma:g}"
         )
-    if total > 1:
-        var = max(0.0, (t2 - t1 * t1 / total) / (total - 1))
-    else:
-        var = 0.0
+    mean = float(means.mean())
+    total = n * n_mc
+    spread = float(m2.sum()) + n_mc * float(np.square(means - mean).sum())
+    var = max(0.0, spread / (total - 1)) if total > 1 else 0.0
     return EntropyEstimate(
         value=-mean,
         mc_std_error=math.sqrt(var / total),

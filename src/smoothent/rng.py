@@ -7,9 +7,9 @@ single 64-bit user seed through spawn keys, so that
 * the same (seed, inputs) always produce bitwise-identical results,
 * adding work units (e.g. another mixture center, another MI term) never
   perturbs the draws of existing units, and
-* parallel evaluation of substreams is safe by construction: each block of
-  ``plugin_entropy_mc`` draws its own centers' substreams on whichever
-  thread runs it, so its result does not depend on the worker count.
+* parallel evaluation of substreams is safe by construction: each center
+  of ``plugin_entropy_mc`` reduces its own substream's draws to its own
+  moments, so no block size or worker count changes the result.
 
 ``substream(seed, i, j, ...)`` returns the generator for the unit addressed
 by the integer path ``(i, j, ...)``; ``derive_seed`` folds such a path into a

@@ -307,50 +307,58 @@ class TestMcKernels:
             plugin_entropy_mc(mix, 1, seed=0)
 
 
-def serial_reference(mix, n_mc, seed):
-    """``plugin_entropy_mc``'s serial loop as it was before the thread pool.
+def log_terms(mix, n_mc, seed):
+    """Every log term ``ln g(x_i + Z_j)`` as an ``(n, n_mc)`` array, one center at a time.
 
-    Scratch is allocated per block, the kernel is looked up on the module
-    (so a monkeypatched kernel applies), and ``(value, mc_std_error)`` is
-    returned.
+    Center ``i`` draws its noise from ``substream(seed, i)`` in chunks of at
+    most ``_ROW_TARGET`` and runs the kernel on its own fresh scratch; the
+    kernel is looked up on the module, so a monkeypatched kernel applies.
     """
     centers_t = mix.centers.data.astype(np.float32)
     dim, n = centers_t.shape
     sigma = mix.sigma
     const = _log_norm_const(n, dim, sigma)
-    jc = min(n_mc, mixture._ROW_TARGET)
-    block = min(
-        n,
-        max(1, mixture._ROW_TARGET // jc),
-        max(1, mixture._DELTA_BUDGET // (_COL_TILE * (dim + 1))),
-    )
-    pivot = None
-    t1 = t2 = 0.0
-    total = 0
-    for b0 in range(0, n, block):
-        b1 = min(b0 + block, n)
-        rngs = [substream(seed, i) for i in range(b0, b1)]
-        for j0 in range(0, n_mc, jc):
-            j1 = min(j0 + jc, n_mc)
-            z64 = np.empty((b1 - b0, j1 - j0, dim))
-            for t, rng in enumerate(rngs):
-                z64[t] = rng.normal(0.0, sigma, size=(j1 - j0, dim))
-            z2 = np.einsum("ijd,ijd->ij", z64, z64)
-            z_lhs = np.empty((b1 - b0, j1 - j0, dim + 1), dtype=np.float32)
+    terms = np.empty((n, n_mc))
+    for i in range(n):
+        rng = substream(seed, i)
+        for j0 in range(0, n_mc, mixture._ROW_TARGET):
+            j1 = min(j0 + mixture._ROW_TARGET, n_mc)
+            z64 = rng.normal(0.0, sigma, size=(1, j1 - j0, dim))
+            z_lhs = np.ones((1, j1 - j0, dim + 1), dtype=np.float32)
             z_lhs[:, :, :dim] = z64 * (-1.0 / sigma**2)
-            z_lhs[:, :, dim] = 1.0
-            aug = np.empty((b1 - b0, dim + 1, _COL_TILE), dtype=np.float32)
-            buf = np.empty((b1 - b0, j1 - j0, _COL_TILE), dtype=np.float32)
-            logsum = mixture._mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf)
-            flat = (logsum - z2 / (2.0 * sigma**2) - const).ravel()
-            if pivot is None:
-                pivot = float(flat[0])
-            dev = flat - pivot
-            t1 += float(dev.sum())
-            t2 += float(dev @ dev)
-            total += flat.size
-    mean = pivot + t1 / total
-    var = max(0.0, (t2 - t1 * t1 / total) / (total - 1)) if total > 1 else 0.0
+            aug = np.empty((1, dim + 1, _COL_TILE), dtype=np.float32)
+            buf = np.empty((1, j1 - j0, _COL_TILE), dtype=np.float32)
+            logsum = mixture._mc_block(centers_t, i, i + 1, z_lhs, sigma, aug, buf)
+            z2 = np.einsum("ijd,ijd->ij", z64, z64)
+            terms[i, j0:j1] = (logsum - z2 / (2.0 * sigma**2) - const)[0]
+    return terms
+
+
+def serial_reference(mix, n_mc, seed):
+    """``(value, mc_std_error)`` of ``plugin_entropy_mc``, folded one center at a time.
+
+    Each center's terms from ``log_terms`` are summed as deviations from its
+    first term, one draw chunk of ``_ROW_TARGET`` at a time, into its mean
+    and summed squared deviation; the estimate is minus the mean of the
+    means, and the pooled squared deviation is the centers' own plus
+    ``n_mc`` times that of their means.
+    """
+    terms = log_terms(mix, n_mc, seed)
+    n = terms.shape[0]
+    means = np.empty(n)
+    m2 = np.empty(n)
+    for i, row in enumerate(terms):
+        t1 = t2 = 0.0
+        for j0 in range(0, n_mc, mixture._ROW_TARGET):
+            dev = row[j0 : j0 + mixture._ROW_TARGET] - row[0]
+            t1 += dev.sum()
+            t2 += (dev * dev).sum()
+        means[i] = row[0] + t1 / n_mc
+        m2[i] = t2 - t1 * t1 / n_mc
+    mean = float(means.mean())
+    total = n * n_mc
+    spread = float(m2.sum()) + n_mc * float(np.square(means - mean).sum())
+    var = max(0.0, spread / (total - 1)) if total > 1 else 0.0
     return -mean, math.sqrt(var / total)
 
 
@@ -448,18 +456,21 @@ class TestPooledKernel:
         assert threading.active_count() == start
 
 
+def one_center_budget(dim, n, n_mc):
+    """``_GROUP_BYTES`` that holds exactly one center's scratch."""
+    jc = min(n_mc, mixture._ROW_TARGET)
+    return 4 * (dim + 1) * min(n, _COL_TILE) + 8 * jc * dim + 4 * jc * (dim + 1)
+
+
 class TestCenterGroups:
-    """A block's centers run in groups of at most ``_GROUP_BYTES`` of scratch; no bit moves."""
+    """A block holds at most ``_GROUP_BYTES`` of per-center scratch; no bit moves."""
 
     SEED = 29
 
     @staticmethod
     def split(monkeypatch, dim, n, n_mc, group):
         """Set ``_GROUP_BYTES`` to ``group`` centers' scratch; log each ``_mc_block`` call's rows."""
-        tile = min(n, _COL_TILE)
-        jc = min(n_mc, mixture._ROW_TARGET)
-        per_center = 4 * (dim + 1) * tile + 8 * jc * dim + 4 * jc * (dim + 1)
-        monkeypatch.setattr(mixture, "_GROUP_BYTES", group * per_center)
+        monkeypatch.setattr(mixture, "_GROUP_BYTES", group * one_center_budget(dim, n, n_mc))
         real = mixture._mc_block
         rows = []
 
@@ -476,29 +487,29 @@ class TestCenterGroups:
         return est.value, est.mc_std_error
 
     def test_serial_high_dim_block_split_unevenly(self, monkeypatch):
-        # d = 200, n = 250, n_mc = 100: blocks of 20 centers in groups of 3,
-        # 3, 3, 3, 3, 3 and 2; the centers sit within sigma of each other
+        # d = 200, n = 250, n_mc = 100: 83 blocks of 3 centers and one of 1;
+        # the centers sit within sigma of each other
         rng = np.random.default_rng(310)
         mix = IsotropicMixture(SampleMatrix(rng.standard_normal((200, 250)) * 0.05), 1.0)
         rows = self.split(monkeypatch, 200, 250, 100, 3)
         got = self.estimate(mix, 100)
-        assert rows[:7] == [3, 3, 3, 3, 3, 3, 2] and sum(rows) == 250
+        assert rows == [3] * 83 + [1]
         assert got == serial_reference(mix, 100, self.SEED)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_wide_shape(self, monkeypatch, workers):
-        # d = 40, n_mc = 10, n = 407: two blocks of 199 centers and one of 9,
-        # each in groups of 7 on a pool
+        # d = 40, n_mc = 10, n = 407: 58 blocks of 7 centers and one of 1 on
+        # a pool, which may finish them in any order
         monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
         mix = TestPooledKernel.mix(40)
         rows = self.split(monkeypatch, 40, TestPooledKernel.N, 10, 7)
         got = self.estimate(mix, 10)
-        assert max(rows) == 7 and sorted(set(rows)) == [2, 3, 7] and sum(rows) == TestPooledKernel.N
+        assert sorted(rows) == [1] + [7] * 58
         assert got == serial_reference(mix, 10, self.SEED)
 
     def test_two_draw_chunks(self, monkeypatch):
         # n_mc = 2100 draws in chunks of 2048 and 52, one center a block;
-        # each chunk's rows land in that chunk's own arrays
+        # each center sums its deviations over both chunks
         rng = np.random.default_rng(311)
         mix = IsotropicMixture(SampleMatrix(rng.standard_normal((5, 30))), 0.3)
         rows = self.split(monkeypatch, 5, 30, 2100, 1)
@@ -510,16 +521,75 @@ class TestCenterGroups:
         # d = 200, n = 250, n_mc = 100: one center's scratch is
         # 4 * 201 * 250 (deltas) + 8 * 100 * 200 (draws) + 4 * 100 * 201
         # (GEMM operand) = 441,400 bytes, and its exponents 4 * 100 * 250 =
-        # 100,000 more.  A whole block of 20 centers held 20 * 541,400 bytes
-        # = 10.3 MiB (10.7 MiB traced).  A 2 MiB budget runs groups of 4:
-        # 4 * 541,400 bytes = 2.07 MiB, plus the 0.19 MiB float32 centers
-        # and a block's (log-sum, |z|^2) arrays of 2 * 8 * 2000 bytes: 2.4 MiB
-        # traced.
+        # 100,000 more.  A block of 20 centers held 20 * 541,400 bytes
+        # = 10.3 MiB (10.7 MiB traced).  A 2 MiB budget runs blocks of 4:
+        # 4 * 541,400 bytes = 2.07 MiB, plus the 0.19 MiB float32 centers:
+        # 2.3 MiB traced.
         rng = np.random.default_rng(312)
         mix = IsotropicMixture(SampleMatrix(rng.standard_normal((200, 250))), 1.0)
         est, peak = traced_peak(plugin_entropy_mc, mix, 100, 3)
         assert math.isfinite(est.value)
         assert peak < 4 * 2**20, peak / 2**20
+
+
+def fold_cases():
+    """``(mix, n_mc)`` of the shapes whose bits the fold tests hold fixed.
+
+    Pooled d = 3 (n = 407, n_mc = 100), pooled d = 40 (n_mc = 10), serial
+    d = 200 (n = 250) and n_mc = 2100 (draw chunks of 2048 and 52).
+    """
+    rng = np.random.default_rng(313)
+    return {
+        "pooled-d3": (TestPooledKernel.mix(3), 100),
+        "pooled-d40": (TestPooledKernel.mix(40), 10),
+        "serial-d200": (IsotropicMixture(SampleMatrix(rng.standard_normal((200, 250))), 1.0), 100),
+        "two-chunks": (IsotropicMixture(SampleMatrix(rng.standard_normal((5, 30))), 0.3), 2100),
+    }
+
+
+@pytest.mark.parametrize("case", ["pooled-d3", "pooled-d40", "serial-d200", "two-chunks"])
+def test_bits_do_not_depend_on_the_schedule(monkeypatch, case):
+    # block sizes from one center up to the whole _ROW_TARGET row limit, each
+    # on 1, 2 and 3 workers
+    mix, n_mc = fold_cases()[case]
+    seen = []
+    for budget in (one_center_budget(mix.dim, mix.n_centers, n_mc), mixture._GROUP_BYTES, 2**40):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mixture, "_GROUP_BYTES", budget)
+            monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
+            est = plugin_entropy_mc(mix, n_mc, seed=31)
+            seen.append((est.value, est.mc_std_error))
+    assert seen == [seen[0]] * 9
+
+
+@pytest.mark.parametrize("n_mc", [1, 7])
+def test_std_error_is_that_of_all_log_terms(n_mc):
+    # the pooled moments against the plain sample deviation of every term;
+    # at n_mc = 1 each center's own squared deviation is 0
+    rng = np.random.default_rng(314)
+    mix = IsotropicMixture(SampleMatrix(rng.standard_normal((3, 60))), 0.4)
+    est = plugin_entropy_mc(mix, n_mc, seed=32)
+    terms = [float(t) for t in log_terms(mix, n_mc, 32).ravel()]
+    assert len(terms) == 60 * n_mc
+    expected = np.std(np.array(terms), ddof=1) / math.sqrt(len(terms))
+    assert est.mc_std_error == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+# value.hex() and mc_std_error.hex() of plugin_entropy_mc(mix, n_mc, seed=33)
+# for three of fold_cases(), so that a moved bit fails here and not only in
+# scripts/cli_digests.py; a change that means to move bits updates them
+PINNED_BITS = {
+    "pooled-d3": ("0x1.0853f36705924p+2", "0x1.66021c089829ap-8"),
+    "serial-d200": ("0x1.21707a095a9a2p+8", "0x1.037cf201cd939p-4"),
+    "two-chunks": ("0x1.15e498508dd00p+2", "0x1.8ca56abc6ebe2p-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BITS))
+def test_pinned_bits(case):
+    mix, n_mc = fold_cases()[case]
+    est = plugin_entropy_mc(mix, n_mc, seed=33)
+    assert (est.value.hex(), est.mc_std_error.hex()) == PINNED_BITS[case]
 
 
 _BLAS_THREADS_SCRIPT = """
