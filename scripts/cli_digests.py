@@ -26,13 +26,25 @@ The package is imported from the ``src`` directory next to this script.
 Bytes depend on the BLAS thread count (see README, Reproducibility), so
 ``OPENBLAS_NUM_THREADS`` is set to 1 unless the environment sets it.
 
-Usage: ``python3 scripts/cli_digests.py``
+``--keep DIR`` copies every file into ``DIR``.  ``--against DIR`` compares
+each file with the one of the same name in ``DIR`` (kept by an earlier run,
+say at the parent commit) and, after the digests, prints one line per file
+whose bytes differ: the largest relative change of any numeric cell (cells
+are comma-separated in ``.csv`` files and blank-separated elsewhere), with
+its column and both values, or why no such figure exists; then the count of
+files that moved.
+
+Usage: ``python3 scripts/cli_digests.py [--keep DIR] [--against DIR]``
 """
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -132,7 +144,64 @@ def write_wide_header_dump(path) -> None:
     Path(path).write_text("cond," + "f" * 200_000 + "\n0,1.5\n", encoding="utf-8")
 
 
-def main() -> int:
+def cells(path) -> list[list[str]]:
+    """A file's rows of cells: comma-separated in a ``.csv`` file, blank-separated elsewhere."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return list(csv.reader(io.StringIO(text)))
+    return [line.split() for line in text.splitlines()]
+
+
+PUNCTUATION = "()[],;:="
+
+
+def as_float(cell: str):
+    """The number a cell holds, punctuation around it ignored, or None."""
+    try:
+        return float(cell.strip(PUNCTUATION))
+    except ValueError:
+        return None
+
+
+def label(header, row, j) -> str:
+    """A cell's column name: its header cell in a ``.csv`` file, else the nearest word before it."""
+    if header:
+        return header[j] if j < len(header) else f"cell {j + 1}"
+    words = [w.strip(PUNCTUATION) for w in row[:j] if as_float(w) is None]
+    return next((w for w in reversed(words) if w), f"cell {j + 1}")
+
+
+def largest_move(old_path, new_path) -> str:
+    """The largest relative change of a numeric cell between two files, as one line."""
+    old_rows, new_rows = cells(old_path), cells(new_path)
+    if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
+        return "layout changed"
+    csv_file = old_path.suffix == ".csv"
+    best = None
+    for i, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
+        for j, (a, b) in enumerate(zip(old_row, new_row)):
+            if a == b:
+                continue
+            x, y = as_float(a), as_float(b)
+            if x is None or y is None:
+                return f"text changed in row {i + 1}: {a!r} -> {b!r}"
+            rel = abs(y - x) / abs(x) if x else math.inf
+            if best is None or rel > best[0]:
+                header = old_rows[0] if csv_file and i else []
+                best = (rel, label(header, old_row, j), a.strip(PUNCTUATION), b.strip(PUNCTUATION))
+    if best is None:
+        return "no cell changed"
+    rel, name, a, b = best
+    return f"{rel:.2g} relative ({name}: {a} -> {b})"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 of every output of fixed CLI runs")
+    parser.add_argument("--keep", type=Path, help="copy every output file into this directory")
+    parser.add_argument("--against", type=Path,
+                        help="report the largest numeric move of each file that differs from "
+                             "the file of the same name in this directory")
+    args = parser.parse_args(argv)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -148,16 +217,32 @@ def main() -> int:
                     print(f"{name}: exit {code}", file=sys.stderr)
                     return 1
                 (work / f"{name}.out").write_text(out.getvalue(), encoding="utf-8")
-            lines = [
-                f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
-                for path in sorted(work.iterdir())
-            ]
+            paths = sorted(work.iterdir())
+            lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}" for path in paths]
+            moves = []
+            if args.against is not None:
+                against = (Path(home) / args.against).resolve()
+                for path in paths:
+                    old = against / path.name
+                    if not old.is_file():
+                        moves.append(f"moved  {path.name}  new file")
+                    elif old.read_bytes() != path.read_bytes():
+                        moves.append(f"moved  {path.name}  {largest_move(old, path)}")
+            if args.keep is not None:
+                keep = Path(home) / args.keep
+                keep.mkdir(parents=True, exist_ok=True)
+                for path in paths:
+                    shutil.copyfile(path, keep / path.name)
         finally:
             os.chdir(home)
     for line in lines:
         print(line)
     combined = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     print(f"{combined}  combined")
+    if args.against is not None:
+        for line in moves:
+            print(line)
+        print(f"{len(moves)} of {len(lines)} files moved")
     return 0
 
 

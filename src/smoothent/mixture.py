@@ -32,6 +32,27 @@ Numerical notes
   re-baselined the bits once (moves of ~1e-8 relative).  ``1/sigma^2`` and
   every center coordinate must be finite in float32, and ``2 sigma^2`` in
   float64, else ``Unsupported``.
+* Pair terms that cannot count are not evaluated.  In each draw chunk,
+  center ``i`` gets the radius ``r_i = z_i + sqrt(z_i^2 + 2 sigma^2 T)``,
+  where ``z_i`` is its longest draw and ``T = ln n + 24 ln 2``.  By
+  Cauchy-Schwarz every term of a center ``k`` with ``|x_i - x_k| > r_i`` has
+  an exponent at most ``-T``, so a query's dropped terms sum to less than
+  ``n e^-T = 2^-24`` while its sum is at least 1: each log term drops by
+  less than ``2^-24``, and the estimate, minus their mean, can only rise,
+  by less than that.  The kept set compares float32 ``|delta|^2`` with
+  ``r_i^2`` enlarged by ``(d + 4) 2^-23``, which covers its rounding, and
+  keeps every pair whose ``|delta|^2`` overflows, so overflow still raises
+  ``Unsupported``.  A center that keeps at most half of its first column
+  tile is packed: its kept GEMM columns are copied, in column order, into
+  its own list, and the product, floor, exp and sum run over tiles of
+  ``_COL_TILE`` of that list.  Every other center runs the product over all
+  ``n`` columns, with the bits it had without the cutoff.  Packing is tried
+  only where it was measured to pay (``_packing``): ``d <= 50``, at least
+  200 centers and at least 64 draws in the chunk; other shapes, such as the
+  ambient terms of ``indep-auc`` or ``n_mc = 10``, keep their bits.  Both
+  rules read the shape and the center's own draws and list only.  This
+  re-baselined the bits once; packed sums also round differently, so values
+  moved either way, by 7e-9 nats at ``d = 3``, ``n = 5000``.
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
@@ -51,15 +72,18 @@ Numerical notes
   than the serial loop.  Serial and pooled shapes run the same per-block job.
 * The kernel's scratch is bounded by construction, so it needs no size
   guard.  A block holds at most ``_ROW_TARGET`` queries a draw chunk and
-  ``_GROUP_BYTES`` (2 MiB) of per-center deltas, draws and GEMM operand,
-  ``4 (d + 1) w + 8 j d + 4 j (d + 1)`` bytes for ``w = min(n, _COL_TILE)``
-  and ``j = min(n_mc, _ROW_TARGET)``; a block holds at least one center, so
-  at very large ``d`` one center's deltas alone can pass the budget.  Each
-  worker allocates its block-sized float32 ``aug`` of deltas, ``buf`` of
-  exponents (not counted; at most ``_ROW_TARGET x _COL_TILE`` values) and
-  draw arrays once per call and reuses them for every block it runs.  Only
-  the ``(d, n)`` float32 copy of the centers and the ``n`` per-center
-  moments grow with ``n``.
+  ``_GROUP_BYTES`` (2 MiB) of per-center deltas, packed columns, draws and
+  GEMM operand, ``4 (d + 1) (w + p) + 8 j d + 4 j (d + 1)`` bytes for
+  ``w = min(n, _COL_TILE)``, ``j = min(n_mc, _ROW_TARGET)`` and
+  ``p = min(n, 2 _COL_TILE)`` (0 where no center can be packed); a block
+  holds at least one center, so at very large ``d`` one center's deltas
+  alone can pass the budget.  A packed center's list holds fewer than
+  ``2 _COL_TILE`` columns: each full tile is evaluated as soon as it fills.
+  Each worker allocates its block-sized float32 ``aug`` of deltas,
+  ``packed`` lists, ``buf`` of exponents (not counted; at most
+  ``_ROW_TARGET x _COL_TILE`` values) and draw arrays once per call and
+  reuses them for every block it runs.  Only the ``(d, n)`` float32 copy of
+  the centers and the ``n`` per-center moments grow with ``n``.
 """
 
 import math
@@ -99,14 +123,26 @@ _POOL_GEMM_LIMIT = 1 << 18
 # (2 cores, 30 calls per size).
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
-# Most bytes of per-center scratch (float32 deltas, float64 draws, float32
-# GEMM operand) that one block of centers holds.  Blocks of 20 centers at
-# d <= 10, n_mc = 100 (682 KiB at d = 10) fit it.  At 1 MiB, d = 256,
-# n = 1000 ran one center at a time and 6-11% slower than 20 at a time
-# (2 cores); at 2 MiB, d = 200, n = 250 runs blocks of 4 and traces 2.3 MiB.
+# Most bytes of per-center scratch (float32 deltas and packed columns,
+# float64 draws, float32 GEMM operand) that one block of centers holds.
+# Blocks of 20 centers at d <= 10, n_mc = 100 (1.5 MiB at d = 10, n = 1000)
+# fit it.  At 1 MiB, d = 256, n = 1000 ran one center at a time and 6-11%
+# slower than 20 at a time (2 cores); at 2 MiB, d = 200, n = 250 runs blocks
+# of 4 and traces 2.3 MiB.
 _GROUP_BYTES = 1 << 21
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
 _GRID_LIMIT = 50_000_000
+# Shapes whose centers may be packed (see _packing).  Packing a column
+# copies its d + 1 operand values, and a packed center pays a few numpy
+# calls of its own; both are repaid only by skipping many draws' terms.
+# Kernel times, packing centers that keep up to half against packing none
+# (2 cores, centers keeping a spread of shares): d = 40 ran 4% faster and
+# d = 60 3% slower; indep-auc's d = 100 and 200 terms 4-5% slower; at
+# d = 10, n = 1000, n_mc = 40 ran 34% slower and n_mc = 100 21% faster; at
+# d = 3, n_mc = 100, n = 120 ran 6% slower and n = 250 18% faster.
+_PACK_MAX_DIM = 50
+_PACK_MIN_DRAWS = 64
+_PACK_MIN_CENTERS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +211,7 @@ def _log_density_rows(centers_rows: np.ndarray, sigma: float, queries: np.ndarra
     return out
 
 
-def _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf):
+def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed):
     """Log-sums ``log sum_k exp(E_ik)`` of all (center, draw) queries in one block.
 
     Exponents come from a single augmented matrix product per column tile of
@@ -188,9 +224,18 @@ def _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf):
     in a fixed order.  A sum that is not finite (a float32 exponent beyond
     ~88.7, or center differences beyond float32) raises ``Unsupported``.
 
+    Unless ``reach`` is None, row ``i`` keeps the columns whose float32
+    ``|delta|^2`` is at most ``reach[i, 0]`` or overflows; the terms of the
+    others are below the cutoff (see the module notes).  A center that keeps
+    at most half of its first tile is packed: its kept operand columns are
+    appended, in column order, to its row of ``packed``, and each
+    ``_COL_TILE`` of them, then the rest, are evaluated as one tile.  Every
+    other center runs the product over all ``n`` columns.
+
     ``b0:b1`` is one block of centers; each row depends on its own center
-    and draws only.  ``aug`` and ``buf`` are float32 scratch, at
-    least ``(b1 - b0, dim + 1, w)`` and ``(b1 - b0, n_draws, w)`` for
+    and draws only.  ``aug``, ``buf`` and ``packed`` are float32 scratch, at
+    least ``(b1 - b0, dim + 1, w)``, ``(b1 - b0, n_draws, w)`` and, if
+    ``reach`` is given, ``(b1 - b0, dim + 1, min(n, 2 * _COL_TILE))`` for
     ``w = min(n, _COL_TILE)``.
     """
     dim, n = centers_t.shape
@@ -204,15 +249,68 @@ def _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf):
             width = min(_COL_TILE, n - k0)
             a = aug[:rows, :, :width]
             delta_t = np.subtract(cb, centers_t[None, :, k0 : k0 + width], out=a[:, :dim])
-            np.einsum("idk,idk->ik", delta_t, delta_t, out=a[:, dim])
-            a[:, dim] *= inv_2s2
-            args = np.matmul(z_lhs, a, out=buf[:rows, :draws, :width])
-            np.maximum(args, _EXP_FLOOR, out=args)
-            np.exp(args, out=args)
-            sums += np.einsum("ijk->ij", args)
+            d2 = np.einsum("idk,idk->ik", delta_t, delta_t, out=a[:, dim])
+            if k0 == 0:
+                packs = np.arange(0)
+                if reach is not None:
+                    packs = np.flatnonzero(2 * (d2 <= reach).sum(axis=1) <= width)
+                whole = _runs(packs, rows)
+                fill = np.zeros(packs.size, dtype=np.intp)
+            if packs.size:
+                d2_packs = d2[packs]
+                keep = (d2_packs <= reach[packs]) | (d2_packs == np.inf)
+            d2 *= inv_2s2
+            for r0, r1 in whole:
+                sums[r0:r1] += _tile_sums(z_lhs[r0:r1], a[r0:r1], buf[r0:r1, :draws])
+            if packs.size:
+                rows_k, cols_k = np.divmod(keep.ravel().nonzero()[0], width)
+                counts = keep.sum(axis=1)
+                dest = (fill - np.cumsum(counts) + counts)[rows_k] + np.arange(rows_k.size)
+                packed[rows_k, :, dest] = a[packs[rows_k], :, cols_k]
+                fill += counts
+                full = np.flatnonzero(fill >= _COL_TILE)
+                if full.size:
+                    lhs, tile = z_lhs[packs[full]], packed[full, :, :_COL_TILE]
+                    sums[packs[full]] += _tile_sums(lhs, tile, buf[: full.size, :draws])
+                    packed[full, :, : packed.shape[2] - _COL_TILE] = packed[full, :, _COL_TILE:]
+                    fill[full] -= _COL_TILE
+        for i in np.flatnonzero(fill):
+            sums[packs[i]] += _tile_sums(z_lhs[packs[i]], packed[i, :, : fill[i]], buf[0, :draws])
     if not np.all(np.isfinite(sums)):
         raise Unsupported("Monte-Carlo kernel sum is not finite: a term exceeds float32")
     return np.log(sums)
+
+
+def _packing(dim, n, draws):
+    """Whether a draw chunk of ``draws`` over ``n`` centers in ``dim`` dimensions may pack centers."""
+    return dim <= _PACK_MAX_DIM and n >= _PACK_MIN_CENTERS and draws >= _PACK_MIN_DRAWS
+
+
+def _reach(z2, sigma, n, dim):
+    """Each center's float32 bound on ``|delta|^2`` for the pairs whose terms can count.
+
+    ``z2`` holds ``|z|^2`` of each center's draws, a row per center.  With
+    ``z_i`` the longest draw, ``r_i = z_i + sqrt(z_i^2 + 2 sigma^2 T)`` for
+    ``T = ln n + 24 ln 2``; the relative margin ``(dim + 4) 2^-23`` covers
+    float32 rounding of ``|delta|^2``.  Returned as a ``(rows, 1)`` column.
+    """
+    z_max = np.sqrt(z2.max(axis=1))
+    r = z_max + np.sqrt(z_max * z_max + 2.0 * sigma**2 * (math.log(n) + 24 * math.log(2)))
+    return (r * r * (1 + (dim + 4) * 2.0**-23)).astype(np.float32)[:, None]
+
+
+def _runs(skip, rows):
+    """The maximal ``(r0, r1)`` runs of ``range(rows)`` that hold no index of the sorted ``skip``."""
+    edges = [-1, *skip.tolist(), rows]
+    return [(r0 + 1, r1) for r0, r1 in zip(edges, edges[1:]) if r1 > r0 + 1]
+
+
+def _tile_sums(lhs, a, buf):
+    """Row sums of ``exp(max(lhs @ a, _EXP_FLOOR))``; the product is written into ``buf``."""
+    args = np.matmul(lhs, a, out=buf[..., : a.shape[-1]])
+    np.maximum(args, _EXP_FLOOR, out=args)
+    np.exp(args, out=args)
+    return np.einsum("...k->...", args)
 
 
 def _worker_count() -> int:
@@ -236,8 +334,9 @@ def _center_moments(centers_t, sigma, n_mc, seed):
     two_var = 2.0 * sigma**2
     jc = min(n_mc, _ROW_TARGET)
     tile = min(n, _COL_TILE)
-    # one center's float32 deltas, float64 draws and float32 GEMM operand
-    per_center = 4 * (dim + 1) * tile + 8 * jc * dim + 4 * jc * (dim + 1)
+    pack = min(n, 2 * _COL_TILE) if _packing(dim, n, jc) else 0
+    # one center's float32 deltas and packed columns, float64 draws and float32 GEMM operand
+    per_center = 4 * (dim + 1) * (tile + pack) + 8 * jc * dim + 4 * jc * (dim + 1)
     block = min(n, _ROW_TARGET // jc, max(1, _GROUP_BYTES // per_center))
     workers = 1
     if jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT and n >= _POOL_MIN_CENTERS:
@@ -246,14 +345,15 @@ def _center_moments(centers_t, sigma, n_mc, seed):
     for _ in range(workers):
         free.put((np.empty((block, jc, dim)), np.empty((block, jc, dim + 1), dtype=np.float32),
                   np.empty((block, dim + 1, tile), dtype=np.float32),
-                  np.empty((block, jc, tile), dtype=np.float32)))
+                  np.empty((block, jc, tile), dtype=np.float32),
+                  np.empty((block, dim + 1, pack), dtype=np.float32)))
     mean = np.empty(n)
     m2 = np.empty(n)
 
     def job(b0):
         b1 = min(b0 + block, n)
         rngs = [substream(seed, i) for i in range(b0, b1)]
-        z_all, lhs_all, aug, buf = free.get()
+        z_all, lhs_all, aug, buf, packed = free.get()
         try:
             t1 = t2 = 0.0
             # |z|^2 past float64 gives terms of -inf and nan, which the caller refuses
@@ -268,8 +368,10 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                     z *= sigma
                     np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
                     z_lhs[:, :, dim] = 1.0
-                    logsum = _mc_block(centers_t, b0, b1, z_lhs, sigma, aug, buf)
-                    terms = logsum - np.einsum("ijd,ijd->ij", z, z) / two_var - const
+                    z2 = np.einsum("ijd,ijd->ij", z, z)
+                    reach = _reach(z2, sigma, n, dim) if _packing(dim, n, draws) else None
+                    logsum = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed)
+                    terms = logsum - z2 / two_var - const
                     pivot = terms[:, 0] if j0 == 0 else pivot  # each center's first term
                     dev = terms - pivot[:, None]
                     t1 += dev.sum(axis=1)
@@ -277,7 +379,7 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                 mean[b0:b1] = pivot + t1 / n_mc
                 m2[b0:b1] = t2 - t1 * t1 / n_mc
         finally:
-            free.put((z_all, lhs_all, aug, buf))
+            free.put((z_all, lhs_all, aug, buf, packed))
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         list((map if pool is None else pool.map)(job, range(0, n, block)))

@@ -28,6 +28,7 @@ from smoothent.mixture import (
     _log_density_rows,
     _log_norm_const,
     _mc_block,
+    _reach,
 )
 from smoothent.rng import substream
 
@@ -236,11 +237,14 @@ class TestMcKernels:
         """``_mc_block``'s arguments for rows ``b0:b1`` with noise ``z64``, scratch included."""
         dim = centers_t.shape[0]
         rows, n_mc = z64.shape[:2]
+        n = centers_t.shape[1]
         z_lhs = np.ones((rows, n_mc, dim + 1), dtype=np.float32)
         z_lhs[:, :, :dim] = -z64 / sigma**2
+        reach = _reach(np.einsum("ijd,ijd->ij", z64, z64), sigma, n, dim)
         aug = np.empty((rows, dim + 1, _COL_TILE), dtype=np.float32)
         buf = np.empty((rows, n_mc, _COL_TILE), dtype=np.float32)
-        return centers_t, b0, b1, z_lhs, sigma, aug, buf
+        packed = np.empty((rows, dim + 1, min(n, 2 * _COL_TILE)), dtype=np.float32)
+        return centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed
 
     @staticmethod
     def log_density(centers_t, b0, b1, z64, sigma):
@@ -258,14 +262,17 @@ class TestMcKernels:
         return _log_density_rows(centers64, sigma, queries).reshape(z64.shape[:2])
 
     @staticmethod
-    def overflow_case(dim):
+    def overflow_case(dim, far=0):
         """Two centers 3 apart and, at sigma = 0.1, a draw 2.95 from the first toward the second.
 
         The second term's exponent in the self-term frame is
         ``(2.95 * 3 - 9 / 2) / 0.01 = 435``, beyond float32's exp range (~88.7).
+        ``far`` more centers 1000 away make the first center's list short
+        enough to be packed.
         """
-        centers_t = np.zeros((dim, 2), dtype=np.float32)
+        centers_t = np.zeros((dim, 2 + far), dtype=np.float32)
         centers_t[0, 1] = 3.0
+        centers_t[1, 2:] = 1000.0 * np.arange(1, far + 1)
         z64 = np.zeros((2, 1, dim))
         z64[0, 0, 0] = 2.95
         z64[1, 0, :2] = [-0.1, 0.05]
@@ -289,6 +296,15 @@ class TestMcKernels:
         with pytest.raises(Unsupported, match="kernel sum is not finite: a term exceeds float32"):
             _mc_block(*self.block_args(centers_t, 0, 2, z64, 0.1))
 
+    def test_overflowing_exponent_in_a_packed_row(self, monkeypatch):
+        # ten more centers 1000 away: both rows are packed; the first keeps
+        # the overflowing pair, the second, whose draw is short, itself only
+        centers_t, z64 = self.overflow_case(3, far=10)
+        count = count_columns(monkeypatch)
+        with pytest.raises(Unsupported, match="kernel sum is not finite: a term exceeds float32"):
+            _mc_block(*self.block_args(centers_t, 0, 2, z64, 0.1))
+        assert count[0] == 2 + 1
+
     def test_high_dim_overflow_is_unsupported(self, monkeypatch):
         # a d = 40 estimate whose draws put an exponent beyond float32 ends
         # in the kernel's typed error, not in a non-finite value
@@ -305,6 +321,110 @@ class TestMcKernels:
         mix = IsotropicMixture(SampleMatrix(centers_t), 0.1)
         with pytest.raises(Unsupported, match="kernel sum is not finite"):
             plugin_entropy_mc(mix, 1, seed=0)
+
+
+def clustered_centers(seed):
+    """``(3, 1400)`` centers whose cutoff lists differ in length at sigma = 0.1.
+
+    Columns 0-299 are a tight cluster, so those centers keep 59% of their
+    first tile and run whole; columns 300-799 are spread 100 apart or more,
+    so each keeps itself only; columns 800-1399 are a second tight cluster
+    2000 away, whose centers keep none of their first tile and 600 columns
+    in all, one full packed tile and a part.
+    """
+    rng = np.random.default_rng(seed)
+    spread = np.stack(np.meshgrid(*[np.arange(8) * 100.0] * 3)).reshape(3, -1)[:, :500]
+    return np.hstack([
+        rng.normal(0.0, 0.03, (3, 300)),
+        spread + 500.0,
+        rng.normal(0.0, 0.03, (3, 600)) + 2000.0,
+    ])
+
+
+def count_columns(monkeypatch):
+    """Wrap ``_tile_sums``; return a one-item list that counts the columns reaching the product."""
+    real = mixture._tile_sums
+    count = [0]
+
+    def tile_sums(lhs, a, buf):
+        count[0] += a.shape[-1] * (a.shape[0] if a.ndim == 3 else 1)
+        return real(lhs, a, buf)
+
+    monkeypatch.setattr(mixture, "_tile_sums", tile_sums)
+    return count
+
+
+class TestCutoff:
+    """Pairs whose terms are all below ``2^-24 / n`` are dropped: no log term drops by ``2^-24``."""
+
+    @staticmethod
+    def radius(z64, sigma, n):
+        """``r = z + sqrt(z^2 + 2 sigma^2 T)``, ``T = ln n + 24 ln 2``, for the longest draw ``z``."""
+        z_max = math.sqrt(float(np.einsum("ijd,ijd->ij", z64, z64).max()))
+        return z_max + math.sqrt(z_max**2 + 2 * sigma**2 * (math.log(n) + 24 * math.log(2)))
+
+    @pytest.mark.parametrize("b0, b1", [(290, 310), (790, 810), (1390, 1400)])
+    def test_blocks_agree_with_double_precision(self, monkeypatch, b0, b1):
+        # whole and packed rows in one block, and packed rows that flush a
+        # full tile; 23% of all pairs are kept
+        centers_t = clustered_centers(315).astype(np.float32)
+        rng = np.random.default_rng(316)
+        z64 = rng.normal(0.0, 0.1, size=(b1 - b0, 7, 3))
+        count = count_columns(monkeypatch)
+        got = TestMcKernels.log_density(centers_t, b0, b1, z64, 0.1)
+        exact = TestMcKernels.exact(centers_t, b0, b1, z64, 0.1)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-4)
+        assert count[0] < (b1 - b0) * 1400
+
+    @pytest.mark.parametrize("scale, kept", [(1 - 1e-4, 2), (1 + 1e-4, 1)])
+    def test_center_just_inside_or_outside_the_radius(self, monkeypatch, scale, kept):
+        # center 1 lies at scale * r from center 0, ten more lie 1000 away, so
+        # center 0 keeps at most 2 of 12 columns and is packed
+        sigma, n = 1.0, 12
+        z64 = np.array([[[0.5, 0.0, 0.0]]])
+        centers_t = np.zeros((3, n), dtype=np.float32)
+        centers_t[1, 1] = self.radius(z64, sigma, n) * scale
+        centers_t[2, 2:] = 1000.0 * np.arange(1, n - 1)
+        count = count_columns(monkeypatch)
+        got = TestMcKernels.log_density(centers_t, 0, 1, z64, sigma)
+        assert count[0] == kept
+        exact = TestMcKernels.exact(centers_t, 0, 1, z64, sigma)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-4)
+
+    def test_difference_beyond_float32_is_kept(self, monkeypatch):
+        # center 0's list is packed (ten neighbours 1000 apart along the
+        # second axis are dropped), and its difference of 6e38 to the last
+        # center overflows float32: that pair is kept, so the sum is refused
+        # as without a cutoff
+        centers_t = np.zeros((2, 12), dtype=np.float32)
+        centers_t[0, :11] = -3e38
+        centers_t[1, 1:11] = 1000.0 * np.arange(1, 11)
+        centers_t[0, 11] = 3e38
+        count = count_columns(monkeypatch)
+        with pytest.raises(Unsupported, match="kernel sum is not finite"):
+            _mc_block(*TestMcKernels.block_args(centers_t, 0, 1, np.zeros((1, 2, 2)), 1.0))
+        assert count[0] == 2
+
+    def test_separated_clusters_evaluate_their_own_cluster_only(self, monkeypatch):
+        # 8 clusters of 100 centers, 100 apart at sigma = 0.1, in shuffled
+        # column order: each center's list is its own cluster, so one draw
+        # chunk evaluates 800 * 100 columns, not 800^2
+        rng = np.random.default_rng(317)
+        centers = rng.normal(0.0, 0.02, (2, 800)) + np.repeat(np.arange(8) * 100.0, 100)
+        mix = IsotropicMixture(SampleMatrix(centers[:, rng.permutation(800)]), 0.1)
+        count = count_columns(monkeypatch)
+        assert math.isfinite(plugin_entropy_mc(mix, 64, seed=34).value)
+        assert count[0] == 800 * 100
+
+    @pytest.mark.parametrize("dim, n, n_mc", [(60, 800, 64), (2, 199, 64), (2, 800, 63)])
+    def test_shapes_that_do_not_pack_run_whole(self, monkeypatch, dim, n, n_mc):
+        # the separated clusters of the test above, but in a shape where
+        # packing does not pay: every center evaluates all n columns
+        rng = np.random.default_rng(319)
+        centers = rng.normal(0.0, 0.02, (dim, n)) + np.arange(n) % 8 * 100.0
+        count = count_columns(monkeypatch)
+        plugin_entropy_mc(IsotropicMixture(SampleMatrix(centers), 0.1), n_mc, seed=35)
+        assert count[0] == n * n
 
 
 def log_terms(mix, n_mc, seed):
@@ -326,10 +446,12 @@ def log_terms(mix, n_mc, seed):
             z64 = rng.normal(0.0, sigma, size=(1, j1 - j0, dim))
             z_lhs = np.ones((1, j1 - j0, dim + 1), dtype=np.float32)
             z_lhs[:, :, :dim] = z64 * (-1.0 / sigma**2)
+            z2 = np.einsum("ijd,ijd->ij", z64, z64)
             aug = np.empty((1, dim + 1, _COL_TILE), dtype=np.float32)
             buf = np.empty((1, j1 - j0, _COL_TILE), dtype=np.float32)
-            logsum = mixture._mc_block(centers_t, i, i + 1, z_lhs, sigma, aug, buf)
-            z2 = np.einsum("ijd,ijd->ij", z64, z64)
+            packed = np.empty((1, dim + 1, min(n, 2 * _COL_TILE)), dtype=np.float32)
+            reach = _reach(z2, sigma, n, dim) if mixture._packing(dim, n, j1 - j0) else None
+            logsum = mixture._mc_block(centers_t, i, i + 1, z_lhs, reach, sigma, aug, buf, packed)
             terms[i, j0:j1] = (logsum - z2 / (2.0 * sigma**2) - const)[0]
     return terms
 
@@ -459,7 +581,8 @@ class TestPooledKernel:
 def one_center_budget(dim, n, n_mc):
     """``_GROUP_BYTES`` that holds exactly one center's scratch."""
     jc = min(n_mc, mixture._ROW_TARGET)
-    return 4 * (dim + 1) * min(n, _COL_TILE) + 8 * jc * dim + 4 * jc * (dim + 1)
+    columns = min(n, _COL_TILE) + (min(n, 2 * _COL_TILE) if mixture._packing(dim, n, jc) else 0)
+    return 4 * (dim + 1) * columns + 8 * jc * dim + 4 * jc * (dim + 1)
 
 
 class TestCenterGroups:
@@ -536,7 +659,9 @@ def fold_cases():
     """``(mix, n_mc)`` of the shapes whose bits the fold tests hold fixed.
 
     Pooled d = 3 (n = 407, n_mc = 100), pooled d = 40 (n_mc = 10), serial
-    d = 200 (n = 250) and n_mc = 2100 (draw chunks of 2048 and 52).
+    d = 200 (n = 250), n_mc = 2100 (draw chunks of 2048 and 52) and pooled
+    d = 3 centers whose cutoff lists differ in length, some packed and some
+    whole (``clustered_centers``).
     """
     rng = np.random.default_rng(313)
     return {
@@ -544,10 +669,13 @@ def fold_cases():
         "pooled-d40": (TestPooledKernel.mix(40), 10),
         "serial-d200": (IsotropicMixture(SampleMatrix(rng.standard_normal((200, 250))), 1.0), 100),
         "two-chunks": (IsotropicMixture(SampleMatrix(rng.standard_normal((5, 30))), 0.3), 2100),
+        "uneven-lists": (IsotropicMixture(SampleMatrix(clustered_centers(318)), 0.1), 100),
     }
 
 
-@pytest.mark.parametrize("case", ["pooled-d3", "pooled-d40", "serial-d200", "two-chunks"])
+@pytest.mark.parametrize(
+    "case", ["pooled-d3", "pooled-d40", "serial-d200", "two-chunks", "uneven-lists"]
+)
 def test_bits_do_not_depend_on_the_schedule(monkeypatch, case):
     # block sizes from one center up to the whole _ROW_TARGET row limit, each
     # on 1, 2 and 3 workers
@@ -576,12 +704,13 @@ def test_std_error_is_that_of_all_log_terms(n_mc):
 
 
 # value.hex() and mc_std_error.hex() of plugin_entropy_mc(mix, n_mc, seed=33)
-# for three of fold_cases(), so that a moved bit fails here and not only in
+# for four of fold_cases(), so that a moved bit fails here and not only in
 # scripts/cli_digests.py; a change that means to move bits updates them
 PINNED_BITS = {
-    "pooled-d3": ("0x1.0853f36705924p+2", "0x1.66021c089829ap-8"),
+    "pooled-d3": ("0x1.0853f366f59cbp+2", "0x1.66021c07f3608p-8"),
     "serial-d200": ("0x1.21707a095a9a2p+8", "0x1.037cf201cd939p-4"),
     "two-chunks": ("0x1.15e498508dd00p+2", "0x1.8ca56abc6ebe2p-8"),
+    "uneven-lists": ("0x1.6dde94527a4eep-1", "0x1.13f339a28a18bp-7"),
 }
 
 
@@ -595,11 +724,14 @@ def test_pinned_bits(case):
 _BLAS_THREADS_SCRIPT = """
 import numpy as np
 from smoothent import IsotropicMixture, SampleMatrix, plugin_entropy_mc
+from test_mixture import clustered_centers
 for dim, n, scale, sigma in [(3, 400, 1.0, 0.3), (200, 250, 0.05, 1.0)]:
     rng = np.random.default_rng(dim)
     mix = IsotropicMixture(SampleMatrix(rng.standard_normal((dim, n)) * scale), sigma)
     est = plugin_entropy_mc(mix, 99, seed=5)
     print(est.value.hex(), est.mc_std_error.hex())
+est = plugin_entropy_mc(IsotropicMixture(SampleMatrix(clustered_centers(5)), 0.1), 99, seed=5)
+print(est.value.hex(), est.mc_std_error.hex())
 """
 
 
@@ -609,18 +741,19 @@ def test_bits_do_not_depend_on_blas_threads():
     # counts.  At n_mc = 99 a block holds 1980 queries, which two BLAS
     # threads do not split on the kernels' unrolling, so a row sum taken by
     # a BLAS product with a ones vector changes bits here (at n_mc = 100 it
-    # does not).
+    # does not).  A third shape has packed and whole centers.
     src = str(Path(mixture.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        paths = [src, str(Path(__file__).parent), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         run = subprocess.run(
             [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
             env=env, capture_output=True, text=True, timeout=300, check=True,
         )
         outputs.append(run.stdout.split())
-    assert len(outputs[0]) == 4
+    assert len(outputs[0]) == 6
     assert outputs[0] == outputs[1]
 
 
