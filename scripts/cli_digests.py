@@ -1,14 +1,15 @@
 """sha256 of every output of a fixed list of ``smoothent`` CLI invocations.
 
-Runs 26 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
+Runs 27 invocations in a fresh temporary directory: ``gen`` (gaussian, wide
 gaussian, conical, pair, and a 300-dimensional pair whose rows are filled in
 two blocks of dimensions), ``entropy`` (``--save-pca``, ``--bits``, Gram
 route ``half`` and ``reuse``, ``--no-center``, conical, the covariance route
 fitted on all rows by ``--split reuse``, the uncentered Gram route with
 ``--split reuse --no-center``, conical with ``--n-mc 2100``, more draws
-per center than one kernel chunk holds, and the 300-dimensional pair's x
+per center than one kernel chunk holds, the 300-dimensional pair's x
 at ``--dim 300``, whose kernel's scratch budget cuts its blocks to 4
-centers), ``mi-joint``
+centers, and the gaussian at ``--n-mc 64``, whose 300 evaluation centers
+are enough draws and centers for the kernel to pack), ``mi-joint``
 (``half``, ``reuse``), ``mi-cond`` (``half``, ``reuse``, ``--bits``),
 ``sweep`` (a 2 x 2 grid, one on the default ``--d`` and ``--sigmas``, and
 a gaussian and spiral2d grid, whose spiral rows have no reference),
@@ -100,6 +101,8 @@ INVOCATIONS = [
                              "--out", "entropy_draw_chunks.csv"]),
     ("entropy_split_blocks", ["entropy", "pair_wide_x.csv", "--dim", "300", "--sigma", "1.0",
                               "--seed", "22", "--n-mc", "20", "--out", "entropy_split_blocks.csv"]),
+    ("entropy_packed", ["entropy", "gaussian.csv", "--sigma", "0.1", "--dim", "3",
+                        "--seed", "23", "--n-mc", "64", "--out", "entropy_packed.csv"]),
     ("mi_joint_half", ["mi-joint", "pair_x.csv", "pair_y.csv", "--sigma", "0.5", "--dim", "2",
                        "--seed", "10", "--out", "mi_joint_half.csv", *FAST]),
     ("mi_joint_reuse", ["mi-joint", "pair_x.csv", "pair_y.csv", "--sigma", "0.5", "--dim", "2",

@@ -43,16 +43,32 @@ Numerical notes
   ``r_i^2`` enlarged by ``(d + 4) 2^-23``, which covers its rounding, and
   keeps every pair whose ``|delta|^2`` overflows, so overflow still raises
   ``Unsupported``.  A center that keeps at most half of its first column
-  tile is packed: its kept GEMM columns are copied, in column order, into
-  its own list, and the product, floor, exp and sum run over tiles of
-  ``_COL_TILE`` of that list.  Every other center runs the product over all
-  ``n`` columns, with the bits it had without the cutoff.  Packing is tried
-  only where it was measured to pay (``_packing``): ``d <= 50``, at least
-  200 centers and at least 64 draws in the chunk; other shapes, such as the
+  tile is packed.  Its keep masks go into a window of up to
+  ``_WINDOW_TILES`` tiles; when the window is full, at the end, or when the
+  block's lists could outgrow ``_PACK_COLS`` columns a row, the window's
+  kept columns join each row's list in column order, by block-wide
+  ``flatnonzero`` and ``bincount`` and one 1-D write a channel: their
+  differences are gathered from the float32 centers (bitwise those of
+  ``aug``) and ``|delta|^2`` is their float32 sum of squares in axis
+  order.  A list is split into chunks
+  of ``_CHUNK`` = 64 columns.  Each full chunk is its own ``n_mc x (d + 1)``
+  by ``(d + 1) x 64`` product, run with the block's other full chunks in
+  batches of at most ``_EVAL_TERMS`` terms; its float32 sum (floor, exp,
+  ``einsum``) is added in float64, in list order, to its row's sums.  What
+  is left of a list is carried to the next window, and at the end of the
+  block each row's partial chunk runs, batched over the block, its padding
+  zeroed in the operand and its terms times a 0/1 mask after exp: padding
+  adds exactly 0, and an overflowing kept term still raises
+  ``Unsupported``.  A list's chunks and the order of their sums depend on
+  its own kept columns only, so no block size, worker count, window or
+  batch moves a bit.  Every other center runs the product over all ``n``
+  columns, with the bits it had without the cutoff.  Packing is tried only
+  where it was measured to pay (``_packing``): ``d <= 50``, at least 200
+  centers and at least 64 draws in the chunk; other shapes, such as the
   ambient terms of ``indep-auc`` or ``n_mc = 10``, keep their bits.  Both
   rules read the shape and the center's own draws and list only.  This
-  re-baselined the bits once; packed sums also round differently, so values
-  moved either way, by 7e-9 nats at ``d = 3``, ``n = 5000``.
+  re-baselined the bits once, by 7e-9 nats at ``d = 3``, ``n = 5000``, and
+  the chunked evaluation of packed lists once more, by a further 8e-9.
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
@@ -72,18 +88,25 @@ Numerical notes
   than the serial loop.  Serial and pooled shapes run the same per-block job.
 * The kernel's scratch is bounded by construction, so it needs no size
   guard.  A block holds at most ``_ROW_TARGET`` queries a draw chunk and
-  ``_GROUP_BYTES`` (2 MiB) of per-center deltas, packed columns, draws and
-  GEMM operand, ``4 (d + 1) (w + p) + 8 j d + 4 j (d + 1)`` bytes for
-  ``w = min(n, _COL_TILE)``, ``j = min(n_mc, _ROW_TARGET)`` and
-  ``p = min(n, 2 _COL_TILE)`` (0 where no center can be packed); a block
-  holds at least one center, so at very large ``d`` one center's deltas
-  alone can pass the budget.  A packed center's list holds fewer than
-  ``2 _COL_TILE`` columns: each full tile is evaluated as soon as it fills.
-  Each worker allocates its block-sized float32 ``aug`` of deltas,
-  ``packed`` lists, ``buf`` of exponents (not counted; at most
-  ``_ROW_TARGET x _COL_TILE`` values) and draw arrays once per call and
-  reuses them for every block it runs.  Only the ``(d, n)`` float32 copy of
-  the centers and the ``n`` per-center moments grow with ``n``.
+  ``_GROUP_BYTES`` (2 MiB) of per-center deltas, packed lists, keep window,
+  gather and index arrays, draws and GEMM operand,
+  ``4 (d + 1) (w + 64 c) + 16 w + 36 m + 8 j d + 4 j (d + 1)`` bytes for
+  ``w = min(n, _COL_TILE)``, ``m = min(n, _PACK_COLS)``,
+  ``j = min(n_mc, _ROW_TARGET)`` and ``c = ceil(m / 64) + 2`` chunks a row
+  (the list's room, its carried chunk and a chunk-aligned start); ``c``,
+  the ``_WINDOW_TILES w`` = ``16 w`` bytes of keep window and the ``36 m``
+  bytes of three float32 and three 64-bit index rows a kept column are 0
+  where no center can be packed.  A block holds at least one center, so at
+  very large ``d`` one center's deltas alone can pass the budget.  Each
+  worker allocates its block-sized float32 ``aug`` of deltas, ``packed``
+  lists, boolean ``window``, ``hold`` and ``index`` of a flush's kept
+  columns, draw arrays and a ``buf`` of exponents (not counted; about
+  ``_EVAL_TERMS`` values, at least one row's tile) once per call and reuses
+  them for every block it runs: whole rows, like batches of chunks, run a
+  few at a time, so that their exponents stay in cache.  A flush allocates
+  only its kept columns' flat indices, at most ``m`` a row, and arrays of
+  a few values a row or chunk.  Only the ``(d, n)`` float32 copy of the
+  centers and the ``n`` per-center moments grow with ``n``.
 """
 
 import math
@@ -123,14 +146,15 @@ _POOL_GEMM_LIMIT = 1 << 18
 # (2 cores, 30 calls per size).
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
-# Most bytes of per-center scratch (float32 deltas and packed columns,
-# float64 draws, float32 GEMM operand) that one block of centers holds.
-# Blocks of 20 centers at d <= 10, n_mc = 100 (1.5 MiB at d = 10, n = 1000)
-# fit it.  At 1 MiB, d = 256, n = 1000 ran one center at a time and 6-11%
+# Most bytes of per-center scratch (float32 deltas and packed lists, keep
+# window, float64 draws, float32 GEMM operand) that one block of centers
+# holds.  Blocks of 20 centers at d <= 10, n_mc = 100 (1.8 MiB at d = 10,
+# n = 1000) fit it.  At 1 MiB, d = 256, n = 1000 ran one center at a time and 6-11%
 # slower than 20 at a time (2 cores); at 2 MiB, d = 200, n = 250 runs blocks
 # of 4 and traces 2.3 MiB.
 _GROUP_BYTES = 1 << 21
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
+_F32_MAX = np.finfo(np.float32).max
 _GRID_LIMIT = 50_000_000
 # Shapes whose centers may be packed (see _packing).  Packing a column
 # copies its d + 1 operand values, and a packed center pays a few numpy
@@ -141,6 +165,19 @@ _GRID_LIMIT = 50_000_000
 # d = 10, n = 1000, n_mc = 40 ran 34% slower and n_mc = 100 21% faster; at
 # d = 3, n_mc = 100, n = 120 ran 6% slower and n = 250 18% faster.
 _PACK_MAX_DIM = 50
+# Columns in one chunk of a packed center's list.
+_CHUNK = 64
+# Packed lists take their columns from the keep masks of up to
+# _WINDOW_TILES column tiles at a time, and hold at most _PACK_COLS of
+# them a row between evaluations.  Fewer, larger flushes hold the GIL for
+# fewer calls: on entropy-lowdim's kernel input (2 cores, pooled) windows of
+# 16 tiles ran 8% faster than windows of 4, and 1% faster than windows of 8.
+_WINDOW_TILES = 16
+_PACK_COLS = 2 * _COL_TILE
+# Most terms that one batched evaluation of chunks or whole rows holds: 1 MiB
+# of float32 exponents, which stay in a core's L2 cache (4 MiB ran about 30%
+# slower per term on 2 cores).
+_EVAL_TERMS = 1 << 18
 _PACK_MIN_DRAWS = 64
 _PACK_MIN_CENTERS = 200
 
@@ -211,7 +248,7 @@ def _log_density_rows(centers_rows: np.ndarray, sigma: float, queries: np.ndarra
     return out
 
 
-def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed):
+def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, hold, index):
     """Log-sums ``log sum_k exp(E_ik)`` of all (center, draw) queries in one block.
 
     Exponents come from a single augmented matrix product per column tile of
@@ -227,22 +264,28 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed):
     Unless ``reach`` is None, row ``i`` keeps the columns whose float32
     ``|delta|^2`` is at most ``reach[i, 0]`` or overflows; the terms of the
     others are below the cutoff (see the module notes).  A center that keeps
-    at most half of its first tile is packed: its kept operand columns are
-    appended, in column order, to its row of ``packed``, and each
-    ``_COL_TILE`` of them, then the rest, are evaluated as one tile.  Every
-    other center runs the product over all ``n`` columns.
+    at most half of its first tile is packed: its keep mask is written into
+    ``window``, and a few tiles at a time its kept columns join, in column
+    order, its list in ``packed``, which is evaluated in chunks of
+    ``_CHUNK`` columns (``_flush``).  Each full chunk runs in the flush that
+    fills it, batched with the block's other full chunks; each row's last,
+    partial chunk runs at the end, batched over the block, with its padding
+    masked out.  Every other center runs the product over all ``n`` columns.
 
     ``b0:b1`` is one block of centers; each row depends on its own center
-    and draws only.  ``aug``, ``buf`` and ``packed`` are float32 scratch, at
-    least ``(b1 - b0, dim + 1, w)``, ``(b1 - b0, n_draws, w)`` and, if
-    ``reach`` is given, ``(b1 - b0, dim + 1, min(n, 2 * _COL_TILE))`` for
-    ``w = min(n, _COL_TILE)``.
+    and draws only.  ``aug``, ``buf``, ``packed``, ``window``, ``hold`` and
+    ``index`` are scratch of ``_scratch``'s shapes for at least ``b1 - b0``
+    centers.
     """
     dim, n = centers_t.shape
     rows, draws = z_lhs.shape[:2]
     inv_2s2 = np.float32(-0.5 / sigma**2)
     cb = centers_t[:, b0:b1].T[:, :, None]
     sums = np.zeros((rows, draws))
+    # each row's list carries fill[i] columns, its partial chunk, in chunk at[i] of packed
+    fill = np.zeros(rows, dtype=np.intp)
+    at = np.zeros(rows, dtype=np.intp)
+    w0 = kept = 0
     # Overflow is detected from the sums, so numpy's own warnings for it are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, _COL_TILE):
@@ -253,32 +296,100 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed):
             if k0 == 0:
                 packs = np.arange(0)
                 if reach is not None:
-                    packs = np.flatnonzero(2 * (d2 <= reach).sum(axis=1) <= width)
-                whole = _runs(packs, rows)
-                fill = np.zeros(packs.size, dtype=np.intp)
+                    is_packed = 2 * (d2 <= reach).sum(axis=1, keepdims=True) <= width
+                    packs = np.flatnonzero(is_packed)
+                    # packed rows keep |delta|^2 <= reach or overflowing; whole rows keep none
+                    low = np.where(is_packed, reach, -1)
+                    high = np.where(is_packed, _F32_MAX, np.inf)
+                whole = _runs(packs, rows, max(1, buf.size // (draws * aug.shape[2])))
             if packs.size:
-                d2_packs = d2[packs]
-                keep = (d2_packs <= reach[packs]) | (d2_packs == np.inf)
-            d2 *= inv_2s2
+                keep = window[:rows, k0 - w0 : k0 - w0 + width]
+                np.less_equal(d2, low, out=keep)
+                keep |= d2 > high
+                kept += np.count_nonzero(keep)
+            if whole:
+                d2 *= inv_2s2
             for r0, r1 in whole:
-                sums[r0:r1] += _tile_sums(z_lhs[r0:r1], a[r0:r1], buf[r0:r1, :draws])
-            if packs.size:
-                rows_k, cols_k = np.divmod(keep.ravel().nonzero()[0], width)
-                counts = keep.sum(axis=1)
-                dest = (fill - np.cumsum(counts) + counts)[rows_k] + np.arange(rows_k.size)
-                packed[rows_k, :, dest] = a[packs[rows_k], :, cols_k]
-                fill += counts
-                full = np.flatnonzero(fill >= _COL_TILE)
-                if full.size:
-                    lhs, tile = z_lhs[packs[full]], packed[full, :, :_COL_TILE]
-                    sums[packs[full]] += _tile_sums(lhs, tile, buf[: full.size, :draws])
-                    packed[full, :, : packed.shape[2] - _COL_TILE] = packed[full, :, _COL_TILE:]
-                    fill[full] -= _COL_TILE
-        for i in np.flatnonzero(fill):
-            sums[packs[i]] += _tile_sums(z_lhs[packs[i]], packed[i, :, : fill[i]], buf[0, :draws])
+                sums[r0:r1] += _tile_sums(z_lhs[r0:r1], a[r0:r1], _head(buf, (r1 - r0, draws, width)))
+            # the window is flushed when full, at the end, or when the next tile could
+            # overfill the lists' room of _PACK_COLS columns a row
+            end = k0 + width
+            if packs.size and (end - w0 == window.shape[1] or end == n
+                               or kept > rows * (min(n, _PACK_COLS) - _COL_TILE)):
+                window[:rows, end - w0 :] = False
+                fill, at = _flush(centers_t, b0, w0, window[:rows], z_lhs, sigma, fill, at, sums,
+                                  buf, packed, hold, index)
+                w0, kept = end, 0
+        if packs.size:
+            # each row's partial chunk, its padding zeroed in the operand and masked after exp
+            last = packed.reshape(len(packed), -1, _CHUNK)[:, at]
+            mask = np.arange(_CHUNK) < fill[:, None]
+            np.copyto(last, 0, where=~mask)
+            args = _head(buf, (rows, draws, _CHUNK))
+            sums += _tile_sums(z_lhs, last.transpose(1, 0, 2), args, mask)
     if not np.all(np.isfinite(sums)):
         raise Unsupported("Monte-Carlo kernel sum is not finite: a term exceeds float32")
     return np.log(sums)
+
+
+def _flush(centers_t, b0, w0, keep, z_lhs, sigma, fill, at, sums, buf, packed, hold, index):
+    """Append the kept columns ``w0:w0 + keep.shape[1]`` to the rows' lists; run their full chunks.
+
+    ``packed`` holds the float32 operand a channel per row, in chunks of
+    ``_CHUNK`` columns.  Row ``i`` carries ``fill[i]`` columns of its list,
+    its partial chunk, in chunk ``at[i]``.  Each row's carried and new
+    columns are laid out anew from a chunk boundary, the new ones gathered
+    channel by channel from ``centers_t`` with ``-|delta|^2/(2 sigma^2)``
+    summed over axes in float32.  The gathers run in the float32 rows of
+    ``hold``; ``index[0]`` holds ``0, 1, 2, ...``, and ``index[1:]`` the
+    kept columns' rows and places in ``packed``.  Each full chunk is its own
+    product, run in batches of at most ``_EVAL_TERMS`` terms, and its float32
+    sum is added in float64, in list order, to its row of ``sums``.  Returns
+    the new ``fill`` and ``at`` of the rest of each list.
+    """
+    rows, cols = keep.shape
+    dim = centers_t.shape[0]
+    draws = z_lhs.shape[1]
+    chunks = packed.reshape(len(packed), -1, _CHUNK)
+    col = np.flatnonzero(keep)
+    r = np.floor_divide(col, cols, out=index[1, : col.size])
+    col -= np.multiply(r, cols, out=index[2, : col.size])
+    counts = np.bincount(r, minlength=rows)
+    total = fill + counts
+    full = total // _CHUNK
+    span = -(-total // _CHUNK)
+    first = np.cumsum(span) - span
+    moved = np.flatnonzero(fill)
+    chunks[:, first[moved]] = chunks[:, at[moved]]
+    dest = np.take(first * _CHUNK + total - np.cumsum(counts), r, out=index[2, : r.size], mode="clip")
+    dest += index[0, : r.size]
+    delta, other, d2 = hold[:, : r.size]
+    for ch in range(dim):
+        np.take(centers_t[ch, b0 : b0 + rows], r, out=delta, mode="clip")
+        delta -= np.take(centers_t[ch, w0 : w0 + cols], col, out=other, mode="clip")
+        packed[ch][dest] = delta
+        if ch:
+            d2 += np.square(delta, out=other)
+        else:
+            np.square(delta, out=d2)
+    d2 *= np.float32(-0.5 / sigma**2)
+    packed[dim][dest] = d2
+    owner = np.repeat(np.arange(rows), full)
+    ids = np.arange(owner.size) + (first - np.cumsum(full) + full)[owner]
+    step = max(1, min(_EVAL_TERMS, buf.size) // (draws * _CHUNK))
+    for c0 in range(0, ids.size, step):
+        own = owner[c0 : c0 + step]
+        a = chunks[:, ids[c0 : c0 + step]].transpose(1, 0, 2)
+        part = _tile_sums(z_lhs[own], a, _head(buf, (own.size, draws, _CHUNK)))
+        # unbuffered, so each row's chunk sums are added in list order
+        np.add.at(sums.reshape(-1), np.add.outer(own * draws, np.arange(draws)).ravel(),
+                  part.astype(np.float64).ravel())
+    return total - full * _CHUNK, first + full
+
+
+def _head(scratch, shape):
+    """A C-contiguous ``shape`` view of the start of the contiguous array ``scratch``."""
+    return scratch.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _packing(dim, n, draws):
@@ -299,18 +410,26 @@ def _reach(z2, sigma, n, dim):
     return (r * r * (1 + (dim + 4) * 2.0**-23)).astype(np.float32)[:, None]
 
 
-def _runs(skip, rows):
-    """The maximal ``(r0, r1)`` runs of ``range(rows)`` that hold no index of the sorted ``skip``."""
+def _runs(skip, rows, step):
+    """The ``(r0, r1)`` runs of ``range(rows)`` that hold no index of the sorted ``skip``.
+
+    Maximal runs are cut into pieces of at most ``step`` rows.
+    """
     edges = [-1, *skip.tolist(), rows]
-    return [(r0 + 1, r1) for r0, r1 in zip(edges, edges[1:]) if r1 > r0 + 1]
+    return [(r, min(r + step, r1)) for r0, r1 in zip(edges, edges[1:]) for r in range(r0 + 1, r1, step)]
 
 
-def _tile_sums(lhs, a, buf):
-    """Row sums of ``exp(max(lhs @ a, _EXP_FLOOR))``; the product is written into ``buf``."""
+def _tile_sums(lhs, a, buf, mask=None):
+    """Row sums of ``exp(max(lhs @ a, _EXP_FLOOR))``; the product is written into ``buf``.
+
+    A ``mask`` row, False on padding, multiplies its row's terms after exp.
+    """
     args = np.matmul(lhs, a, out=buf[..., : a.shape[-1]])
     np.maximum(args, _EXP_FLOOR, out=args)
     np.exp(args, out=args)
-    return np.einsum("...k->...", args)
+    if mask is None:
+        return np.einsum("...k->...", args)
+    return np.einsum("...jk,...k->...j", args, mask.astype(np.float32))
 
 
 def _worker_count() -> int:
@@ -318,6 +437,30 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _scratch(block, draws, dim, n, pack):
+    """One worker's kernel scratch for ``block`` centers of ``draws`` draws each.
+
+    The float64 draws, the float32 GEMM operand ``[-Z/sigma^2 | 1]``, then
+    ``_mc_block``'s float32 ``aug``, ``buf`` and ``packed``, boolean
+    ``window``, float32 ``hold`` and integer ``index``; the last four hold
+    nothing unless ``pack``.
+    """
+    tile = min(n, _COL_TILE)
+    width = max(tile, _CHUNK) if pack else tile
+    cols = block * min(n, _PACK_COLS) if pack else 0
+    # a row's room for _PACK_COLS columns, its carried chunk and a chunk-aligned start
+    chunks = block * (-(-min(n, _PACK_COLS) // _CHUNK) + 2) if pack else 0
+    index = np.empty((3, cols), dtype=np.intp)
+    index[0] = np.arange(cols)
+    return (np.empty((block, draws, dim)), np.empty((block, draws, dim + 1), dtype=np.float32),
+            np.empty((block, dim + 1, tile), dtype=np.float32),
+            np.empty(max(min(block, max(1, _EVAL_TERMS // (draws * width))) * width,
+                         block * _CHUNK if pack else 0) * draws, dtype=np.float32),
+            np.empty((dim + 1, chunks * _CHUNK), dtype=np.float32),
+            np.empty((block if pack else 0, _WINDOW_TILES * tile), dtype=bool),
+            np.empty((3, cols), dtype=np.float32), index)
 
 
 def _center_moments(centers_t, sigma, n_mc, seed):
@@ -333,27 +476,25 @@ def _center_moments(centers_t, sigma, n_mc, seed):
     const = _log_norm_const(n, dim, sigma)
     two_var = 2.0 * sigma**2
     jc = min(n_mc, _ROW_TARGET)
-    tile = min(n, _COL_TILE)
-    pack = min(n, 2 * _COL_TILE) if _packing(dim, n, jc) else 0
-    # one center's float32 deltas and packed columns, float64 draws and float32 GEMM operand
-    per_center = 4 * (dim + 1) * (tile + pack) + 8 * jc * dim + 4 * jc * (dim + 1)
+    pack = _packing(dim, n, jc)
+    # one center's scratch, its exponents' buf not counted
+    one = _scratch(1, jc, dim, n, pack)
+    per_center = sum(a.nbytes for a in one) - one[3].nbytes
     block = min(n, _ROW_TARGET // jc, max(1, _GROUP_BYTES // per_center))
     workers = 1
     if jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT and n >= _POOL_MIN_CENTERS:
         workers = _worker_count()
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((np.empty((block, jc, dim)), np.empty((block, jc, dim + 1), dtype=np.float32),
-                  np.empty((block, dim + 1, tile), dtype=np.float32),
-                  np.empty((block, jc, tile), dtype=np.float32),
-                  np.empty((block, dim + 1, pack), dtype=np.float32)))
+        free.put(_scratch(block, jc, dim, n, pack))
     mean = np.empty(n)
     m2 = np.empty(n)
 
     def job(b0):
         b1 = min(b0 + block, n)
         rngs = [substream(seed, i) for i in range(b0, b1)]
-        z_all, lhs_all, aug, buf, packed = free.get()
+        scratch = free.get()
+        z_all, lhs_all, *kernel_scratch = scratch
         try:
             t1 = t2 = 0.0
             # |z|^2 past float64 gives terms of -inf and nan, which the caller refuses
@@ -370,7 +511,7 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                     z_lhs[:, :, dim] = 1.0
                     z2 = np.einsum("ijd,ijd->ij", z, z)
                     reach = _reach(z2, sigma, n, dim) if _packing(dim, n, draws) else None
-                    logsum = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed)
+                    logsum = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, *kernel_scratch)
                     terms = logsum - z2 / two_var - const
                     pivot = terms[:, 0] if j0 == 0 else pivot  # each center's first term
                     dev = terms - pivot[:, None]
@@ -379,10 +520,11 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                 mean[b0:b1] = pivot + t1 / n_mc
                 m2[b0:b1] = t2 - t1 * t1 / n_mc
         finally:
-            free.put((z_all, lhs_all, aug, buf, packed))
+            free.put(scratch)
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        list((map if pool is None else pool.map)(job, range(0, n, block)))
+        for _ in (map if pool is None else pool.map)(job, range(0, n, block)):
+            pass
     return mean, m2
 
 
