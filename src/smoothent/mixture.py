@@ -72,20 +72,26 @@ Numerical notes
 * The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
   density is computed from center differences only, so results are
   deterministic given ``(seed, inputs)`` and invariant to translating all
-  centers.  Each center's log terms are reduced to its own mean and summed
-  squared deviation, pivoted on its first term and summed over draw chunks
-  of ``_ROW_TARGET``; the estimate is minus the mean of the ``n`` means, and
-  ``mc_std_error`` pools the centers' moments.  A center's moments depend
-  on its own draws only, so no block size or worker count moves a bit.
+  centers.  No generator is built per center: a block hashes its centers'
+  PCG64 states in one batch (``rng._pcg64_states``, bitwise the states
+  ``substream`` seeds), and each worker sets one reused ``PCG64`` to each
+  state in turn and draws; with more than ``_ROW_TARGET`` draws a center's
+  state carries into its next draw chunk.  Each center's log terms are
+  reduced to its own mean and summed squared deviation, pivoted on its
+  first term and summed over draw chunks of ``_ROW_TARGET``; the estimate
+  is minus the mean of the ``n`` means, and ``mc_std_error`` pools the
+  centers' moments.  A center's moments depend on its own draws only, so
+  no block size or worker count moves a bit.
 * Blocks run on a thread pool, one thread per core the process may use,
   when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and one
   center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
   ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
   ``n_mc <= 128`` at ``d = 3``, ``d <= 50`` at ``n_mc = 10``.  Each block
-  draws its own centers' substreams on whichever thread runs it and writes
-  its centers' moments.  Larger GEMMs stay serial: above that size OpenBLAS
-  threads the GEMM itself, and a pool competing with its threads ran slower
-  than the serial loop.  Serial and pooled shapes run the same per-block job.
+  seeds and draws its own centers' streams on whichever thread runs it, with
+  that worker's generator, and writes its centers' moments.  Larger GEMMs
+  stay serial: above that size OpenBLAS threads the GEMM itself, and a pool
+  competing with its threads ran slower than the serial loop.  Serial and
+  pooled shapes run the same per-block job.
 * The kernel's scratch is bounded by construction, so it needs no size
   guard.  A block holds at most ``_ROW_TARGET`` queries a draw chunk and
   ``_GROUP_BYTES`` (2 MiB) of per-center deltas, packed lists, keep window,
@@ -120,7 +126,10 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidData, Unsupported
 from .pca import SampleMatrix
-from .rng import substream
+from .rng import _pcg64_states
+# Not called here: ``benchmarks/tracing.py`` patches ``mixture.substream`` by
+# name, and the per-center seeds below are bitwise ``substream(seed, i)``'s.
+from .rng import substream  # noqa: F401
 
 __all__ = [
     "IsotropicMixture",
@@ -463,14 +472,28 @@ def _scratch(block, draws, dim, n, pack):
             np.empty((3, cols), dtype=np.float32), index)
 
 
+def _normals(gen, states, out, carry):
+    """Fill ``out[t]`` with ``gen``'s standard normals from the PCG64 state ``states[t]``.
+
+    With ``carry`` each ``states[t]`` becomes the state after its draws, for
+    the center's next draw chunk.
+    """
+    bitgen = gen.bit_generator
+    for t, state in enumerate(states):
+        bitgen.state = state
+        gen.standard_normal(out=out[t])
+        if carry:
+            states[t] = bitgen.state
+
+
 def _center_moments(centers_t, sigma, n_mc, seed):
     """Mean and summed squared deviation of each center's ``n_mc`` log terms.
 
     A term is ``_mc_block``'s log-sum less ``|z|^2/(2 sigma^2)`` and the
     norming constant.  One job per block of centers draws, evaluates and
     reduces that block's terms, one draw chunk at a time, on this thread or
-    on a pool (see the module notes); each takes a worker's scratch from
-    ``free``.  Non-finite terms pass through to the moments.
+    on a pool (see the module notes); each takes a worker's scratch and
+    generator from ``free``.  Non-finite terms pass through to the moments.
     """
     dim, n = centers_t.shape
     const = _log_norm_const(n, dim, sigma)
@@ -486,14 +509,15 @@ def _center_moments(centers_t, sigma, n_mc, seed):
         workers = _worker_count()
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put(_scratch(block, jc, dim, n, pack))
+        # the worker's scratch and one generator, whose PCG64 is set to each center's state
+        free.put((_scratch(block, jc, dim, n, pack), np.random.Generator(np.random.PCG64(0))))
     mean = np.empty(n)
     m2 = np.empty(n)
 
     def job(b0):
         b1 = min(b0 + block, n)
-        rngs = [substream(seed, i) for i in range(b0, b1)]
-        scratch = free.get()
+        states = _pcg64_states(seed, b0, b1)
+        scratch, gen = free.get()
         z_all, lhs_all, *kernel_scratch = scratch
         try:
             t1 = t2 = 0.0
@@ -504,8 +528,7 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                     draws = min(_ROW_TARGET, n_mc - j0)
                     z, z_lhs = z_all[: b1 - b0, :draws], lhs_all[: b1 - b0, :draws]
                     # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
-                    for t, rng in enumerate(rngs):
-                        rng.standard_normal(out=z[t])
+                    _normals(gen, states, z, carry=j0 + draws < n_mc)
                     z *= sigma
                     np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
                     z_lhs[:, :, dim] = 1.0
@@ -520,7 +543,7 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                 mean[b0:b1] = pivot + t1 / n_mc
                 m2[b0:b1] = t2 - t1 * t1 / n_mc
         finally:
-            free.put(scratch)
+            free.put((scratch, gen))
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for _ in (map if pool is None else pool.map)(job, range(0, n, block)):

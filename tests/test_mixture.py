@@ -308,14 +308,12 @@ class TestMcKernels:
         # in the kernel's typed error, not in a non-finite value
         centers_t, z64 = self.overflow_case(40)
 
-        class Draws:
-            def __init__(self, seed, i):
-                self.i = i
+        def normals(gen, states, out, carry):
+            # states are the centers' indices, from the patched seeding
+            out[...] = z64[states] / 0.1
 
-            def standard_normal(self, out):
-                out[...] = z64[self.i] / 0.1
-
-        monkeypatch.setattr(mixture, "substream", Draws)
+        monkeypatch.setattr(mixture, "_pcg64_states", lambda seed, b0, b1: list(range(b0, b1)))
+        monkeypatch.setattr(mixture, "_normals", normals)
         mix = IsotropicMixture(SampleMatrix(centers_t), 0.1)
         with pytest.raises(Unsupported, match="kernel sum is not finite"):
             plugin_entropy_mc(mix, 1, seed=0)
