@@ -44,10 +44,13 @@ Numerical notes
   keeps every pair whose ``|delta|^2`` overflows, so overflow still raises
   ``Unsupported``.  A center that keeps at most half of its first column
   tile is packed.  Its keep masks go into a window of up to
-  ``_WINDOW_TILES`` tiles; when the window is full, at the end, or when the
-  block's lists could outgrow ``_PACK_COLS`` columns a row, the window's
-  kept columns join each row's list in column order, by block-wide
-  ``flatnonzero`` and ``bincount`` and one 1-D write a channel: their
+  ``_WINDOW_TILES`` tiles.  A flush appends at most ``_PACK_COLS`` = 128
+  columns a row, on average over the block: the window is flushed when it
+  is full, at the end, or before a tile whose kept count, known once its
+  masks are written, would pass that room; a tile that alone passes it is
+  flushed ``_PACK_COLS`` columns at a time.  A flush's kept columns join
+  each row's list in column order, by block-wide ``flatnonzero`` and
+  ``bincount`` and one 1-D write a channel: their
   differences are gathered from the float32 centers (bitwise those of
   ``aug``) and ``|delta|^2`` is their float32 sum of squares in axis
   order.  A list is split into chunks
@@ -59,9 +62,10 @@ Numerical notes
   block each row's partial chunk runs, batched over the block, its padding
   zeroed in the operand and its terms times a 0/1 mask after exp: padding
   adds exactly 0, and an overflowing kept term still raises
-  ``Unsupported``.  A list's chunks and the order of their sums depend on
-  its own kept columns only, so no block size, worker count, window or
-  batch moves a bit.  Every other center runs the product over all ``n``
+  ``Unsupported``; these chunks run in batches of at most ``_EVAL_TERMS``
+  terms too.  A list's chunks and the order of their sums depend on
+  its own kept columns only, so no block size, worker count, window, room
+  or batch moves a bit.  Every other center runs the product over all ``n``
   columns, with the bits it had without the cutoff.  Packing is tried only
   where it was measured to pay (``_packing``): ``d <= 50``, at least 200
   centers and at least 64 draws in the chunk; other shapes, such as the
@@ -93,25 +97,29 @@ Numerical notes
   competing with its threads ran slower than the serial loop.  Serial and
   pooled shapes run the same per-block job.
 * The kernel's scratch is bounded by construction, so it needs no size
-  guard.  A block holds at most ``_ROW_TARGET`` queries a draw chunk and
-  ``_GROUP_BYTES`` (2 MiB) of per-center deltas, packed lists, keep window,
-  gather and index arrays, draws and GEMM operand,
-  ``4 (d + 1) (w + 64 c) + 16 w + 36 m + 8 j d + 4 j (d + 1)`` bytes for
-  ``w = min(n, _COL_TILE)``, ``m = min(n, _PACK_COLS)``,
-  ``j = min(n_mc, _ROW_TARGET)`` and ``c = ceil(m / 64) + 2`` chunks a row
-  (the list's room, its carried chunk and a chunk-aligned start); ``c``,
-  the ``_WINDOW_TILES w`` = ``16 w`` bytes of keep window and the ``36 m``
-  bytes of three float32 and three 64-bit index rows a kept column are 0
-  where no center can be packed.  A block holds at least one center, so at
-  very large ``d`` one center's deltas alone can pass the budget.  Each
-  worker allocates its block-sized float32 ``aug`` of deltas, ``packed``
-  lists, boolean ``window``, ``hold`` and ``index`` of a flush's kept
-  columns, draw arrays and a ``buf`` of exponents (not counted; about
-  ``_EVAL_TERMS`` values, at least one row's tile) once per call and reuses
-  them for every block it runs: whole rows, like batches of chunks, run a
-  few at a time, so that their exponents stay in cache.  A flush allocates
-  only its kept columns' flat indices, at most ``m`` a row, and arrays of
-  a few values a row or chunk.  Only the ``(d, n)`` float32 copy of the
+  guard.  A block holds as many centers as ``_GROUP_BYTES`` (2 MiB) allows
+  (``_center_bytes``): their deltas, packed lists, keep window, gather and
+  index arrays, draws and GEMM operand,
+  ``4 (d + 1) (w + 64 c) + T w + 36 m + 8 j d + 4 j (d + 1)`` bytes for
+  ``w = min(n, _COL_TILE)``, ``T = _WINDOW_TILES`` = 3,
+  ``m = min(n, _PACK_COLS)``, ``j = min(n_mc, _ROW_TARGET)`` and
+  ``c = ceil(m / 64) + 2`` chunks a row (the list's room, its carried chunk
+  and a chunk-aligned start), plus what a block allocates as it runs:
+  ``16 j`` of float64 sums and ``|z|^2``, ``8 m + T w`` of a flush's flat
+  indices and copied window, and 512 for the center's PCG64 state and a
+  few per-row values.  ``c``, the window and ``m`` count 0 where no center
+  can be packed.  At ``entropy-lowdim``'s kernel, ``d = 3``, ``n = 5000``,
+  ``n_mc = 100``, that is 27,104 bytes a center and blocks of 77; at
+  ``d = 200``, ``n = 250`` blocks of 4.  A block holds at least one center,
+  so at very large ``d`` one center's deltas alone can pass the budget; a
+  draw chunk below ``j`` draws uses the heads of the draw arrays, so it is
+  contiguous in a block of any size.  Each worker allocates its
+  block-sized float32 ``aug`` of deltas, ``packed`` lists, boolean
+  ``window``, ``hold`` and ``index`` of a flush's kept columns, draw arrays
+  and a ``buf`` of exponents (not counted; about ``_EVAL_TERMS`` values, at
+  least one row's tile) once per call and reuses them for every block it
+  runs: whole rows, like batches of chunks, run a few at a time, so that
+  their exponents stay in cache.  Only the ``(d, n)`` float32 copy of the
   centers and the ``n`` per-center moments grow with ``n``.
 """
 
@@ -148,19 +156,25 @@ _COL_TILE = 512
 # Most multiply-adds of one per-center GEMM for which the kernel runs on
 # a thread pool: 4 x 65536, OpenBLAS's default GEMM_MULTITHREAD_THRESHOLD.  Up
 # to it OpenBLAS starts no threads of its own; above it the pool and the
-# BLAS threads compete for the same cores.
+# BLAS threads compete for the same cores.  The rule reads the whole-tile
+# GEMM even where centers are packed and their products are 64 columns
+# wide: on wide-csv's kernel input (d = 10, n = 1000, n_mc = 100, packed)
+# a pool ran 2-15% faster than this serial loop, under 1% of that
+# workload's operation, while a block's whole rows there would still
+# start BLAS threads inside the pool; so the rule stays.
 _POOL_GEMM_LIMIT = 1 << 18
 # Fewest centers for which the pool runs.  At d = 3, n_mc = 100 the pool
 # lost to the inline loop at n = 250-288 and won by 10-15% from n = 320 on
 # (2 cores, 30 calls per size).
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
-# Most bytes of per-center scratch (float32 deltas and packed lists, keep
-# window, float64 draws, float32 GEMM operand) that one block of centers
-# holds.  Blocks of 20 centers at d <= 10, n_mc = 100 (1.8 MiB at d = 10,
-# n = 1000) fit it.  At 1 MiB, d = 256, n = 1000 ran one center at a time and 6-11%
-# slower than 20 at a time (2 cores); at 2 MiB, d = 200, n = 250 runs blocks
-# of 4 and traces 2.3 MiB.
+# Most bytes that one block of centers holds, as _center_bytes counts them
+# (float32 deltas and packed lists, keep window, flush indices, float64
+# draws, float32 GEMM operand).  At d = 3, n = 5000, n_mc = 100 it holds
+# blocks of 77 centers, at d = 10, n = 1000 of 36, at d = 200, n = 250 of 4
+# (2.3 MiB traced).  At 1 MiB, d = 256, n = 1000 ran one center at a time
+# and 6-11% slower than 20 at a time (2 cores); raising it to 4 or 6 MiB
+# at d = 3 ran no faster and raised the peak RSS by 3-7 MiB.
 _GROUP_BYTES = 1 << 21
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
 _F32_MAX = np.finfo(np.float32).max
@@ -177,12 +191,14 @@ _PACK_MAX_DIM = 50
 # Columns in one chunk of a packed center's list.
 _CHUNK = 64
 # Packed lists take their columns from the keep masks of up to
-# _WINDOW_TILES column tiles at a time, and hold at most _PACK_COLS of
-# them a row between evaluations.  Fewer, larger flushes hold the GIL for
-# fewer calls: on entropy-lowdim's kernel input (2 cores, pooled) windows of
-# 16 tiles ran 8% faster than windows of 4, and 1% faster than windows of 8.
-_WINDOW_TILES = 16
-_PACK_COLS = 2 * _COL_TILE
+# _WINDOW_TILES column tiles at a time, and a flush appends at most
+# _PACK_COLS of them a row, on average over the block.  Both set bytes a
+# center, so they trade the number of flushes against the size of blocks:
+# on entropy-lowdim's kernel input (2 cores, pooled) rooms of 128-256
+# columns and windows of 2-4 tiles, blocks of 59-78 centers, ran within
+# noise of each other; the smallest gives the largest blocks.
+_WINDOW_TILES = 3
+_PACK_COLS = _COL_TILE // 4
 # Most terms that one batched evaluation of chunks or whole rows holds: 1 MiB
 # of float32 exponents, which stay in a core's L2 cache (4 MiB ran about 30%
 # slower per term on 2 cores).
@@ -274,12 +290,13 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, 
     ``|delta|^2`` is at most ``reach[i, 0]`` or overflows; the terms of the
     others are below the cutoff (see the module notes).  A center that keeps
     at most half of its first tile is packed: its keep mask is written into
-    ``window``, and a few tiles at a time its kept columns join, in column
-    order, its list in ``packed``, which is evaluated in chunks of
-    ``_CHUNK`` columns (``_flush``).  Each full chunk runs in the flush that
-    fills it, batched with the block's other full chunks; each row's last,
-    partial chunk runs at the end, batched over the block, with its padding
-    masked out.  Every other center runs the product over all ``n`` columns.
+    ``window``, and a few tiles at a time, at most ``min(n, _PACK_COLS)``
+    columns a row on average, its kept columns join, in column order, its
+    list in ``packed``, which is evaluated in chunks of ``_CHUNK`` columns
+    (``_flush``).  Each full chunk runs in the flush that fills it, batched
+    with the block's other full chunks; each row's last, partial chunk runs
+    at the end, batched over the block, with its padding masked out.  Every
+    other center runs the product over all ``n`` columns.
 
     ``b0:b1`` is one block of centers; each row depends on its own center
     and draws only.  ``aug``, ``buf``, ``packed``, ``window``, ``hold`` and
@@ -294,6 +311,9 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, 
     # each row's list carries fill[i] columns, its partial chunk, in chunk at[i] of packed
     fill = np.zeros(rows, dtype=np.intp)
     at = np.zeros(rows, dtype=np.intp)
+    # a flush appends at most room columns to the block's lists, per_row a row on average
+    per_row = min(n, _PACK_COLS)
+    room = rows * per_row
     w0 = kept = 0
     # Overflow is detected from the sums, so numpy's own warnings for it are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,7 +325,9 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, 
             if k0 == 0:
                 packs = np.arange(0)
                 if reach is not None:
-                    is_packed = 2 * (d2 <= reach).sum(axis=1, keepdims=True) <= width
+                    # the window, still empty, holds the first tile's comparisons
+                    near = np.less_equal(d2, reach, out=window[:rows, :width])
+                    is_packed = 2 * np.count_nonzero(near, axis=1)[:, None] <= width
                     packs = np.flatnonzero(is_packed)
                     # packed rows keep |delta|^2 <= reach or overflowing; whole rows keep none
                     low = np.where(is_packed, reach, -1)
@@ -314,31 +336,47 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, 
             if packs.size:
                 keep = window[:rows, k0 - w0 : k0 - w0 + width]
                 np.less_equal(d2, low, out=keep)
-                keep |= d2 > high
-                kept += np.count_nonzero(keep)
+                if d2.max() > _F32_MAX:  # some |delta|^2 overflowed: packed rows keep it
+                    keep |= d2 > high
+                count = np.count_nonzero(keep)
+                # the window's earlier tiles are flushed when this one's kept columns would overfill
+                # the lists' room; the tile then starts the window
+                if kept + count > room and k0 > w0:
+                    if kept:
+                        fill, at = _flush(centers_t, b0, w0, window[:rows, : k0 - w0], z_lhs, sigma,
+                                          fill, at, sums, buf, packed, hold, index)
+                    window[:rows, :width] = keep
+                    w0, kept = k0, 0
+                kept += count
             if whole:
                 d2 *= inv_2s2
             for r0, r1 in whole:
                 sums[r0:r1] += _tile_sums(z_lhs[r0:r1], a[r0:r1], _head(buf, (r1 - r0, draws, width)))
-            # the window is flushed when full, at the end, or when the next tile could
-            # overfill the lists' room of _PACK_COLS columns a row
             end = k0 + width
-            if packs.size and (end - w0 == window.shape[1] or end == n
-                               or kept > rows * (min(n, _PACK_COLS) - _COL_TILE)):
-                window[:rows, end - w0 :] = False
-                fill, at = _flush(centers_t, b0, w0, window[:rows], z_lhs, sigma, fill, at, sums,
-                                  buf, packed, hold, index)
+            if packs.size and (end - w0 == window.shape[1] or end == n or kept > room):
+                # a full window or the last at once; a tile that alone overfills the room,
+                # per_row columns at a time
+                step = per_row if kept > room else end - w0
+                for p0 in range(0, end - w0, step) if kept else ():
+                    piece = window[:rows, p0 : min(p0 + step, end - w0)]
+                    fill, at = _flush(centers_t, b0, w0 + p0, piece, z_lhs, sigma, fill, at, sums,
+                                      buf, packed, hold, index)
                 w0, kept = end, 0
         if packs.size:
-            # each row's partial chunk, its padding zeroed in the operand and masked after exp
-            last = packed.reshape(len(packed), -1, _CHUNK)[:, at]
-            mask = np.arange(_CHUNK) < fill[:, None]
-            np.copyto(last, 0, where=~mask)
-            args = _head(buf, (rows, draws, _CHUNK))
-            sums += _tile_sums(z_lhs, last.transpose(1, 0, 2), args, mask)
+            # each row's partial chunk, its padding zeroed in the operand and masked after exp,
+            # batched over at most _EVAL_TERMS terms
+            chunks = packed.reshape(len(packed), -1, _CHUNK)
+            step = max(1, min(_EVAL_TERMS, buf.size) // (draws * _CHUNK))
+            for r0 in range(0, rows, step):
+                r1 = min(r0 + step, rows)
+                last = chunks[:, at[r0:r1]]
+                mask = np.arange(_CHUNK) < fill[r0:r1, None]
+                np.copyto(last, 0, where=~mask)
+                args = _head(buf, (r1 - r0, draws, _CHUNK))
+                sums[r0:r1] += _tile_sums(z_lhs[r0:r1], last.transpose(1, 0, 2), args, mask)
     if not np.all(np.isfinite(sums)):
         raise Unsupported("Monte-Carlo kernel sum is not finite: a term exceeds float32")
-    return np.log(sums)
+    return np.log(sums, out=sums)
 
 
 def _flush(centers_t, b0, w0, keep, z_lhs, sigma, fill, at, sums, buf, packed, hold, index):
@@ -383,6 +421,7 @@ def _flush(centers_t, b0, w0, keep, z_lhs, sigma, fill, at, sums, buf, packed, h
             np.square(delta, out=d2)
     d2 *= np.float32(-0.5 / sigma**2)
     packed[dim][dest] = d2
+    del col  # freed before the evaluation's temporaries
     owner = np.repeat(np.arange(rows), full)
     ids = np.arange(owner.size) + (first - np.cumsum(full) + full)[owner]
     step = max(1, min(_EVAL_TERMS, buf.size) // (draws * _CHUNK))
@@ -454,22 +493,38 @@ def _scratch(block, draws, dim, n, pack):
     The float64 draws, the float32 GEMM operand ``[-Z/sigma^2 | 1]``, then
     ``_mc_block``'s float32 ``aug``, ``buf`` and ``packed``, boolean
     ``window``, float32 ``hold`` and integer ``index``; the last four hold
-    nothing unless ``pack``.
+    nothing unless ``pack``.  A flush appends at most ``min(n, _PACK_COLS)``
+    columns a row, on average over the block, so ``hold`` and ``index``
+    hold that many a row, and ``packed`` that many, a carried chunk and a
+    chunk-aligned start.
     """
     tile = min(n, _COL_TILE)
-    width = max(tile, _CHUNK) if pack else tile
-    cols = block * min(n, _PACK_COLS) if pack else 0
-    # a row's room for _PACK_COLS columns, its carried chunk and a chunk-aligned start
-    chunks = block * (-(-min(n, _PACK_COLS) // _CHUNK) + 2) if pack else 0
+    room = min(n, _PACK_COLS) if pack else 0
+    cols = block * room
+    chunks = block * (-(-room // _CHUNK) + 2) if pack else 0
+    # exponents of a run of whole rows' tiles, or of a batch of chunks
+    terms = min(block, max(1, _EVAL_TERMS // (draws * tile))) * tile * draws
+    if pack:
+        terms = max(terms, min(block, max(1, _EVAL_TERMS // (draws * _CHUNK))) * _CHUNK * draws)
     index = np.empty((3, cols), dtype=np.intp)
     index[0] = np.arange(cols)
     return (np.empty((block, draws, dim)), np.empty((block, draws, dim + 1), dtype=np.float32),
-            np.empty((block, dim + 1, tile), dtype=np.float32),
-            np.empty(max(min(block, max(1, _EVAL_TERMS // (draws * width))) * width,
-                         block * _CHUNK if pack else 0) * draws, dtype=np.float32),
+            np.empty((block, dim + 1, tile), dtype=np.float32), np.empty(terms, dtype=np.float32),
             np.empty((dim + 1, chunks * _CHUNK), dtype=np.float32),
             np.empty((block if pack else 0, _WINDOW_TILES * tile), dtype=bool),
             np.empty((3, cols), dtype=np.float32), index)
+
+
+def _center_bytes(draws, dim, n, pack):
+    """Bytes that one center adds to a block of ``draws`` draws a center.
+
+    Its share of ``_scratch`` but ``buf``; its float64 sums and ``|z|^2``;
+    a flush's flat indices and copy of the keep window; and 512 for its
+    PCG64 state and a few per-row values.
+    """
+    one = _scratch(1, draws, dim, n, pack)
+    return (sum(a.nbytes for a in one) - one[3].nbytes + 16 * draws + 8 * one[6].shape[1]
+            + one[5].nbytes + 512)
 
 
 def _normals(gen, states, out, carry):
@@ -500,10 +555,7 @@ def _center_moments(centers_t, sigma, n_mc, seed):
     two_var = 2.0 * sigma**2
     jc = min(n_mc, _ROW_TARGET)
     pack = _packing(dim, n, jc)
-    # one center's scratch, its exponents' buf not counted
-    one = _scratch(1, jc, dim, n, pack)
-    per_center = sum(a.nbytes for a in one) - one[3].nbytes
-    block = min(n, _ROW_TARGET // jc, max(1, _GROUP_BYTES // per_center))
+    block = min(n, max(1, _GROUP_BYTES // _center_bytes(jc, dim, n, pack)))
     workers = 1
     if jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT and n >= _POOL_MIN_CENTERS:
         workers = _worker_count()
@@ -524,9 +576,10 @@ def _center_moments(centers_t, sigma, n_mc, seed):
             # |z|^2 past float64 gives terms of -inf and nan, which the caller refuses
             with np.errstate(over="ignore", invalid="ignore"):
                 for j0 in range(0, n_mc, _ROW_TARGET):
-                    # contiguous: a chunk below jc needs jc = _ROW_TARGET, one center a block
+                    # the scratch's heads, so that a last chunk below jc draws is contiguous too
                     draws = min(_ROW_TARGET, n_mc - j0)
-                    z, z_lhs = z_all[: b1 - b0, :draws], lhs_all[: b1 - b0, :draws]
+                    z = _head(z_all, (b1 - b0, draws, dim))
+                    z_lhs = _head(lhs_all, (b1 - b0, draws, dim + 1))
                     # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
                     _normals(gen, states, z, carry=j0 + draws < n_mc)
                     z *= sigma
@@ -534,12 +587,14 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                     z_lhs[:, :, dim] = 1.0
                     z2 = np.einsum("ijd,ijd->ij", z, z)
                     reach = _reach(z2, sigma, n, dim) if _packing(dim, n, draws) else None
-                    logsum = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, *kernel_scratch)
-                    terms = logsum - z2 / two_var - const
-                    pivot = terms[:, 0] if j0 == 0 else pivot  # each center's first term
-                    dev = terms - pivot[:, None]
+                    # in place: the terms, then their deviations and squares, in the kernel's sums
+                    terms = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, *kernel_scratch)
+                    terms -= np.divide(z2, two_var, out=z2)
+                    terms -= const
+                    pivot = terms[:, 0].copy() if j0 == 0 else pivot  # each center's first term
+                    dev = np.subtract(terms, pivot[:, None], out=terms)
                     t1 += dev.sum(axis=1)
-                    t2 += (dev * dev).sum(axis=1)
+                    t2 += np.multiply(dev, dev, out=z2).sum(axis=1)
                 mean[b0:b1] = pivot + t1 / n_mc
                 m2[b0:b1] = t2 - t1 * t1 / n_mc
         finally:

@@ -426,13 +426,14 @@ class TestCutoff:
         plugin_entropy_mc(IsotropicMixture(SampleMatrix(centers), 0.1), n_mc, seed=35)
         assert count[0] == n * n
 
-    @pytest.mark.parametrize("window_tiles", [1, mixture._WINDOW_TILES])
+    @pytest.mark.parametrize("window_tiles", [1, mixture._WINDOW_TILES, 16])
     def test_lists_at_chunk_edges(self, monkeypatch, window_tiles):
         # six packed rows whose lists hold W - 1, W, W + 1 and 2W + 1 columns
         # (W = _CHUNK), the row alone, and a full _COL_TILE.  Each row's
         # center and 506 isolated fillers make up the first tile, where the
         # row keeps only itself; the rest of its cluster comes after it.  At
-        # one tile a window, partial chunks are carried across three flushes.
+        # one tile a window, partial chunks are carried across three flushes;
+        # at 16, one window spans every tile.
         w = mixture._CHUNK
         sizes = [w - 1, w, w + 1, 2 * w + 1, 1, _COL_TILE]
         grid = np.stack(np.meshgrid(*[np.arange(8) * 100.0] * 3)).reshape(3, -1)
@@ -525,8 +526,8 @@ def serial_reference(mix, n_mc, seed):
 
 
 class TestPooledKernel:
-    # n = 407 is at least _POOL_MIN_CENTERS and not a multiple of the block of
-    # 20 centers that n_mc = 100 gives; d <= 4 at n_mc = 100 is a pooled shape
+    # n = 407 is at least _POOL_MIN_CENTERS and not a multiple of the blocks of
+    # 73-122 centers that d <= 4 at n_mc = 100 gives; those are pooled shapes
     # (100 * 512 * (d + 1) <= 2**18)
     N, N_MC, SEED = 407, 100, 23
 
@@ -537,13 +538,13 @@ class TestPooledKernel:
 
     @staticmethod
     def record_threads(monkeypatch, error_block=None):
-        """Wrap ``_mc_block``: log the calling thread, raise at one block."""
+        """Wrap ``_mc_block``: log the calling thread, raise in each block from ``error_block`` on."""
         real = mixture._mc_block
         threads = []
 
         def kernel(centers_t, b0, *rest):
             threads.append(threading.current_thread())
-            if b0 == error_block:
+            if error_block is not None and b0 >= error_block:
                 raise RuntimeError("kernel failure in block")
             return real(centers_t, b0, *rest)
 
@@ -619,10 +620,9 @@ class TestPooledKernel:
 
 
 def one_center_budget(dim, n, n_mc):
-    """``_GROUP_BYTES`` that holds exactly one center's scratch, the exponents' ``buf`` not counted."""
+    """``_GROUP_BYTES`` that holds exactly one center, the exponents' ``buf`` not counted."""
     jc = min(n_mc, mixture._ROW_TARGET)
-    scratch = mixture._scratch(1, jc, dim, n, mixture._packing(dim, n, jc))
-    return sum(a.nbytes for a in scratch) - scratch[3].nbytes
+    return mixture._center_bytes(jc, dim, n, mixture._packing(dim, n, jc))
 
 
 class TestCenterGroups:
@@ -631,9 +631,8 @@ class TestCenterGroups:
     SEED = 29
 
     @staticmethod
-    def split(monkeypatch, dim, n, n_mc, group):
-        """Set ``_GROUP_BYTES`` to ``group`` centers' scratch; log each ``_mc_block`` call's rows."""
-        monkeypatch.setattr(mixture, "_GROUP_BYTES", group * one_center_budget(dim, n, n_mc))
+    def log_rows(monkeypatch):
+        """Log each ``_mc_block`` call's rows."""
         real = mixture._mc_block
         rows = []
 
@@ -643,6 +642,12 @@ class TestCenterGroups:
 
         monkeypatch.setattr(mixture, "_mc_block", kernel)
         return rows
+
+    @staticmethod
+    def split(monkeypatch, dim, n, n_mc, group):
+        """Set ``_GROUP_BYTES`` to ``group`` centers' scratch; log each ``_mc_block`` call's rows."""
+        monkeypatch.setattr(mixture, "_GROUP_BYTES", group * one_center_budget(dim, n, n_mc))
+        return TestCenterGroups.log_rows(monkeypatch)
 
     @staticmethod
     def estimate(mix, n_mc):
@@ -680,6 +685,31 @@ class TestCenterGroups:
         assert rows == [1] * 60
         assert got == serial_reference(mix, 2100, self.SEED)
 
+    def test_draw_chunks_in_blocks_of_several_centers(self, monkeypatch):
+        # n_mc = 2100 at d = 3, n = 250: blocks of 16 centers draw chunks of
+        # 2048 draws, whose centers are packed, and then of 52, which run whole
+        # from the heads of the same scratch
+        mix, n_mc = fold_cases()["packed-two-chunks"]
+        rows = self.log_rows(monkeypatch)
+        got = self.estimate(mix, n_mc)
+        assert rows == [16, 16] * 15 + [10, 10]
+        assert got == serial_reference(mix, n_mc, self.SEED)
+
+    def test_low_dim_blocks_fill_the_group_budget(self, monkeypatch, traced_peak):
+        # entropy-lowdim's kernel shape, d = 3, n = 5000, n_mc = 100: blocks of
+        # at least 64 centers, and one worker's traced scratch within
+        # _GROUP_BYTES and its exponents' buf; the (3, n) float32 centers and
+        # the n per-center moments belong to the call
+        monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
+        rng = np.random.default_rng(324)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((3, 5000))), 0.1)
+        rows = self.log_rows(monkeypatch)
+        est, peak = traced_peak(plugin_entropy_mc, mix, 100, 3)
+        assert math.isfinite(est.value)
+        assert min(rows[:-1]) >= 64 and sum(rows) == 5000
+        buf = mixture._scratch(rows[0], 100, 3, 5000, True)[3]
+        assert peak - 5000 * (3 * 4 + 2 * 8) <= mixture._GROUP_BYTES + buf.nbytes
+
     def test_high_dim_scratch_stays_within_the_group_budget(self, traced_peak):
         # d = 200, n = 250, n_mc = 100: one center's scratch is
         # 4 * 201 * 250 (deltas) + 8 * 100 * 200 (draws) + 4 * 100 * 201
@@ -699,9 +729,10 @@ def fold_cases():
     """``(mix, n_mc)`` of the shapes whose bits the fold tests hold fixed.
 
     Pooled d = 3 (n = 407, n_mc = 100), pooled d = 40 (n_mc = 10), serial
-    d = 200 (n = 250), n_mc = 2100 (draw chunks of 2048 and 52) and pooled
+    d = 200 (n = 250), n_mc = 2100 (draw chunks of 2048 and 52), pooled
     d = 3 centers whose cutoff lists differ in length, some packed and some
-    whole (``clustered_centers``).
+    whole (``clustered_centers``), and n_mc = 2100 at d = 3, n = 250, whose
+    first draw chunk packs centers.
     """
     rng = np.random.default_rng(313)
     return {
@@ -710,15 +741,18 @@ def fold_cases():
         "serial-d200": (IsotropicMixture(SampleMatrix(rng.standard_normal((200, 250))), 1.0), 100),
         "two-chunks": (IsotropicMixture(SampleMatrix(rng.standard_normal((5, 30))), 0.3), 2100),
         "uneven-lists": (IsotropicMixture(SampleMatrix(clustered_centers(318)), 0.1), 100),
+        "packed-two-chunks": (IsotropicMixture(
+            SampleMatrix(np.random.default_rng(325).standard_normal((3, 250))), 0.1), 2100),
     }
 
 
 @pytest.mark.parametrize(
-    "case", ["pooled-d3", "pooled-d40", "serial-d200", "two-chunks", "uneven-lists"]
+    "case",
+    ["pooled-d3", "pooled-d40", "serial-d200", "two-chunks", "uneven-lists", "packed-two-chunks"],
 )
 def test_bits_do_not_depend_on_the_schedule(monkeypatch, case):
-    # block sizes from one center up to the whole _ROW_TARGET row limit, each
-    # on 1, 2 and 3 workers
+    # block sizes from one center up to all n centers, each on 1, 2 and 3
+    # workers; at n_mc = 2100 a block of several centers runs both draw chunks
     mix, n_mc = fold_cases()[case]
     seen = []
     for budget in (one_center_budget(mix.dim, mix.n_centers, n_mc), mixture._GROUP_BYTES, 2**40):
