@@ -14,24 +14,18 @@ Numerical notes
   It sums squared differences ``sum_k (q_k - c_k)^2``, which keeps full
   accuracy far from the origin, and stabilizes with log-sum-exp, so centers
   hundreds of sigma away underflow harmlessly.
-* The Monte-Carlo hot loop evaluates pairwise terms in single precision with
-  double-precision accumulation.  The resulting error (~1e-5 nats) is two
-  orders of magnitude below the statistical error at any realistic trial
-  count.  One kernel, ``_mc_block``, takes its exponents from one augmented
-  matrix product per column tile, ``[-Z/sigma^2 | 1]`` times
-  ``[delta^T ; -|delta|^2/(2 sigma^2)]``, whose center differences are
-  written straight into that GEMM layout.  Terms are summed over centers by
-  ``np.einsum`` in a fixed order that no BLAS thread count changes.  The
-  kernel has one mode: exponents are relative to the query's own center,
-  whose term is exactly 1, so each sum is at least 1 and needs no running
-  maximum.  It overflows only for a draw more than 13.3 sigma out: with
-  ``s = |x_i - x_k|/sigma`` and ``u ~ N(0, 1)`` the noise along
+* The Monte-Carlo kernel, ``_mc_block``, evaluates pair terms in single
+  precision with double-precision accumulation.  The resulting error
+  (~1e-5 nats) is two orders of magnitude below the statistical error at
+  any realistic trial count.  Exponents are relative to the query's own
+  center, whose term is exactly 1, so each sum is at least 1 and needs no
+  running maximum.  It overflows only for a draw more than 13.3 sigma out:
+  with ``s = |x_i - x_k|/sigma`` and ``u ~ N(0, 1)`` the noise along
   ``x_i - x_k`` in sigma units, the exponent ``-(2us + s^2)/2`` passes
   float32's exp limit (~88.7) only if ``u < -sqrt(177.4) = -13.3``, about
-  1e-40 per pair term; such a sum raises ``Unsupported``.  This arithmetic
-  re-baselined the bits once (moves of ~1e-8 relative).  ``1/sigma^2`` and
-  every center coordinate must be finite in float32, and ``2 sigma^2`` in
-  float64, else ``Unsupported``.
+  1e-40 per pair term; such a sum raises ``Unsupported``.  ``1/sigma^2``
+  and every center coordinate must be finite in float32, and ``2 sigma^2``
+  in float64, else ``Unsupported``.
 * Pair terms that cannot count are not evaluated.  In each draw chunk,
   center ``i`` gets the radius ``r_i = z_i + sqrt(z_i^2 + 2 sigma^2 T)``,
   where ``z_i`` is its longest draw and ``T = ln n + 24 ln 2``.  By
@@ -42,90 +36,42 @@ Numerical notes
   by less than that.  The kept set compares float32 ``|delta|^2`` with
   ``r_i^2`` enlarged by ``(d + 4) 2^-23``, which covers its rounding, and
   keeps every pair whose ``|delta|^2`` overflows, so overflow still raises
-  ``Unsupported``.  A center that keeps at most half of its first column
-  tile is packed.  Its keep masks go into a window of up to
-  ``_WINDOW_TILES`` tiles.  A flush appends at most ``_PACK_COLS`` = 128
-  columns a row, on average over the block: the window is flushed when it
-  is full, at the end, or before a tile whose kept count, known once its
-  masks are written, would pass that room; a tile that alone passes it is
-  flushed ``_PACK_COLS`` columns at a time.  A flush's kept columns join
-  each row's list in column order, by block-wide ``flatnonzero`` and
-  ``bincount`` and one 1-D write a channel: their
-  differences are gathered from the float32 centers (bitwise those of
-  ``aug``) and ``|delta|^2`` is their float32 sum of squares in axis
-  order.  A list is split into chunks
-  of ``_CHUNK`` = 64 columns.  Each full chunk is its own ``n_mc x (d + 1)``
-  by ``(d + 1) x 64`` product, run with the block's other full chunks in
-  batches of at most ``_EVAL_TERMS`` terms; its float32 sum (floor, exp,
-  ``einsum``) is added in float64, in list order, to its row's sums.  What
-  is left of a list is carried to the next window, and at the end of the
-  block each row's partial chunk runs, batched over the block, its padding
-  zeroed in the operand and its terms times a 0/1 mask after exp: padding
-  adds exactly 0, and an overflowing kept term still raises
-  ``Unsupported``; these chunks run in batches of at most ``_EVAL_TERMS``
-  terms too.  A list's chunks and the order of their sums depend on
-  its own kept columns only, so no block size, worker count, window, room
-  or batch moves a bit.  Every other center runs the product over all ``n``
-  columns, with the bits it had without the cutoff.  Packing is tried only
-  where it was measured to pay (``_packing``): ``d <= 50``, at least 200
-  centers and at least 64 draws in the chunk; other shapes, such as the
-  ambient terms of ``indep-auc`` or ``n_mc = 10``, keep their bits.  Both
-  rules read the shape and the center's own draws and list only.  This
-  re-baselined the bits once, by 7e-9 nats at ``d = 3``, ``n = 5000``, and
-  the chunked evaluation of packed lists once more, by a further 8e-9.
-* The noise draw for center ``i`` comes from ``substream(seed, i)`` and the
-  density is computed from center differences only, so results are
-  deterministic given ``(seed, inputs)`` and invariant to translating all
-  centers.  No generator is built per center: a block hashes its centers'
-  PCG64 states in one batch (``rng._pcg64_states``, bitwise the states
-  ``substream`` seeds), and each worker sets one reused ``PCG64`` to each
-  state in turn and draws; with more than ``_ROW_TARGET`` draws a center's
-  state carries into its next draw chunk.  Each center's log terms are
-  reduced to its own mean and summed squared deviation, pivoted on its
-  first term and summed over draw chunks of ``_ROW_TARGET``; the estimate
-  is minus the mean of the ``n`` means, and ``mc_std_error`` pools the
-  centers' moments.  A center's moments depend on its own draws only, so
-  no block size or worker count moves a bit.
+  ``Unsupported``.  Only where skipping was measured to pay (``_packing``)
+  are a center's kept columns packed into a list; every other center runs
+  over all ``n`` columns.
+* Results are deterministic given ``(seed, inputs)`` and invariant to
+  translating all centers.  The noise draw for center ``i`` is bitwise
+  ``substream(seed, i)``'s: a block hashes its centers' PCG64 states in one
+  batch (``rng._pcg64_states``) and sets one reused generator to each in
+  turn.  The density is computed from center differences only, and terms
+  are summed by ``np.einsum`` in a fixed order that no BLAS thread count
+  changes.  Each center's log terms are reduced to its own mean and summed
+  squared deviation, pivoted on its first term and summed over draw chunks
+  of ``_ROW_TARGET``; the estimate is minus the mean of the ``n`` means, and
+  ``mc_std_error`` pools the centers' moments.  A center's moments, and a
+  packed list's chunks and the order of their sums, depend on its own
+  center, draws and kept columns only, so no block size, worker count,
+  window, flush or batch moves a bit.
 * Blocks run on a thread pool, one thread per core the process may use,
-  when there are at least ``_POOL_MIN_CENTERS`` = 320 centers and one
-  center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
-  ``_POOL_GEMM_LIMIT`` = 2**18 multiply-adds: ``d <= 4`` at ``n_mc = 100``,
-  ``n_mc <= 128`` at ``d = 3``, ``d <= 50`` at ``n_mc = 10``.  Each block
-  seeds and draws its own centers' streams on whichever thread runs it, with
-  that worker's generator, and writes its centers' moments.  Larger GEMMs
-  stay serial: above that size OpenBLAS threads the GEMM itself, and a pool
-  competing with its threads ran slower than the serial loop.  Serial and
-  pooled shapes run the same per-block job.
+  when there are at least ``_POOL_MIN_CENTERS`` centers, a count that no
+  single value fits across shapes (see its comment), and one center's GEMM
+  (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most ``_POOL_GEMM_LIMIT``
+  multiply-adds.  Larger GEMMs stay serial: above that size OpenBLAS
+  threads the GEMM itself, and a pool competing with its threads ran slower
+  than the serial loop.  Serial and pooled shapes run the same per-block
+  job.
 * The kernel's scratch is bounded by construction, so it needs no size
-  guard.  A block holds as many centers as ``_GROUP_BYTES`` (2 MiB) allows
-  (``_center_bytes``): their deltas, packed lists, keep window, gather and
-  index arrays, draws and GEMM operand,
-  ``4 (d + 1) (w + 64 c) + T w + 36 m + 8 j d + 4 j (d + 1)`` bytes for
-  ``w = min(n, _COL_TILE)``, ``T = _WINDOW_TILES`` = 3,
-  ``m = min(n, _PACK_COLS)``, ``j = min(n_mc, _ROW_TARGET)`` and
-  ``c = ceil(m / 64) + 2`` chunks a row (the list's room, its carried chunk
-  and a chunk-aligned start), plus what a block allocates as it runs:
-  ``16 j`` of float64 sums and ``|z|^2``, ``8 m + T w`` of a flush's flat
-  indices and copied window, and 512 for the center's PCG64 state and a
-  few per-row values.  ``c``, the window and ``m`` count 0 where no center
-  can be packed.  At ``entropy-lowdim``'s kernel, ``d = 3``, ``n = 5000``,
-  ``n_mc = 100``, that is 27,104 bytes a center and blocks of 77; at
-  ``d = 200``, ``n = 250`` blocks of 4.  A block holds at least one center,
-  so at very large ``d`` one center's deltas alone can pass the budget; a
-  draw chunk below ``j`` draws uses the heads of the draw arrays, so it is
-  contiguous in a block of any size.  Each worker allocates its
-  block-sized float32 ``aug`` of deltas, ``packed`` lists, boolean
-  ``window``, ``hold`` and ``index`` of a flush's kept columns, draw arrays
-  and a ``buf`` of exponents (not counted; about ``_EVAL_TERMS`` values, at
-  least one row's tile) once per call and reuses them for every block it
-  runs: whole rows, like batches of chunks, run a few at a time, so that
-  their exponents stay in cache.  Only the ``(d, n)`` float32 copy of the
-  centers and the ``n`` per-center moments grow with ``n``.
+  guard.  A block holds as many centers as ``_GROUP_BYTES`` allows
+  (``_center_bytes``); each worker allocates one block's scratch
+  (``_scratch``) once per call and reuses it for every block it runs.  Only
+  the ``(d, n)`` float32 copy of the centers and the ``n`` per-center
+  moments grow with ``n``.
 """
 
 import math
 import os
 import queue
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -154,27 +100,26 @@ LN_2PI = math.log(2.0 * math.pi)
 _ROW_TARGET = 2048
 _COL_TILE = 512
 # Most multiply-adds of one per-center GEMM for which the kernel runs on
-# a thread pool: 4 x 65536, OpenBLAS's default GEMM_MULTITHREAD_THRESHOLD.  Up
-# to it OpenBLAS starts no threads of its own; above it the pool and the
-# BLAS threads compete for the same cores.  The rule reads the whole-tile
-# GEMM even where centers are packed and their products are 64 columns
-# wide: on wide-csv's kernel input (d = 10, n = 1000, n_mc = 100, packed)
-# a pool ran 2-15% faster than this serial loop, under 1% of that
-# workload's operation, while a block's whole rows there would still
-# start BLAS threads inside the pool; so the rule stays.
+# a thread pool: 4 x 65536, OpenBLAS's default GEMM_MULTITHREAD_THRESHOLD.
+# The rule reads the whole-tile GEMM even where centers are packed and
+# their products are 64 columns wide: on wide-csv's kernel input (d = 10,
+# n = 1000, n_mc = 100, packed) a pool ran 2-15% faster than this serial
+# loop, under 1% of that workload's operation, while a block's whole rows
+# there would still start BLAS threads inside the pool; so the rule stays.
 _POOL_GEMM_LIMIT = 1 << 18
-# Fewest centers for which the pool runs.  At d = 3, n_mc = 100 the pool
-# lost to the inline loop at n = 250-288 and won by 10-15% from n = 320 on
-# (2 cores, 30 calls per size).
+# Fewest centers for which the pool runs, set when blocks held 20 centers.
+# With blocks sized by _GROUP_BYTES no one count fits every shape.  Pooled
+# against serial speed (medians of 21-41 alternating calls, two rounds,
+# 2 cores, N(0, I_d) centers, sigma 0.1): d = 3, n_mc = 100 ran 0.84-0.86x
+# at n = 320 and 0.88-1.01x at 400, and first won at 640 (1.02-1.09x);
+# d = 40, n_mc = 10, sigma 1 ran 0.90-1.05x at 400; d = 1, n_mc = 100 ran
+# 1.01-1.09x at 250, below this count.
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
-# Most bytes that one block of centers holds, as _center_bytes counts them
-# (float32 deltas and packed lists, keep window, flush indices, float64
-# draws, float32 GEMM operand).  At d = 3, n = 5000, n_mc = 100 it holds
-# blocks of 77 centers, at d = 10, n = 1000 of 36, at d = 200, n = 250 of 4
-# (2.3 MiB traced).  At 1 MiB, d = 256, n = 1000 ran one center at a time
-# and 6-11% slower than 20 at a time (2 cores); raising it to 4 or 6 MiB
-# at d = 3 ran no faster and raised the peak RSS by 3-7 MiB.
+# Most bytes that one block of centers holds, as _center_bytes counts them.
+# At 1 MiB, d = 256, n = 1000 ran one center at a time and 6-11% slower
+# than 20 at a time (2 cores); raising it to 4 or 6 MiB at d = 3 ran no
+# faster and raised the peak RSS by 3-7 MiB.
 _GROUP_BYTES = 1 << 21
 _EXP_FLOOR = np.float32(-87.0)   # exp underflows to subnormal below this in float32
 _F32_MAX = np.finfo(np.float32).max
@@ -273,44 +218,102 @@ def _log_density_rows(centers_rows: np.ndarray, sigma: float, queries: np.ndarra
     return out
 
 
-def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, hold, index):
+def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, scratch):
     """Log-sums ``log sum_k exp(E_ik)`` of all (center, draw) queries in one block.
 
-    Exponents come from a single augmented matrix product per column tile of
-    ``_COL_TILE`` centers, ``z_lhs = [-Z/sigma^2 | 1]`` against
-    ``[delta^T ; -|delta|^2/(2 sigma^2)]`` with ``delta[i, k] = x_{b0+i} - x_k``
-    written straight into ``aug`` from the ``(d, n)`` float32 centers
-    ``centers_t``.  They are taken relative to the row shift
-    ``-|Z|^2/(2 sigma^2)``, in which the self term's exponent is exactly 0,
-    so each sum is at least 1; each tile's terms are summed by ``np.einsum``
-    in a fixed order.  A sum that is not finite (a float32 exponent beyond
-    ~88.7, or center differences beyond float32) raises ``Unsupported``.
+    ``b0:b1`` is one block of the ``(d, n)`` float32 centers ``centers_t``;
+    each row depends on its own center and draws only.  ``scratch`` is
+    ``_scratch``'s, for at least ``b1 - b0`` centers.  Exponents come from one
+    augmented product per column tile of ``_COL_TILE`` centers,
+    ``z_lhs = [-Z/sigma^2 | 1]`` against ``[delta^T ; -|delta|^2/(2 sigma^2)]``
+    with ``delta[i, k] = x_{b0+i} - x_k`` written straight into ``aug``, so
+    they are relative to the row shift ``-|Z|^2/(2 sigma^2)``, in which the
+    self term's exponent is exactly 0.  A sum that is not finite raises
+    ``Unsupported``.
 
     Unless ``reach`` is None, row ``i`` keeps the columns whose float32
-    ``|delta|^2`` is at most ``reach[i, 0]`` or overflows; the terms of the
-    others are below the cutoff (see the module notes).  A center that keeps
-    at most half of its first tile is packed: its keep mask is written into
-    ``window``, and a few tiles at a time, at most ``min(n, _PACK_COLS)``
-    columns a row on average, its kept columns join, in column order, its
-    list in ``packed``, which is evaluated in chunks of ``_CHUNK`` columns
-    (``_flush``).  Each full chunk runs in the flush that fills it, batched
-    with the block's other full chunks; each row's last, partial chunk runs
-    at the end, batched over the block, with its padding masked out.  Every
-    other center runs the product over all ``n`` columns.
-
-    ``b0:b1`` is one block of centers; each row depends on its own center
-    and draws only.  ``aug``, ``buf``, ``packed``, ``window``, ``hold`` and
-    ``index`` are scratch of ``_scratch``'s shapes for at least ``b1 - b0``
-    centers.
+    ``|delta|^2`` is at most ``reach[i, 0]`` or overflows.  A center that
+    keeps at most half of its first tile is packed; the others run over all
+    ``n`` columns, a few rows at a time.  Packed rows' keep masks go into
+    ``window``, of ``_WINDOW_TILES`` tiles, flushed when it is full, at the
+    end, or before a tile whose kept count would pass the room of
+    ``per_row = min(n, _PACK_COLS)`` columns a row, on average over the
+    block; a tile that alone passes it is flushed ``per_row`` columns at a
+    time.  A flush appends its kept columns to each row's list in ``packed``,
+    in column order, gathering their differences from ``centers_t`` (bitwise
+    ``aug``'s) and summing ``|delta|^2`` in float32 in axis order.  A list is
+    cut into chunks of ``_CHUNK`` columns, each its own product, all run by
+    ``run``: full chunks in the flush that fills them, each row's last chunk
+    at the block's end with its padding zeroed in the operand and masked to
+    exactly 0 after exp, so an overflowing kept term still raises
+    ``Unsupported``.  The rest of a list is carried to the next flush, laid
+    out anew from a chunk boundary.
     """
     dim, n = centers_t.shape
     rows, draws = z_lhs.shape[:2]
+    aug, buf, packed, window = scratch.aug, scratch.buf, scratch.packed, scratch.window
     inv_2s2 = np.float32(-0.5 / sigma**2)
     cb = centers_t[:, b0:b1].T[:, :, None]
     sums = np.zeros((rows, draws))
     # each row's list carries fill[i] columns, its partial chunk, in chunk at[i] of packed
     fill = np.zeros(rows, dtype=np.intp)
     at = np.zeros(rows, dtype=np.intp)
+    chunks = packed.reshape(dim + 1, -1, _CHUNK)
+    batch = max(1, min(_EVAL_TERMS, buf.size) // (draws * _CHUNK))
+
+    def run(own, ids, widths=None):
+        """Add chunks ``ids``' float32 sums in float64 to rows ``own``, in order, ``batch`` at a time.
+
+        With ``widths``, chunk ``t`` holds ``widths[t]`` columns; its padding is masked.
+        """
+        for c0 in range(0, own.size, batch):
+            r = own[c0 : c0 + batch]
+            a = chunks[:, ids[c0 : c0 + batch]]
+            mask = None
+            if widths is not None:
+                mask = np.arange(_CHUNK) < widths[c0 : c0 + batch, None]
+                np.copyto(a, 0, where=~mask)
+            part = _tile_sums(z_lhs[r], a.transpose(1, 0, 2), _head(buf, (r.size, draws, _CHUNK)), mask)
+            # unbuffered, so each row's chunk sums are added in list order
+            np.add.at(sums.reshape(-1), np.add.outer(r * draws, np.arange(draws)).ravel(),
+                      part.astype(np.float64).ravel())
+
+    def flush(w0, keep):
+        """Append the kept columns ``w0:w0 + keep.shape[1]`` to the rows' lists; run their full chunks.
+
+        The gathers run in the float32 rows of ``hold``; ``index[0]`` holds
+        ``0, 1, 2, ...``, and ``index[1:]`` the kept columns' rows and places
+        in ``packed``.
+        """
+        cols, index = keep.shape[1], scratch.index
+        col = np.flatnonzero(keep)
+        r = np.floor_divide(col, cols, out=index[1, : col.size])
+        col -= np.multiply(r, cols, out=index[2, : col.size])
+        counts = np.bincount(r, minlength=rows)
+        total = fill + counts
+        full = total // _CHUNK
+        span = -(-total // _CHUNK)
+        first = np.cumsum(span) - span
+        moved = np.flatnonzero(fill)
+        chunks[:, first[moved]] = chunks[:, at[moved]]
+        dest = np.take(first * _CHUNK + total - np.cumsum(counts), r, out=index[2, : r.size], mode="clip")
+        dest += index[0, : r.size]
+        delta, other, d2 = scratch.hold[:, : r.size]
+        for ch in range(dim):
+            np.take(centers_t[ch, b0 : b0 + rows], r, out=delta, mode="clip")
+            delta -= np.take(centers_t[ch, w0 : w0 + cols], col, out=other, mode="clip")
+            packed[ch][dest] = delta
+            if ch:
+                d2 += np.square(delta, out=other)
+            else:
+                np.square(delta, out=d2)
+        d2 *= inv_2s2
+        packed[dim][dest] = d2
+        del col  # freed before the evaluation's temporaries
+        owner = np.repeat(np.arange(rows), full)
+        run(owner, np.arange(owner.size) + (first - np.cumsum(full) + full)[owner])
+        fill[:], at[:] = total - full * _CHUNK, first + full
+
     # a flush appends at most room columns to the block's lists, per_row a row on average
     per_row = min(n, _PACK_COLS)
     room = rows * per_row
@@ -343,8 +346,7 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, 
                 # the lists' room; the tile then starts the window
                 if kept + count > room and k0 > w0:
                     if kept:
-                        fill, at = _flush(centers_t, b0, w0, window[:rows, : k0 - w0], z_lhs, sigma,
-                                          fill, at, sums, buf, packed, hold, index)
+                        flush(w0, window[:rows, : k0 - w0])
                     window[:rows, :width] = keep
                     w0, kept = k0, 0
                 kept += count
@@ -358,81 +360,13 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, aug, buf, packed, window, 
                 # per_row columns at a time
                 step = per_row if kept > room else end - w0
                 for p0 in range(0, end - w0, step) if kept else ():
-                    piece = window[:rows, p0 : min(p0 + step, end - w0)]
-                    fill, at = _flush(centers_t, b0, w0 + p0, piece, z_lhs, sigma, fill, at, sums,
-                                      buf, packed, hold, index)
+                    flush(w0 + p0, window[:rows, p0 : min(p0 + step, end - w0)])
                 w0, kept = end, 0
         if packs.size:
-            # each row's partial chunk, its padding zeroed in the operand and masked after exp,
-            # batched over at most _EVAL_TERMS terms
-            chunks = packed.reshape(len(packed), -1, _CHUNK)
-            step = max(1, min(_EVAL_TERMS, buf.size) // (draws * _CHUNK))
-            for r0 in range(0, rows, step):
-                r1 = min(r0 + step, rows)
-                last = chunks[:, at[r0:r1]]
-                mask = np.arange(_CHUNK) < fill[r0:r1, None]
-                np.copyto(last, 0, where=~mask)
-                args = _head(buf, (r1 - r0, draws, _CHUNK))
-                sums[r0:r1] += _tile_sums(z_lhs[r0:r1], last.transpose(1, 0, 2), args, mask)
+            run(np.arange(rows), at, fill)
     if not np.all(np.isfinite(sums)):
         raise Unsupported("Monte-Carlo kernel sum is not finite: a term exceeds float32")
     return np.log(sums, out=sums)
-
-
-def _flush(centers_t, b0, w0, keep, z_lhs, sigma, fill, at, sums, buf, packed, hold, index):
-    """Append the kept columns ``w0:w0 + keep.shape[1]`` to the rows' lists; run their full chunks.
-
-    ``packed`` holds the float32 operand a channel per row, in chunks of
-    ``_CHUNK`` columns.  Row ``i`` carries ``fill[i]`` columns of its list,
-    its partial chunk, in chunk ``at[i]``.  Each row's carried and new
-    columns are laid out anew from a chunk boundary, the new ones gathered
-    channel by channel from ``centers_t`` with ``-|delta|^2/(2 sigma^2)``
-    summed over axes in float32.  The gathers run in the float32 rows of
-    ``hold``; ``index[0]`` holds ``0, 1, 2, ...``, and ``index[1:]`` the
-    kept columns' rows and places in ``packed``.  Each full chunk is its own
-    product, run in batches of at most ``_EVAL_TERMS`` terms, and its float32
-    sum is added in float64, in list order, to its row of ``sums``.  Returns
-    the new ``fill`` and ``at`` of the rest of each list.
-    """
-    rows, cols = keep.shape
-    dim = centers_t.shape[0]
-    draws = z_lhs.shape[1]
-    chunks = packed.reshape(len(packed), -1, _CHUNK)
-    col = np.flatnonzero(keep)
-    r = np.floor_divide(col, cols, out=index[1, : col.size])
-    col -= np.multiply(r, cols, out=index[2, : col.size])
-    counts = np.bincount(r, minlength=rows)
-    total = fill + counts
-    full = total // _CHUNK
-    span = -(-total // _CHUNK)
-    first = np.cumsum(span) - span
-    moved = np.flatnonzero(fill)
-    chunks[:, first[moved]] = chunks[:, at[moved]]
-    dest = np.take(first * _CHUNK + total - np.cumsum(counts), r, out=index[2, : r.size], mode="clip")
-    dest += index[0, : r.size]
-    delta, other, d2 = hold[:, : r.size]
-    for ch in range(dim):
-        np.take(centers_t[ch, b0 : b0 + rows], r, out=delta, mode="clip")
-        delta -= np.take(centers_t[ch, w0 : w0 + cols], col, out=other, mode="clip")
-        packed[ch][dest] = delta
-        if ch:
-            d2 += np.square(delta, out=other)
-        else:
-            np.square(delta, out=d2)
-    d2 *= np.float32(-0.5 / sigma**2)
-    packed[dim][dest] = d2
-    del col  # freed before the evaluation's temporaries
-    owner = np.repeat(np.arange(rows), full)
-    ids = np.arange(owner.size) + (first - np.cumsum(full) + full)[owner]
-    step = max(1, min(_EVAL_TERMS, buf.size) // (draws * _CHUNK))
-    for c0 in range(0, ids.size, step):
-        own = owner[c0 : c0 + step]
-        a = chunks[:, ids[c0 : c0 + step]].transpose(1, 0, 2)
-        part = _tile_sums(z_lhs[own], a, _head(buf, (own.size, draws, _CHUNK)))
-        # unbuffered, so each row's chunk sums are added in list order
-        np.add.at(sums.reshape(-1), np.add.outer(own * draws, np.arange(draws)).ravel(),
-                  part.astype(np.float64).ravel())
-    return total - full * _CHUNK, first + full
 
 
 def _head(scratch, shape):
@@ -487,44 +421,55 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+_Scratch = namedtuple("_Scratch", "z lhs aug buf packed window hold index")
+
+
 def _scratch(block, draws, dim, n, pack):
     """One worker's kernel scratch for ``block`` centers of ``draws`` draws each.
 
-    The float64 draws, the float32 GEMM operand ``[-Z/sigma^2 | 1]``, then
-    ``_mc_block``'s float32 ``aug``, ``buf`` and ``packed``, boolean
-    ``window``, float32 ``hold`` and integer ``index``; the last four hold
-    nothing unless ``pack``.  A flush appends at most ``min(n, _PACK_COLS)``
-    columns a row, on average over the block, so ``hold`` and ``index``
-    hold that many a row, and ``packed`` that many, a carried chunk and a
-    chunk-aligned start.
+    The float64 draws ``z``, the float32 GEMM operand ``lhs`` of
+    ``[-Z/sigma^2 | 1]``, then ``_mc_block``'s float32 ``aug``, ``buf`` and
+    ``packed``, boolean ``window``, float32 ``hold`` and integer ``index``;
+    the last four hold nothing unless ``pack``.  ``hold`` and ``index`` hold
+    a flush's room, ``min(n, _PACK_COLS)`` columns a row, and ``packed`` as
+    many, a carried chunk and a chunk-aligned start.  ``buf`` holds about
+    ``_EVAL_TERMS`` exponents, at least one row's tile, so that they stay in
+    cache.
     """
     tile = min(n, _COL_TILE)
     room = min(n, _PACK_COLS) if pack else 0
     cols = block * room
     chunks = block * (-(-room // _CHUNK) + 2) if pack else 0
-    # exponents of a run of whole rows' tiles, or of a batch of chunks
     terms = min(block, max(1, _EVAL_TERMS // (draws * tile))) * tile * draws
     if pack:
         terms = max(terms, min(block, max(1, _EVAL_TERMS // (draws * _CHUNK))) * _CHUNK * draws)
     index = np.empty((3, cols), dtype=np.intp)
     index[0] = np.arange(cols)
-    return (np.empty((block, draws, dim)), np.empty((block, draws, dim + 1), dtype=np.float32),
-            np.empty((block, dim + 1, tile), dtype=np.float32), np.empty(terms, dtype=np.float32),
-            np.empty((dim + 1, chunks * _CHUNK), dtype=np.float32),
-            np.empty((block if pack else 0, _WINDOW_TILES * tile), dtype=bool),
-            np.empty((3, cols), dtype=np.float32), index)
+    return _Scratch(np.empty((block, draws, dim)), np.empty((block, draws, dim + 1), dtype=np.float32),
+                    np.empty((block, dim + 1, tile), dtype=np.float32), np.empty(terms, dtype=np.float32),
+                    np.empty((dim + 1, chunks * _CHUNK), dtype=np.float32),
+                    np.empty((block if pack else 0, _WINDOW_TILES * tile), dtype=bool),
+                    np.empty((3, cols), dtype=np.float32), index)
 
 
 def _center_bytes(draws, dim, n, pack):
     """Bytes that one center adds to a block of ``draws`` draws a center.
 
-    Its share of ``_scratch`` but ``buf``; its float64 sums and ``|z|^2``;
-    a flush's flat indices and copy of the keep window; and 512 for its
-    PCG64 state and a few per-row values.
+    Its share of ``_scratch`` but ``buf``,
+    ``4 (d + 1) (w + 64 c) + T w + 36 m + 8 j d + 4 j (d + 1)`` for
+    ``w = min(n, _COL_TILE)``, ``T = _WINDOW_TILES``, ``m = min(n, _PACK_COLS)``,
+    ``j = draws`` and ``c = ceil(m / 64) + 2`` chunks (the list's room, its
+    carried chunk and a chunk-aligned start), ``c``, ``T`` and ``m`` being 0
+    unless ``pack``; and what a block allocates as it runs: ``16 j`` of
+    float64 sums and ``|z|^2``, ``8 m + T w`` of a flush's flat indices and
+    copied window, and 512 for the PCG64 state and per-row values.  At
+    ``d = 3``, ``n = 5000``, ``n_mc = 100`` that is 27,104 bytes, so blocks
+    of 77; at ``d = 200``, ``n = 250`` blocks of 4.  A block holds at least
+    one center, whose deltas alone can pass ``_GROUP_BYTES`` at very large ``d``.
     """
     one = _scratch(1, draws, dim, n, pack)
-    return (sum(a.nbytes for a in one) - one[3].nbytes + 16 * draws + 8 * one[6].shape[1]
-            + one[5].nbytes + 512)
+    return (sum(a.nbytes for a in one) - one.buf.nbytes + 16 * draws + 8 * one.hold.shape[1]
+            + one.window.nbytes + 512)
 
 
 def _normals(gen, states, out, carry):
@@ -570,7 +515,6 @@ def _center_moments(centers_t, sigma, n_mc, seed):
         b1 = min(b0 + block, n)
         states = _pcg64_states(seed, b0, b1)
         scratch, gen = free.get()
-        z_all, lhs_all, *kernel_scratch = scratch
         try:
             t1 = t2 = 0.0
             # |z|^2 past float64 gives terms of -inf and nan, which the caller refuses
@@ -578,8 +522,8 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                 for j0 in range(0, n_mc, _ROW_TARGET):
                     # the scratch's heads, so that a last chunk below jc draws is contiguous too
                     draws = min(_ROW_TARGET, n_mc - j0)
-                    z = _head(z_all, (b1 - b0, draws, dim))
-                    z_lhs = _head(lhs_all, (b1 - b0, draws, dim + 1))
+                    z = _head(scratch.z, (b1 - b0, draws, dim))
+                    z_lhs = _head(scratch.lhs, (b1 - b0, draws, dim + 1))
                     # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
                     _normals(gen, states, z, carry=j0 + draws < n_mc)
                     z *= sigma
@@ -588,7 +532,7 @@ def _center_moments(centers_t, sigma, n_mc, seed):
                     z2 = np.einsum("ijd,ijd->ij", z, z)
                     reach = _reach(z2, sigma, n, dim) if _packing(dim, n, draws) else None
                     # in place: the terms, then their deviations and squares, in the kernel's sums
-                    terms = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, *kernel_scratch)
+                    terms = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, scratch)
                     terms -= np.divide(z2, two_var, out=z2)
                     terms -= const
                     pivot = terms[:, 0].copy() if j0 == 0 else pivot  # each center's first term

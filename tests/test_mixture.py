@@ -238,11 +238,12 @@ class TestMcKernels:
         dim = centers_t.shape[0]
         rows, n_mc = z64.shape[:2]
         n = centers_t.shape[1]
-        _, z_lhs, *scratch = mixture._scratch(rows, n_mc, dim, n, True)
+        scratch = mixture._scratch(rows, n_mc, dim, n, True)
+        z_lhs = scratch.lhs
         z_lhs[:, :, :dim] = -z64 / sigma**2
         z_lhs[:, :, dim] = 1.0
         reach = _reach(np.einsum("ijd,ijd->ij", z64, z64), sigma, n, dim)
-        return centers_t, b0, b1, z_lhs, reach, sigma, *scratch
+        return centers_t, b0, b1, z_lhs, reach, sigma, scratch
 
     @staticmethod
     def log_density(centers_t, b0, b1, z64, sigma):
@@ -487,12 +488,13 @@ def log_terms(mix, n_mc, seed):
             j1 = min(j0 + mixture._ROW_TARGET, n_mc)
             z64 = rng.normal(0.0, sigma, size=(1, j1 - j0, dim))
             pack = mixture._packing(dim, n, j1 - j0)
-            _, z_lhs, *scratch = mixture._scratch(1, j1 - j0, dim, n, pack)
+            scratch = mixture._scratch(1, j1 - j0, dim, n, pack)
+            z_lhs = scratch.lhs
             z_lhs[:, :, :dim] = z64 * (-1.0 / sigma**2)
             z_lhs[:, :, dim] = 1.0
             z2 = np.einsum("ijd,ijd->ij", z64, z64)
             reach = _reach(z2, sigma, n, dim) if pack else None
-            logsum = mixture._mc_block(centers_t, i, i + 1, z_lhs, reach, sigma, *scratch)
+            logsum = mixture._mc_block(centers_t, i, i + 1, z_lhs, reach, sigma, scratch)
             terms[i, j0:j1] = (logsum - z2 / (2.0 * sigma**2) - const)[0]
     return terms
 
@@ -767,18 +769,21 @@ def test_bits_do_not_depend_on_the_schedule(monkeypatch, case):
 @pytest.mark.parametrize("case", ["pooled-d3", "uneven-lists"])
 def test_bits_do_not_depend_on_flushes(monkeypatch, case):
     # windows of one tile or sixteen, room for one tile of list columns a
-    # row or eight, and batches of one chunk or of all: each list's chunks,
-    # and the order in which their sums are added, stay the same
+    # row or eight, and batches of one chunk, of five or of all: each list's
+    # chunks, and the order in which their sums are added, stay the same.
+    # Batches of five end inside a row's run of full chunks, and hold
+    # several rows' last chunks at once.
     mix, n_mc = fold_cases()[case]
     seen = []
     for tiles, cols, terms in [(1, _COL_TILE, 1), (16, 8 * _COL_TILE, 2**40),
+                               (mixture._WINDOW_TILES, mixture._PACK_COLS, 5 * n_mc * mixture._CHUNK),
                                (mixture._WINDOW_TILES, mixture._PACK_COLS, mixture._EVAL_TERMS)]:
         monkeypatch.setattr(mixture, "_WINDOW_TILES", tiles)
         monkeypatch.setattr(mixture, "_PACK_COLS", cols)
         monkeypatch.setattr(mixture, "_EVAL_TERMS", terms)
         est = plugin_entropy_mc(mix, n_mc, seed=31)
         seen.append((est.value, est.mc_std_error))
-    assert seen == [seen[0]] * 3
+    assert seen == [seen[0]] * 4
 
 
 @pytest.mark.parametrize("n_mc", [1, 7])
