@@ -22,21 +22,21 @@ messages are those of that loop alone.  Float rows are written as
 comma-joined ``repr`` of ``tolist()`` values, byte for byte what
 ``csv.writer`` over ``fmt`` gives.
 
-Large files are read and written on worker processes, by one protocol.
-When ``_part_count`` splits the work (Linux, at least two cores and two
-parts of a minimum size), a child forked from this process takes each part,
-a byte range to parse or a range of rows to format, and sends a header and
-its bytes down a one-way pipe; this process takes the parts in order.  Both
-are all or nothing: after any failure the file is read or the block written
-serially, so the values, the accepted inputs, the messages and the bytes do
-not depend on the path.  A pipe, FIFO or terminal is always written
-serially.  The worker count is the cores the process may use, not the idle
-ones, so a split on cores that other work holds can lose to the serial
-path: with both cores of a 2-core machine busy, a forked read of a 78 MB
-2000 x 2000 file took 1.54 s against 1.17 s serially (0.86-0.91 s forked on
-idle cores).  Known limit: from Python 3.12, ``os.fork`` warns when the
-process has other threads, such as OpenBLAS's; this module does not filter
-that warning, on reads or writes.
+Large files are read and written on worker processes, by the protocol
+the Monte-Carlo kernel's workers use too, ``mixture._forked``.  When
+``_part_count`` splits the work (at least two cores and two parts of a
+minimum size; only Linux forks), a child forked from this process takes
+each part, a byte range to parse or a range of rows to format, and sends a
+header and its bytes down a one-way pipe; this process takes the parts in
+order.  Both are all or nothing: after any failure the file is read or the
+block written serially, so the values, the accepted inputs, the messages
+and the bytes do not depend on the path.  A pipe, FIFO or terminal is
+always written serially.  The worker count is the cores the process may
+use, not the idle ones, so a split on cores that other work holds can lose
+to the serial path: with both cores of a 2-core machine busy, a forked read
+of a 78 MB 2000 x 2000 file took 1.54 s against 1.17 s serially (0.86-0.91 s
+forked on idle cores).  From Python 3.12 ``os.fork`` warns when the process
+has other threads (README, Known limit).
 
 Byte-identical reruns assume a fixed BLAS thread count: the spectrum and
 basis of a fitted model can move by a few ulp between, e.g.,
@@ -49,10 +49,9 @@ import itertools
 import numbers
 import os
 import stat
-import sys
 import warnings
 from codecs import BOM_UTF8
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from io import SEEK_END, BytesIO, TextIOWrapper
 from pathlib import Path
 
@@ -61,6 +60,7 @@ import numpy as np
 from . import mixture
 from .errors import InvalidData
 from .mi import ConditionalDataset, JointDataset
+from .mixture import _forked
 from .pca import PcaModel, SampleMatrix
 
 __all__ = [
@@ -197,9 +197,10 @@ def _part_count(size, least) -> int:
     """Parts to split ``size`` units of work into on forked workers, or 0 to keep it serial.
 
     One part per core the process may run on, each of at least ``least``
-    units; the work is split only on Linux and into at least two parts.
+    units; the work is split only into at least two parts, and ``_forked``
+    forks only on Linux.
     """
-    parts = min(mixture._worker_count(), size // least) if sys.platform == "linux" else 0
+    parts = min(mixture._worker_count(), size // least)
     return parts if parts > 1 else 0
 
 
@@ -237,41 +238,6 @@ def _byte_ranges(path, header) -> list[tuple[int, int]]:
                 bounds.append(fb.tell())
     bounds.append(size)
     return list(zip(bounds[:-1], bounds[1:])) if len(bounds) > 2 else []
-
-
-@contextmanager
-def _forked(target, jobs):
-    """Run ``target(*job, conn)`` for each of the ``jobs`` in a child forked from this process.
-
-    Yields this side's receiving end of each child's one-way pipe, in job
-    order, or ``None`` when not every child could start: a daemonic process
-    may not start any, and one out of processes or descriptors starts too
-    few.  Only the child holds its sending end, so its exit reads here as an
-    end of file.
-    On exit every connection is closed and every child killed and joined.
-    """
-    import multiprocessing  # only reads and writes that split pay for the import
-
-    context = multiprocessing.get_context("fork")
-    conns, procs = [], []
-    try:
-        if not multiprocessing.current_process().daemon:
-            with suppress(OSError):
-                for job in jobs:
-                    mine, theirs = context.Pipe(duplex=False)
-                    conns.append(mine)
-                    with theirs:
-                        proc = context.Process(target=target, args=(*job, theirs))
-                        proc.start()
-                    procs.append(proc)
-        yield conns if len(procs) == len(jobs) else None
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.kill()
-            proc.join()
-            proc.close()
 
 
 def _forked_rows(path, header) -> np.ndarray | None:

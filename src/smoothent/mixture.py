@@ -52,17 +52,20 @@ Numerical notes
   packed list's chunks and the order of their sums, depend on its own
   center, draws and kept columns only, so no block size, worker count,
   window, flush or batch moves a bit.
-* Blocks run on a thread pool, one thread per core the process may use,
-  when there are at least ``_POOL_MIN_CENTERS`` centers, a count that no
-  single value fits across shapes (see its comment), and one center's GEMM
-  (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most ``_POOL_GEMM_LIMIT``
-  multiply-adds.  Larger GEMMs stay serial: above that size OpenBLAS
-  threads the GEMM itself, and a pool competing with its threads ran slower
-  than the serial loop.  Serial and pooled shapes run the same per-block
-  job.
+* Blocks run on forked worker processes, one per core the process may use
+  (``_forked``), when there are at least ``_POOL_MIN_CENTERS`` centers and
+  one center's GEMM (``n_mc x (d + 1)`` by ``(d + 1) x 512``) is at most
+  ``_POOL_GEMM_LIMIT`` multiply-adds.  Processes, not threads: a block's
+  per-tile Python and small numpy calls hold the GIL, so a thread pool ran
+  only 1.2-1.6x on 2 cores.  Larger GEMMs stay serial: above that size
+  OpenBLAS threads the GEMM itself, and workers competing with its threads
+  ran slower than the serial loop.  With ``w`` workers the caller runs blocks
+  ``0, w, 2w, ...`` and child ``r`` blocks ``r, r + w, ...``; a child that
+  fails leaves its blocks to the caller, so every path gives the same bits
+  or raises the same exception.
 * The kernel's scratch is bounded by construction, so it needs no size
   guard.  A block holds as many centers as ``_GROUP_BYTES`` allows
-  (``_center_bytes``); each worker allocates one block's scratch
+  (``_center_bytes``); each process allocates one block's scratch
   (``_scratch``) once per call and reuses it for every block it runs.  Only
   the ``(d, n)`` float32 copy of the centers and the ``n`` per-center
   moments grow with ``n``.
@@ -70,10 +73,9 @@ Numerical notes
 
 import math
 import os
-import queue
+import sys
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,20 +102,20 @@ LN_2PI = math.log(2.0 * math.pi)
 _ROW_TARGET = 2048
 _COL_TILE = 512
 # Most multiply-adds of one per-center GEMM for which the kernel runs on
-# a thread pool: 4 x 65536, OpenBLAS's default GEMM_MULTITHREAD_THRESHOLD.
+# forked workers: 4 x 65536, OpenBLAS's default GEMM_MULTITHREAD_THRESHOLD.
 # The rule reads the whole-tile GEMM even where centers are packed and
 # their products are 64 columns wide: on wide-csv's kernel input (d = 10,
-# n = 1000, n_mc = 100, packed) a pool ran 2-15% faster than this serial
-# loop, under 1% of that workload's operation, while a block's whole rows
-# there would still start BLAS threads inside the pool; so the rule stays.
+# n = 1000, n_mc = 100, packed) a thread pool ran 2-15% faster than this
+# serial loop, under 1% of that workload's operation, while a block's whole
+# rows there would still start BLAS threads in each worker; so the rule stays.
 _POOL_GEMM_LIMIT = 1 << 18
-# Fewest centers for which the pool runs, set when blocks held 20 centers.
-# With blocks sized by _GROUP_BYTES no one count fits every shape.  Pooled
-# against serial speed (medians of 21-41 alternating calls, two rounds,
-# 2 cores, N(0, I_d) centers, sigma 0.1): d = 3, n_mc = 100 ran 0.84-0.86x
-# at n = 320 and 0.88-1.01x at 400, and first won at 640 (1.02-1.09x);
-# d = 40, n_mc = 10, sigma 1 ran 0.90-1.05x at 400; d = 1, n_mc = 100 ran
-# 1.01-1.09x at 250, below this count.
+# Fewest centers for which the kernel forks.  Forked against serial time
+# (medians of per-pair ratios over 21-41 alternating calls, four rounds at
+# d = 3, two otherwise; 2 cores, N(0, I_d) centers, sigma 0.1): d = 3,
+# n_mc = 100 ran 0.94-0.97x at n = 320 in three rounds and 1.26x in one,
+# 0.89-1.04x at 400, 0.82-0.84x at 480 and 0.72-0.83x at 640; d = 40,
+# n_mc = 10, sigma 1 ran 0.86-0.87x at 400.  A fork, its pipe and its join
+# cost about 3 ms a call in a small process.  Below 320 stays serial.
 _POOL_MIN_CENTERS = 320
 _DELTA_BUDGET = 1 << 22
 # Most bytes that one block of centers holds, as _center_bytes counts them.
@@ -264,7 +266,8 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, scratch):
     def run(own, ids, widths=None):
         """Add chunks ``ids``' float32 sums in float64 to rows ``own``, in order, ``batch`` at a time.
 
-        With ``widths``, chunk ``t`` holds ``widths[t]`` columns; its padding is masked.
+        With ``widths``, chunk ``t`` holds ``widths[t]`` columns, its padding
+        masked, and ``own`` is ``0, 1, 2, ...``: each row's last chunk.
         """
         for c0 in range(0, own.size, batch):
             r = own[c0 : c0 + batch]
@@ -274,9 +277,11 @@ def _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, scratch):
                 mask = np.arange(_CHUNK) < widths[c0 : c0 + batch, None]
                 np.copyto(a, 0, where=~mask)
             part = _tile_sums(z_lhs[r], a.transpose(1, 0, 2), _head(buf, (r.size, draws, _CHUNK)), mask)
-            # unbuffered, so each row's chunk sums are added in list order
-            np.add.at(sums.reshape(-1), np.add.outer(r * draws, np.arange(draws)).ravel(),
-                      part.astype(np.float64).ravel())
+            if widths is not None:  # rows c0, c0 + 1, ..., once each
+                sums[c0 : c0 + r.size] += part
+            else:  # unbuffered, so each row's chunk sums are added in list order
+                np.add.at(sums.reshape(-1), np.add.outer(r * draws, np.arange(draws)).ravel(),
+                          part.astype(np.float64).ravel())
 
     def flush(w0, keep):
         """Append the kept columns ``w0:w0 + keep.shape[1]`` to the rows' lists; run their full chunks.
@@ -415,10 +420,46 @@ def _tile_sums(lhs, a, buf, mask=None):
 
 
 def _worker_count() -> int:
-    """Workers for a pooled kernel or a forked CSV read or write: the cores this process may run on."""
+    """Workers for a forked kernel, CSV read or CSV write: the cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def _forked(target, jobs):
+    """Run ``target(*job, conn)`` for each of the ``jobs`` in a child forked from this process.
+
+    Yields this side's receiving end of each child's one-way pipe, in job
+    order, or ``None`` when not every child could start: off Linux none is
+    forked, a daemonic process may not start any, and one out of processes
+    or descriptors starts too few.  Only the child holds its sending end, so
+    its exit reads here as an end of file.
+    On exit every connection is closed and every child killed and joined.
+    """
+    conns, procs = [], []
+    try:
+        if jobs and sys.platform == "linux":
+            import multiprocessing  # only calls that fork pay for the import
+
+            context = multiprocessing.get_context("fork")
+            if not multiprocessing.current_process().daemon:
+                with suppress(OSError):
+                    for job in jobs:
+                        mine, theirs = context.Pipe(duplex=False)
+                        conns.append(mine)
+                        with theirs:
+                            proc = context.Process(target=target, args=(*job, theirs))
+                            proc.start()
+                        procs.append(proc)
+        yield conns if len(procs) == len(jobs) else None
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.kill()
+            proc.join()
+            proc.close()
 
 
 _Scratch = namedtuple("_Scratch", "z lhs aug buf packed window hold index")
@@ -487,13 +528,15 @@ def _normals(gen, states, out, carry):
 
 
 def _center_moments(centers_t, sigma, n_mc, seed):
-    """Mean and summed squared deviation of each center's ``n_mc`` log terms.
+    """Mean and summed squared deviation of each center's ``n_mc`` log terms, as a ``(2, n)`` array.
 
     A term is ``_mc_block``'s log-sum less ``|z|^2/(2 sigma^2)`` and the
-    norming constant.  One job per block of centers draws, evaluates and
-    reduces that block's terms, one draw chunk at a time, on this thread or
-    on a pool (see the module notes); each takes a worker's scratch and
-    generator from ``free``.  Non-finite terms pass through to the moments.
+    norming constant.  Each block of centers is drawn, evaluated and
+    reduced one draw chunk at a time, in this process or in a forked child
+    (see the module notes), on that process's one scratch and generator.
+    A child sends its centers' moments down its pipe as one float64
+    message; after any failure this process runs the child's blocks itself.
+    Non-finite terms pass through to the moments.
     """
     dim, n = centers_t.shape
     const = _log_norm_const(n, dim, sigma)
@@ -501,53 +544,75 @@ def _center_moments(centers_t, sigma, n_mc, seed):
     jc = min(n_mc, _ROW_TARGET)
     pack = _packing(dim, n, jc)
     block = min(n, max(1, _GROUP_BYTES // _center_bytes(jc, dim, n, pack)))
+    starts = range(0, n, block)
     workers = 1
     if jc * _COL_TILE * (dim + 1) <= _POOL_GEMM_LIMIT and n >= _POOL_MIN_CENTERS:
-        workers = _worker_count()
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        # the worker's scratch and one generator, whose PCG64 is set to each center's state
-        free.put((_scratch(block, jc, dim, n, pack), np.random.Generator(np.random.PCG64(0))))
-    mean = np.empty(n)
-    m2 = np.empty(n)
+        workers = min(_worker_count(), len(starts))
+    moments = np.empty((2, n))
 
-    def job(b0):
+    def job(b0, scratch, gen):
         b1 = min(b0 + block, n)
         states = _pcg64_states(seed, b0, b1)
-        scratch, gen = free.get()
-        try:
-            t1 = t2 = 0.0
-            # |z|^2 past float64 gives terms of -inf and nan, which the caller refuses
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j0 in range(0, n_mc, _ROW_TARGET):
-                    # the scratch's heads, so that a last chunk below jc draws is contiguous too
-                    draws = min(_ROW_TARGET, n_mc - j0)
-                    z = _head(scratch.z, (b1 - b0, draws, dim))
-                    z_lhs = _head(scratch.lhs, (b1 - b0, draws, dim + 1))
-                    # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
-                    _normals(gen, states, z, carry=j0 + draws < n_mc)
-                    z *= sigma
-                    np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
-                    z_lhs[:, :, dim] = 1.0
-                    z2 = np.einsum("ijd,ijd->ij", z, z)
-                    reach = _reach(z2, sigma, n, dim) if _packing(dim, n, draws) else None
-                    # in place: the terms, then their deviations and squares, in the kernel's sums
-                    terms = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, scratch)
-                    terms -= np.divide(z2, two_var, out=z2)
-                    terms -= const
-                    pivot = terms[:, 0].copy() if j0 == 0 else pivot  # each center's first term
-                    dev = np.subtract(terms, pivot[:, None], out=terms)
-                    t1 += dev.sum(axis=1)
-                    t2 += np.multiply(dev, dev, out=z2).sum(axis=1)
-                mean[b0:b1] = pivot + t1 / n_mc
-                m2[b0:b1] = t2 - t1 * t1 / n_mc
-        finally:
-            free.put((scratch, gen))
+        t1 = t2 = 0.0
+        # |z|^2 past float64 gives terms of -inf and nan, which the caller refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j0 in range(0, n_mc, _ROW_TARGET):
+                # the scratch's heads, so that a last chunk below jc draws is contiguous too
+                draws = min(_ROW_TARGET, n_mc - j0)
+                z = _head(scratch.z, (b1 - b0, draws, dim))
+                z_lhs = _head(scratch.lhs, (b1 - b0, draws, dim + 1))
+                # standard normals scaled once: bitwise rng.normal(0.0, sigma, ...)
+                _normals(gen, states, z, carry=j0 + draws < n_mc)
+                z *= sigma
+                np.multiply(z, -1.0 / sigma**2, out=z_lhs[:, :, :dim])
+                z_lhs[:, :, dim] = 1.0
+                z2 = np.einsum("ijd,ijd->ij", z, z)
+                reach = _reach(z2, sigma, n, dim) if _packing(dim, n, draws) else None
+                # in place: the terms, then their deviations and squares, in the kernel's sums
+                terms = _mc_block(centers_t, b0, b1, z_lhs, reach, sigma, scratch)
+                terms -= np.divide(z2, two_var, out=z2)
+                terms -= const
+                pivot = terms[:, 0].copy() if j0 == 0 else pivot  # each center's first term
+                dev = np.subtract(terms, pivot[:, None], out=terms)
+                t1 += dev.sum(axis=1)
+                t2 += np.multiply(dev, dev, out=z2).sum(axis=1)
+            moments[0, b0:b1] = pivot + t1 / n_mc
+            moments[1, b0:b1] = t2 - t1 * t1 / n_mc
 
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for _ in (map if pool is None else pool.map)(job, range(0, n, block)):
+    def run(r):
+        """Run blocks ``r, r + workers, ...`` on one scratch and one generator."""
+        scratch = _scratch(block, jc, dim, n, pack)
+        gen = np.random.Generator(np.random.PCG64(0))  # set to each center's PCG64 state in turn
+        for b0 in starts[r::workers]:
+            job(b0, scratch, gen)  # a job's arrays are freed before the next one's
+
+    def rows(r):
+        """Worker ``r``'s centers, those of its blocks, as a mask."""
+        return np.arange(n) // block % workers == r
+
+    def child(r, conn):
+        """Forked child ``r``: run its blocks and send their moments; on any failure send nothing."""
+        try:
+            run(r)
+            conn.send_bytes(moments[:, rows(r)].ravel())
+        except Exception:  # the caller runs these blocks and raises the error, if there is one
             pass
-    return mean, m2
+        finally:
+            conn.close()
+
+    with _forked(child, [(r,) for r in range(1, workers)]) as conns:
+        run(0)
+        for r in range(1, workers):
+            mine = rows(r)
+            got = np.empty(2 * np.count_nonzero(mine))
+            sent = False
+            with suppress(EOFError, OSError):
+                sent = conns is not None and conns[r - 1].recv_bytes_into(got) == got.nbytes
+            if sent:
+                moments[:, mine] = got.reshape(2, -1)
+            else:
+                run(r)
+    return moments
 
 
 def plugin_entropy_mc(mix: IsotropicMixture, n_mc: int, seed: int) -> EntropyEstimate:

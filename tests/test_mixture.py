@@ -1,10 +1,10 @@
 """Mixture log density and the Monte-Carlo / quadrature entropy estimates."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 from decimal import Decimal, getcontext
 from pathlib import Path
 
@@ -341,8 +341,10 @@ def clustered_centers(seed):
 def count_columns(monkeypatch):
     """Wrap ``_tile_sums``; return a one-item list that counts the kept columns reaching the product.
 
-    Padding that a mask drops is not counted.
+    Padding that a mask drops is not counted.  One worker, since a forked
+    child's products are not counted here.
     """
+    monkeypatch.setattr(mixture, "_worker_count", lambda: 1)
     real = mixture._tile_sums
     count = [0]
 
@@ -539,19 +541,29 @@ class TestPooledKernel:
         return IsotropicMixture(SampleMatrix(rng.standard_normal((dim, TestPooledKernel.N))), 0.3)
 
     @staticmethod
-    def record_threads(monkeypatch, error_block=None):
-        """Wrap ``_mc_block``: log the calling thread, raise in each block from ``error_block`` on."""
+    def record_children(monkeypatch):
+        """Wrap the fork helper: log how many children each call forks."""
+        forked = mixture._forked
+        children = []
+
+        def logged(target, jobs):
+            children.append(len(jobs))
+            return forked(target, jobs)
+
+        monkeypatch.setattr(mixture, "_forked", logged)
+        return children
+
+    @staticmethod
+    def fail_blocks(monkeypatch, failing):
+        """Make ``_mc_block`` raise the kernel's overflow ``Unsupported`` in the blocks from ``failing``."""
         real = mixture._mc_block
-        threads = []
 
         def kernel(centers_t, b0, *rest):
-            threads.append(threading.current_thread())
-            if error_block is not None and b0 >= error_block:
-                raise RuntimeError("kernel failure in block")
+            if b0 in failing:
+                raise Unsupported("Monte-Carlo kernel sum is not finite: a term exceeds float32")
             return real(centers_t, b0, *rest)
 
         monkeypatch.setattr(mixture, "_mc_block", kernel)
-        return threads
 
     def pooled(self, monkeypatch, mix, workers, n_mc=N_MC):
         monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
@@ -562,63 +574,77 @@ class TestPooledKernel:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_bitwise_equal_to_serial_loop(self, monkeypatch, dim, workers):
         mix = self.mix(dim)
-        threads = self.record_threads(monkeypatch)
+        children = self.record_children(monkeypatch)
         got = self.pooled(monkeypatch, mix, workers)
-        pool_threads = {t for t in threads if t is not threading.main_thread()}
-        assert bool(pool_threads) == (workers > 1)
+        assert children == [workers - 1]
         assert got == serial_reference(mix, self.N_MC, self.SEED)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_wide_shape_with_small_gemm_pools(self, monkeypatch, workers):
         # d = 40 at n_mc = 10: a per-center GEMM of 10 * 512 * 41 <= 2**18 pools
         mix = self.mix(40)
-        threads = self.record_threads(monkeypatch)
+        children = self.record_children(monkeypatch)
         got = self.pooled(monkeypatch, mix, workers, n_mc=10)
-        assert any(t is not threading.main_thread() for t in threads)
+        assert children == [workers - 1]
         assert got == serial_reference(mix, 10, self.SEED)
-
-    def test_short_switch_interval(self, monkeypatch):
-        mix = self.mix(3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = self.pooled(monkeypatch, mix, 3)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == serial_reference(mix, self.N_MC, self.SEED)
 
     def test_large_gemm_shapes_stay_on_calling_thread(self, monkeypatch):
         # per-center GEMMs over 2**18 multiply-adds: d = 5 at n_mc = 100
         # (100 * 512 * 6), two draw chunks of 2048 and 52 at n_mc = 2100
         # (2048 * 512 * 4), and d = 40, whose sigma puts some queries nearer
         # another center than their own, so that exponents above 0 occur
-        threads = self.record_threads(monkeypatch)
+        children = self.record_children(monkeypatch)
         for dim, n_mc, sigma in [(5, 100, 0.3), (3, 2100, 0.3), (40, 100, 3.0)]:
             rng = np.random.default_rng(300 + dim)
             mix = IsotropicMixture(SampleMatrix(rng.standard_normal((dim, 325))), sigma)
             got = self.pooled(monkeypatch, mix, 2, n_mc)
-            assert threads and set(threads) == {threading.main_thread()}
             assert got == serial_reference(mix, n_mc, self.SEED)
+        assert children == [0, 0, 0]
 
     @pytest.mark.parametrize("n", [250, mixture._POOL_MIN_CENTERS - 1])
     def test_few_centers_stay_on_calling_thread(self, monkeypatch, n):
-        threads = self.record_threads(monkeypatch)
+        children = self.record_children(monkeypatch)
         rng = np.random.default_rng(306)
         mix = IsotropicMixture(SampleMatrix(rng.standard_normal((3, n))), 0.3)
         got = self.pooled(monkeypatch, mix, 2)
-        assert threads and set(threads) == {threading.main_thread()}
+        assert children == [0]
         assert got == serial_reference(mix, self.N_MC, self.SEED)
 
-    def test_worker_exception_propagates_and_threads_end(self, monkeypatch):
+    @pytest.mark.parametrize("failing", ["caller", "child"])
+    def test_worker_exception_propagates_and_children_end(self, monkeypatch, failing):
+        # two workers on blocks of 3 centers: this process runs the blocks at
+        # 0, 6, 12, ... and the child those at 3, 9, ...; the child's failed
+        # blocks are run again here and raise the same exception
         mix = self.mix(3)
-        start = threading.active_count()
-        self.pooled(monkeypatch, mix, 2)
-        assert threading.active_count() == start
-        threads = self.record_threads(monkeypatch, error_block=60)
-        with pytest.raises(RuntimeError, match="kernel failure in block"):
+        monkeypatch.setattr(mixture, "_GROUP_BYTES", 3 * one_center_budget(3, self.N, self.N_MC))
+        self.fail_blocks(monkeypatch, {"caller": {6, 12}, "child": {3}}[failing])
+        children = self.record_children(monkeypatch)
+        with pytest.raises(Unsupported, match="^Monte-Carlo kernel sum is not finite: a term exceeds float32$"):
             self.pooled(monkeypatch, mix, 2)
-        assert any(t is not threading.main_thread() for t in threads)
-        assert threading.active_count() == start
+        assert children == [1]
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("cause", ["daemonic", "no_free_pids"])
+    def test_children_that_cannot_start_leave_the_serial_bits(self, monkeypatch, cause):
+        # a daemonic process may not fork children; out of pids, the second of
+        # three workers' children fails to fork and the first is killed
+        mix = self.mix(3)
+        if cause == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            start, starts = multiprocessing.process.BaseProcess.start, []
+
+            def start_once(proc):
+                starts.append(proc)
+                if len(starts) > 1:
+                    raise BlockingIOError(11, "Resource temporarily unavailable")
+                return start(proc)
+
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start_once)
+        rows = TestCenterGroups.log_rows(monkeypatch)
+        got = self.pooled(monkeypatch, mix, 3)
+        assert sum(rows) == self.N  # every block ran in this process
+        assert got == serial_reference(mix, self.N_MC, self.SEED)
 
 
 def one_center_budget(dim, n, n_mc):
@@ -668,13 +694,15 @@ class TestCenterGroups:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_wide_shape(self, monkeypatch, workers):
-        # d = 40, n_mc = 10, n = 407: 58 blocks of 7 centers and one of 1 on
-        # a pool, which may finish them in any order
+        # d = 40, n_mc = 10, n = 407: 58 blocks of 7 centers and one of 1;
+        # this process runs blocks 0, w, 2w, ... and w - 1 children the rest
         monkeypatch.setattr(mixture, "_worker_count", lambda: workers)
         mix = TestPooledKernel.mix(40)
+        children = TestPooledKernel.record_children(monkeypatch)
         rows = self.split(monkeypatch, 40, TestPooledKernel.N, 10, 7)
         got = self.estimate(mix, 10)
-        assert sorted(rows) == [1] + [7] * 58
+        assert children == [workers - 1]
+        assert rows == [min(7, TestPooledKernel.N - 7 * b) for b in range(0, 59, workers)]
         assert got == serial_reference(mix, 10, self.SEED)
 
     def test_two_draw_chunks(self, monkeypatch):
@@ -710,6 +738,22 @@ class TestCenterGroups:
         assert math.isfinite(est.value)
         assert min(rows[:-1]) >= 64 and sum(rows) == 5000
         buf = mixture._scratch(rows[0], 100, 3, 5000, True)[3]
+        assert peak - 5000 * (3 * 4 + 2 * 8) <= mixture._GROUP_BYTES + buf.nbytes
+
+    def test_pooled_caller_holds_one_scratch(self, monkeypatch, traced_peak):
+        # the shape above on two workers: the child allocates its own
+        # scratch, so this process traces one worker's, as a serial call
+        # does; a first call imports the modules that fork
+        monkeypatch.setattr(mixture, "_worker_count", lambda: 2)
+        rng = np.random.default_rng(324)
+        mix = IsotropicMixture(SampleMatrix(rng.standard_normal((3, 5000))), 0.1)
+        plugin_entropy_mc(mix, 1, 3)
+        children = TestPooledKernel.record_children(monkeypatch)
+        rows = self.log_rows(monkeypatch)
+        est, peak = traced_peak(plugin_entropy_mc, mix, 100, 3)
+        assert math.isfinite(est.value)
+        assert children == [1] and sum(rows) < 5000  # the child ran its blocks
+        buf = mixture._scratch(rows[0], 100, 3, 5000, True).buf
         assert peak - 5000 * (3 * 4 + 2 * 8) <= mixture._GROUP_BYTES + buf.nbytes
 
     def test_high_dim_scratch_stays_within_the_group_budget(self, traced_peak):
